@@ -91,9 +91,10 @@ void BM_SingleSgdStep(benchmark::State& state) {
   model.InitRandom(&init);
   core::BprTrainer trainer(&model, &f.training_data, &f.sampler);
   Rng rng(9);
+  core::Context context;
   for (auto _ : state) {
     core::TrainingData::Position pos = f.training_data.SamplePosition(&rng);
-    core::Context context = f.training_data.ContextAt(pos, 25);
+    f.training_data.ContextAt(pos, 25, &context);
     if (context.empty()) continue;
     data::ItemIndex positive = f.training_data.EventAt(pos).item;
     data::ItemIndex negative = f.sampler.Sample(f.training_data, pos.user,

@@ -1,9 +1,8 @@
 #include "core/candidate_selector.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
-#include <set>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -71,29 +70,43 @@ int RepurchaseEstimator::CountRepurchasable() const {
   return count;
 }
 
-void CandidateSelector::CollectLca(data::ItemIndex i, int k,
-                                   std::vector<data::ItemIndex>* out) const {
-  const data::CategoryId category = catalog_->item(i).category;
-  for (data::CategoryId c :
-       catalog_->taxonomy().CategoriesWithinLca(category, k)) {
-    const auto& items = catalog_->ItemsInCategory(c);
-    out->insert(out->end(), items.begin(), items.end());
+void CandidateSelector::AppendSubtree(data::CategoryId c,
+                                      std::vector<data::ItemIndex>* out) const {
+  const auto& items = catalog_->ItemsInCategory(c);
+  out->insert(out->end(), items.begin(), items.end());
+  for (data::CategoryId child : catalog_->taxonomy().children(c)) {
+    AppendSubtree(child, out);
   }
 }
 
-std::vector<data::ItemIndex> CandidateSelector::Finalize(
-    data::ItemIndex query, std::vector<data::ItemIndex> items,
-    const Options& options) const {
-  // Dedup, drop the query itself (unless re-purchasable logic already kept
-  // it deliberately — handled by callers passing it explicitly), apply the
-  // late-funnel facet filter, cap.
+std::vector<data::ItemIndex> CandidateSelector::CollectSubtrees(
+    std::vector<data::CategoryId> roots) const {
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  const data::Taxonomy& taxonomy = catalog_->taxonomy();
+  std::vector<data::ItemIndex> items;
+  for (data::CategoryId root : roots) {
+    // Skip a root that lies under another root: its items come with that
+    // subtree.
+    const std::vector<data::CategoryId>& path = taxonomy.PathToRoot(root);
+    const bool nested =
+        std::any_of(path.begin() + 1, path.end(), [&](data::CategoryId a) {
+          return std::binary_search(roots.begin(), roots.end(), a);
+        });
+    if (!nested) AppendSubtree(root, &items);
+  }
   std::sort(items.begin(), items.end());
   items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
+}
 
+std::vector<data::ItemIndex> CandidateSelector::Finalize(
+    data::ItemIndex query, const std::vector<data::ItemIndex>& pool,
+    const Options& options) const {
   std::vector<data::ItemIndex> result;
-  result.reserve(std::min<size_t>(items.size(), options.max_candidates));
+  result.reserve(std::min<size_t>(pool.size(), options.max_candidates));
   const int32_t query_facet = catalog_->item(query).facet;
-  for (data::ItemIndex item : items) {
+  for (data::ItemIndex item : pool) {
     if (options.late_funnel && catalog_->item(item).facet != query_facet) {
       continue;
     }
@@ -103,21 +116,28 @@ std::vector<data::ItemIndex> CandidateSelector::Finalize(
   return result;
 }
 
-std::vector<data::ItemIndex> CandidateSelector::ViewBased(
+std::vector<data::ItemIndex> CandidateSelector::ViewPool(
     data::ItemIndex i, const Options& options) const {
-  std::vector<data::ItemIndex> pool;
+  std::vector<data::CategoryId> roots;
   const auto& neighbors = cooccurrence_->CoViewed(i);
   const int expand = std::min<int>(options.max_co_items,
                                    static_cast<int>(neighbors.size()));
   for (int n = 0; n < expand; ++n) {
-    CollectLca(neighbors[n].item, options.view_lca_k, &pool);
+    roots.push_back(LcaRoot(neighbors[n].item, options.view_lca_k));
   }
-  if (pool.empty()) {
+  if (roots.empty()) {
     // Cold item: no co-view data; use its own taxonomy neighborhood.
-    CollectLca(i, options.view_lca_k, &pool);
+    roots.push_back(LcaRoot(i, options.view_lca_k));
   }
-  pool.erase(std::remove(pool.begin(), pool.end(), i), pool.end());
-  return Finalize(i, std::move(pool), options);
+  std::vector<data::ItemIndex> pool = CollectSubtrees(std::move(roots));
+  auto self = std::lower_bound(pool.begin(), pool.end(), i);
+  if (self != pool.end() && *self == i) pool.erase(self);
+  return pool;
+}
+
+std::vector<data::ItemIndex> CandidateSelector::ViewBased(
+    data::ItemIndex i, const Options& options) const {
+  return Finalize(i, ViewPool(i, options), options);
 }
 
 std::vector<data::ItemIndex> CandidateSelector::PurchaseBased(
@@ -125,41 +145,36 @@ std::vector<data::ItemIndex> CandidateSelector::PurchaseBased(
   const data::CategoryId category = catalog_->item(i).category;
   const bool repurchasable = repurchase_->IsRepurchasable(category);
 
-  std::vector<data::ItemIndex> pool;
+  std::vector<data::CategoryId> roots;
   const auto& neighbors = cooccurrence_->CoBought(i);
   const int expand = std::min<int>(options.max_co_items,
                                    static_cast<int>(neighbors.size()));
   for (int n = 0; n < expand; ++n) {
-    CollectLca(neighbors[n].item, options.purchase_lca_k, &pool);
+    roots.push_back(LcaRoot(neighbors[n].item, options.purchase_lca_k));
   }
-  if (pool.empty()) {
+  if (roots.empty()) {
     // No co-purchase data: fall back to a wider taxonomy neighborhood so
     // cold items still get accessory candidates.
-    CollectLca(i, options.purchase_lca_k + 1, &pool);
+    roots.push_back(LcaRoot(i, options.purchase_lca_k + 1));
   }
+  const std::vector<data::ItemIndex> pool = CollectSubtrees(std::move(roots));
 
+  // Everything within lca_1 of i (same category), i itself included.
+  std::vector<data::ItemIndex> own;
+  AppendSubtree(category, &own);
+  std::sort(own.begin(), own.end());
+  std::vector<data::ItemIndex> merged;
   if (!repurchasable) {
-    // Remove substitutes: everything within lca_1 of i (same category).
-    std::unordered_set<data::ItemIndex> substitutes;
-    std::vector<data::ItemIndex> own;
-    CollectLca(i, 1, &own);
-    substitutes.insert(own.begin(), own.end());
-    pool.erase(std::remove_if(pool.begin(), pool.end(),
-                              [&substitutes](data::ItemIndex item) {
-                                return substitutes.count(item) > 0;
-                              }),
-               pool.end());
+    // Remove substitutes.
+    std::set_difference(pool.begin(), pool.end(), own.begin(), own.end(),
+                        std::back_inserter(merged));
   } else {
     // Re-purchasable: keep same-category items and the item itself for
     // periodic re-recommendation.
-    std::vector<data::ItemIndex> own;
-    CollectLca(i, 1, &own);
-    pool.insert(pool.end(), own.begin(), own.end());
+    std::set_union(pool.begin(), pool.end(), own.begin(), own.end(),
+                   std::back_inserter(merged));
   }
-  if (!repurchasable) {
-    pool.erase(std::remove(pool.begin(), pool.end(), i), pool.end());
-  }
-  return Finalize(i, std::move(pool), options);
+  return Finalize(i, merged, options);
 }
 
 }  // namespace sigmund::core

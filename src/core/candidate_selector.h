@@ -70,9 +70,15 @@ class CandidateSelector {
   // View-based (substitutes, before the purchase decision):
   //   C = union_{j in cv(i)} lca_k(j),
   // falling back to lca_k(i) for items with no co-view data (coverage for
-  // cold items).
+  // cold items). Equals Finalize(i, ViewPool(i, options), options).
   std::vector<data::ItemIndex> ViewBased(data::ItemIndex i,
                                          const Options& options) const;
+
+  // The view-based pool before the facet filter and cap: ascending,
+  // deduplicated, without `i`. It does not depend on options.late_funnel,
+  // so one pool serves both the plain and the late-funnel list.
+  std::vector<data::ItemIndex> ViewPool(data::ItemIndex i,
+                                        const Options& options) const;
 
   // Purchase-based (accessories/complements, after the purchase):
   //   C = union_{j in cb(i)} lca_1(j) \ lca_1(i),
@@ -82,14 +88,27 @@ class CandidateSelector {
   std::vector<data::ItemIndex> PurchaseBased(data::ItemIndex i,
                                              const Options& options) const;
 
- private:
-  // Items of all categories within LCA distance k of item i's category.
-  void CollectLca(data::ItemIndex i, int k,
-                  std::vector<data::ItemIndex>* out) const;
+  // Applies the late-funnel facet filter (against `query`'s facet) and the
+  // max_candidates cap to an ascending, deduplicated pool.
+  std::vector<data::ItemIndex> Finalize(
+      data::ItemIndex query, const std::vector<data::ItemIndex>& pool,
+      const Options& options) const;
 
-  std::vector<data::ItemIndex> Finalize(data::ItemIndex query,
-                                        std::vector<data::ItemIndex> items,
-                                        const Options& options) const;
+ private:
+  // Root of the subtree of categories within LCA distance k of item i.
+  data::CategoryId LcaRoot(data::ItemIndex i, int k) const {
+    return catalog_->taxonomy().LcaRoot(catalog_->item(i).category, k);
+  }
+
+  // Ascending, deduplicated items of the subtrees under `roots`. Roots are
+  // deduplicated first, and roots inside another root's subtree dropped,
+  // so each category's items are collected once.
+  std::vector<data::ItemIndex> CollectSubtrees(
+      std::vector<data::CategoryId> roots) const;
+
+  // Appends the items of every category in the subtree under `c`.
+  void AppendSubtree(data::CategoryId c,
+                     std::vector<data::ItemIndex>* out) const;
 
   const data::Catalog* catalog_;
   const CooccurrenceModel* cooccurrence_;

@@ -7,10 +7,78 @@
 
 namespace sigmund::core {
 
-uint64_t CooccurrenceModel::PairKey(data::ItemIndex a, data::ItemIndex b) {
+namespace {
+
+// One undirected pair as a sortable key, smaller item in the high half.
+uint64_t PairKey(data::ItemIndex a, data::ItemIndex b) {
   if (a > b) std::swap(a, b);
   return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
          static_cast<uint32_t>(b);
+}
+
+}  // namespace
+
+CooccurrenceModel::PairRows CooccurrenceModel::PairRows::FromKeys(
+    const std::vector<uint64_t>& keys, int num_items) {
+  // Bucket each occurrence's larger item under its smaller one (a counting
+  // sort on the smaller item), then sort each bucket: its runs are the
+  // distinct pairs, ascending by (smaller, larger), with their counts.
+  std::vector<int64_t> bucket(static_cast<size_t>(num_items) + 1, 0);
+  for (uint64_t key : keys) ++bucket[(key >> 32) + 1];
+  for (int i = 0; i < num_items; ++i) bucket[i + 1] += bucket[i];
+  std::vector<data::ItemIndex> larger(keys.size());
+  {
+    std::vector<int64_t> cursor(bucket.begin(), bucket.end() - 1);
+    for (uint64_t key : keys) {
+      larger[cursor[key >> 32]++] =
+          static_cast<data::ItemIndex>(key & 0xffffffffu);
+    }
+  }
+  std::vector<data::ItemIndex> pair_a, pair_b;
+  std::vector<int32_t> runs;
+  for (data::ItemIndex a = 0; a < num_items; ++a) {
+    const auto first = larger.begin() + bucket[a];
+    const auto last = larger.begin() + bucket[a + 1];
+    std::sort(first, last);
+    for (auto it = first; it != last;) {
+      const auto end = std::upper_bound(it, last, *it);
+      pair_a.push_back(a);
+      pair_b.push_back(*it);
+      runs.push_back(static_cast<int32_t>(end - it));
+      it = end;
+    }
+  }
+
+  PairRows rows;
+  rows.offsets.assign(static_cast<size_t>(num_items) + 1, 0);
+  for (size_t p = 0; p < runs.size(); ++p) {
+    ++rows.offsets[pair_a[p] + 1];
+    ++rows.offsets[pair_b[p] + 1];
+  }
+  for (int i = 0; i < num_items; ++i) rows.offsets[i + 1] += rows.offsets[i];
+  rows.items.resize(rows.offsets.back());
+  rows.counts.resize(rows.offsets.back());
+  // Pairs ascend by (smaller, larger) item, so row r first receives its
+  // smaller partners in ascending order, then its larger ones: every row
+  // comes out sorted.
+  std::vector<int64_t> cursor(rows.offsets.begin(), rows.offsets.end() - 1);
+  for (size_t p = 0; p < runs.size(); ++p) {
+    const data::ItemIndex a = pair_a[p], b = pair_b[p];
+    rows.items[cursor[a]] = b;
+    rows.counts[cursor[a]++] = runs[p];
+    rows.items[cursor[b]] = a;
+    rows.counts[cursor[b]++] = runs[p];
+  }
+  return rows;
+}
+
+int64_t CooccurrenceModel::PairRows::Count(data::ItemIndex a,
+                                           data::ItemIndex b) const {
+  if (a < 0 || static_cast<size_t>(a) + 1 >= offsets.size()) return 0;
+  const auto first = items.begin() + offsets[a];
+  const auto last = items.begin() + offsets[a + 1];
+  const auto it = std::lower_bound(first, last, b);
+  return it != last && *it == b ? counts[it - items.begin()] : 0;
 }
 
 CooccurrenceModel CooccurrenceModel::Build(
@@ -19,6 +87,8 @@ CooccurrenceModel CooccurrenceModel::Build(
   CooccurrenceModel model;
   model.view_counts_.assign(num_items, 0);
   model.buy_counts_.assign(num_items, 0);
+  // One key per pair occurrence; counted by FromKeys.
+  std::vector<uint64_t> view_keys, buy_keys;
 
   for (const auto& history : histories) {
     // Split into sessions on time gaps; count co-views within a sliding
@@ -40,7 +110,7 @@ CooccurrenceModel CooccurrenceModel::Build(
         ++model.buy_counts_[event.item];
         for (data::ItemIndex prev : purchases) {
           if (prev != event.item) {
-            ++model.buy_pairs_[PairKey(prev, event.item)];
+            buy_keys.push_back(PairKey(prev, event.item));
           }
         }
         purchases.push_back(event.item);
@@ -53,57 +123,49 @@ CooccurrenceModel CooccurrenceModel::Build(
           0, static_cast<int>(session_views.size()) - options.window);
       for (size_t k = start; k < session_views.size(); ++k) {
         if (session_views[k] != event.item) {
-          ++model.view_pairs_[PairKey(session_views[k], event.item)];
+          view_keys.push_back(PairKey(session_views[k], event.item));
         }
       }
       session_views.push_back(event.item);
     }
   }
+  model.view_pairs_ = PairRows::FromKeys(view_keys, num_items);
+  model.buy_pairs_ = PairRows::FromKeys(buy_keys, num_items);
 
   // Build per-item top-neighbor lists.
-  std::vector<std::vector<Neighbor>> viewed(num_items), bought(num_items);
-  auto fill = [&](const std::unordered_map<uint64_t, int64_t>& pairs,
-                  const std::vector<int64_t>& counts,
+  auto fill = [&](const PairRows& pairs, const std::vector<int64_t>& counts,
                   std::vector<std::vector<Neighbor>>* out) {
-    for (const auto& [key, count] : pairs) {
-      if (count < options.min_count) continue;
-      data::ItemIndex a = static_cast<data::ItemIndex>(key >> 32);
-      data::ItemIndex b = static_cast<data::ItemIndex>(key & 0xffffffffu);
-      // Cosine-style normalization: c_ab / sqrt(c_a * c_b).
-      double denom = std::sqrt(static_cast<double>(
-          std::max<int64_t>(1, counts[a]) * std::max<int64_t>(1, counts[b])));
-      double score = count / denom;
-      (*out)[a].push_back(Neighbor{b, score, count});
-      (*out)[b].push_back(Neighbor{a, score, count});
-    }
-    for (auto& neighbors : *out) {
-      std::sort(neighbors.begin(), neighbors.end(),
-                [](const Neighbor& x, const Neighbor& y) {
-                  if (x.score != y.score) return x.score > y.score;
-                  return x.item < y.item;
-                });
-      if (static_cast<int>(neighbors.size()) > options.max_neighbors) {
-        neighbors.resize(options.max_neighbors);
+    out->resize(num_items);
+    for (data::ItemIndex a = 0; a < num_items; ++a) {
+      std::vector<Neighbor>& neighbors = (*out)[a];
+      neighbors.reserve(pairs.offsets[a + 1] - pairs.offsets[a]);
+      for (int64_t e = pairs.offsets[a]; e < pairs.offsets[a + 1]; ++e) {
+        const data::ItemIndex b = pairs.items[e];
+        const int64_t count = pairs.counts[e];
+        if (count < options.min_count) continue;
+        // Cosine-style normalization: c_ab / sqrt(c_a * c_b).
+        double denom = std::sqrt(static_cast<double>(
+            std::max<int64_t>(1, counts[a]) *
+            std::max<int64_t>(1, counts[b])));
+        neighbors.push_back(Neighbor{b, count / denom, count});
       }
+      // Items are distinct within a row, so the order is total and the
+      // kept prefix is the same as a full sort's.
+      const size_t keep = std::min<size_t>(
+          neighbors.size(), std::max(0, options.max_neighbors));
+      std::partial_sort(neighbors.begin(), neighbors.begin() + keep,
+                        neighbors.end(),
+                        [](const Neighbor& x, const Neighbor& y) {
+                          if (x.score != y.score) return x.score > y.score;
+                          return x.item < y.item;
+                        });
+      neighbors.resize(keep);
+      neighbors.shrink_to_fit();
     }
   };
-  fill(model.view_pairs_, model.view_counts_, &viewed);
-  fill(model.buy_pairs_, model.buy_counts_, &bought);
-  model.co_viewed_ = std::move(viewed);
-  model.co_bought_ = std::move(bought);
+  fill(model.view_pairs_, model.view_counts_, &model.co_viewed_);
+  fill(model.buy_pairs_, model.buy_counts_, &model.co_bought_);
   return model;
-}
-
-int64_t CooccurrenceModel::CoViewCount(data::ItemIndex a,
-                                       data::ItemIndex b) const {
-  auto it = view_pairs_.find(PairKey(a, b));
-  return it == view_pairs_.end() ? 0 : it->second;
-}
-
-int64_t CooccurrenceModel::CoBuyCount(data::ItemIndex a,
-                                      data::ItemIndex b) const {
-  auto it = buy_pairs_.find(PairKey(a, b));
-  return it == buy_pairs_.end() ? 0 : it->second;
 }
 
 double CooccurrenceModel::Pmi(data::ItemIndex a, data::ItemIndex b) const {

@@ -3,7 +3,6 @@
 
 #include <stdint.h>
 
-#include <unordered_map>
 #include <vector>
 
 #include "data/retailer_data.h"
@@ -16,6 +15,10 @@ namespace sigmund::core {
 // well for popular (head) items and is combined with factorization for the
 // tail; it also feeds candidate selection (cv(i), cb(i), §III-D1) and the
 // exclusion negative sampler (§III-B3).
+//
+// Pair counts live in per-item CSR rows (row offsets plus neighbour ids
+// sorted ascending, with their counts), probed by binary search; every
+// pair appears in both items' rows.
 //
 // Immutable after Build(); thread-safe for reads.
 class CooccurrenceModel {
@@ -46,8 +49,12 @@ class CooccurrenceModel {
   int num_items() const { return static_cast<int>(view_counts_.size()); }
 
   // Raw pair counts (symmetric).
-  int64_t CoViewCount(data::ItemIndex a, data::ItemIndex b) const;
-  int64_t CoBuyCount(data::ItemIndex a, data::ItemIndex b) const;
+  int64_t CoViewCount(data::ItemIndex a, data::ItemIndex b) const {
+    return view_pairs_.Count(a, b);
+  }
+  int64_t CoBuyCount(data::ItemIndex a, data::ItemIndex b) const {
+    return buy_pairs_.Count(a, b);
+  }
 
   // Pointwise mutual information of a co-view pair; very negative when the
   // pair never co-occurred.
@@ -65,10 +72,21 @@ class CooccurrenceModel {
   std::vector<data::ItemIndex> ItemsByPopularity() const;
 
  private:
-  static uint64_t PairKey(data::ItemIndex a, data::ItemIndex b);
+  // Symmetric pair counts as sorted per-item rows.
+  struct PairRows {
+    std::vector<int64_t> offsets;  // row a = [offsets[a], offsets[a + 1])
+    std::vector<data::ItemIndex> items;  // ascending within a row
+    std::vector<int32_t> counts;
 
-  std::unordered_map<uint64_t, int64_t> view_pairs_;
-  std::unordered_map<uint64_t, int64_t> buy_pairs_;
+    // Builds the rows from one key per pair occurrence: the smaller item
+    // in the high 32 bits, the larger in the low.
+    static PairRows FromKeys(const std::vector<uint64_t>& keys,
+                             int num_items);
+    int64_t Count(data::ItemIndex a, data::ItemIndex b) const;
+  };
+
+  PairRows view_pairs_;
+  PairRows buy_pairs_;
   std::vector<int64_t> view_counts_;
   std::vector<int64_t> buy_counts_;
   std::vector<std::vector<Neighbor>> co_viewed_;

@@ -15,18 +15,8 @@ std::string MetricSet::ToString() const {
       static_cast<long long>(num_examples));
 }
 
-std::vector<float> Evaluator::BuildPhiCache(const BprModel& model) {
-  const int d = model.dim();
-  const int n = model.catalog().num_items();
-  std::vector<float> cache(static_cast<size_t>(n) * d);
-  for (data::ItemIndex i = 0; i < n; ++i) {
-    model.ItemRepresentation(i, cache.data() + static_cast<size_t>(i) * d);
-  }
-  return cache;
-}
-
 double Evaluator::EstimateRank(const BprModel& model,
-                               const std::vector<float>& phi_cache,
+                               const std::vector<float>& phi_table,
                                const TrainingData& train,
                                data::UserIndex user, const float* user_vec,
                                data::ItemIndex target, const Options& options,
@@ -34,18 +24,24 @@ double Evaluator::EstimateRank(const BprModel& model,
   const int d = model.dim();
   const int n = model.catalog().num_items();
   const double target_score = model.ScoreWithPhi(
-      user_vec, phi_cache.data() + static_cast<size_t>(target) * d);
+      user_vec, phi_table.data() + static_cast<size_t>(target) * d);
 
   const bool sampled = options.item_sample_fraction < 1.0;
   int64_t higher = 0;
   int64_t considered = 0;
+  // The user's seen row is sorted, so one cursor walks it alongside j.
+  const std::span<const data::ItemIndex> seen = train.SeenItems(user);
+  auto next_seen = seen.begin();
   for (data::ItemIndex j = 0; j < n; ++j) {
     if (j == target) continue;
-    if (options.exclude_seen && train.Seen(user, j)) continue;
+    if (options.exclude_seen) {
+      while (next_seen != seen.end() && *next_seen < j) ++next_seen;
+      if (next_seen != seen.end() && *next_seen == j) continue;
+    }
     if (sampled && !rng->Bernoulli(options.item_sample_fraction)) continue;
     ++considered;
     double score = model.ScoreWithPhi(
-        user_vec, phi_cache.data() + static_cast<size_t>(j) * d);
+        user_vec, phi_table.data() + static_cast<size_t>(j) * d);
     if (score > target_score) ++higher;
   }
   if (!sampled) return 1.0 + higher;
@@ -62,15 +58,15 @@ MetricSet Evaluator::Evaluate(const BprModel& model,
   if (holdout.empty()) return metrics;
 
   Rng rng(options.seed);
-  std::vector<float> phi_cache = BuildPhiCache(model);
+  const std::vector<float> phi_table = model.BuildPhiTable();
   std::vector<float> user_vec(model.dim());
   const int n = model.catalog().num_items();
 
+  Context context;
   for (const data::HoldoutExample& example : holdout) {
-    Context context =
-        train.FullContext(example.user, model.params().context_window);
+    train.FullContext(example.user, model.params().context_window, &context);
     model.UserEmbedding(context, user_vec.data());
-    double rank = EstimateRank(model, phi_cache, train, example.user,
+    double rank = EstimateRank(model, phi_table, train, example.user,
                                user_vec.data(), example.held_out, options,
                                &rng);
     ++metrics.num_examples;

@@ -47,16 +47,13 @@ class Evaluator {
 
   // Rank of `target` for the given user vector: 1 + #distractors scoring
   // strictly higher. With sampling, the rank is estimated by scaling the
-  // sampled higher-count by 1/fraction. `phi_cache` must hold
-  // num_items*dim precomputed item representations.
+  // sampled higher-count by 1/fraction. `phi_table` must hold the
+  // model's BuildPhiTable().
   static double EstimateRank(const BprModel& model,
-                             const std::vector<float>& phi_cache,
+                             const std::vector<float>& phi_table,
                              const TrainingData& train, data::UserIndex user,
                              const float* user_vec, data::ItemIndex target,
                              const Options& options, Rng* rng);
-
-  // Precomputes phi for all items into a flat num_items*dim array.
-  static std::vector<float> BuildPhiCache(const BprModel& model);
 };
 
 }  // namespace sigmund::core

@@ -75,18 +75,24 @@ InferenceEngine::InferenceEngine(const BprModel* model,
     : model_(model), selector_(selector) {
   SIGCHECK(model != nullptr);
   SIGCHECK(selector != nullptr);
+  phi_ = model->BuildPhiTable();
 }
 
 std::vector<ScoredItem> InferenceEngine::RankCandidates(
     const Context& context, const std::vector<data::ItemIndex>& candidates,
     int top_k) const {
-  std::vector<float> user_vec(model_->dim());
+  const int d = model_->dim();
+  // Per-thread buffers: MaterializeAll ranks from several threads.
+  thread_local std::vector<float> user_vec;
+  thread_local std::vector<ScoredItem> scored;
+  user_vec.resize(d);
   model_->UserEmbedding(context, user_vec.data());
 
-  std::vector<ScoredItem> scored;
-  scored.reserve(candidates.size());
+  scored.clear();
   for (data::ItemIndex item : candidates) {
-    scored.push_back(ScoredItem{item, model_->Score(user_vec.data(), item)});
+    scored.push_back(ScoredItem{
+        item, model_->ScoreWithPhi(user_vec.data(),
+                                   phi_.data() + static_cast<size_t>(item) * d)});
   }
   const size_t keep = std::min<size_t>(top_k, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
@@ -94,17 +100,20 @@ std::vector<ScoredItem> InferenceEngine::RankCandidates(
                       if (a.score != b.score) return a.score > b.score;
                       return a.item < b.item;
                     });
-  scored.resize(keep);
-  return scored;
+  return std::vector<ScoredItem>(scored.begin(), scored.begin() + keep);
 }
 
 ItemRecommendations InferenceEngine::RecommendForItem(
     data::ItemIndex i, const Options& options) const {
   ItemRecommendations recs;
   recs.query = i;
+  const Context view_context = {{i, data::ActionType::kView}};
+  // One view-based pool, finalized for the plain and the late-funnel list.
+  const std::vector<data::ItemIndex> view_pool =
+      selector_->ViewPool(i, options.selector);
   recs.view_based =
-      RankCandidates(Context{{i, data::ActionType::kView}},
-                     selector_->ViewBased(i, options.selector),
+      RankCandidates(view_context,
+                     selector_->Finalize(i, view_pool, options.selector),
                      options.top_k);
   recs.purchase_based =
       RankCandidates(Context{{i, data::ActionType::kConversion}},
@@ -114,8 +123,8 @@ ItemRecommendations InferenceEngine::RecommendForItem(
     CandidateSelector::Options late = options.selector;
     late.late_funnel = true;
     recs.view_based_late =
-        RankCandidates(Context{{i, data::ActionType::kView}},
-                       selector_->ViewBased(i, late), options.top_k);
+        RankCandidates(view_context, selector_->Finalize(i, view_pool, late),
+                       options.top_k);
   }
   return recs;
 }

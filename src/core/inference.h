@@ -50,7 +50,10 @@ class InferenceEngine {
     bool materialize_late_funnel = false;
   };
 
-  // Pointers are borrowed and must outlive the engine.
+  // Pointers are borrowed and must outlive the engine. The engine builds
+  // the model's phi(i) table here and scores every candidate against it,
+  // so the model must be final (trained or loaded) before the engine is
+  // constructed.
   InferenceEngine(const BprModel* model, const CandidateSelector* selector);
 
   // Ranks `candidates` for an arbitrary user context, highest score first.
@@ -78,6 +81,7 @@ class InferenceEngine {
  private:
   const BprModel* model_;
   const CandidateSelector* selector_;
+  std::vector<float> phi_;  // model_->BuildPhiTable()
 };
 
 }  // namespace sigmund::core

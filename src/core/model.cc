@@ -85,8 +85,29 @@ void EmbeddingMatrix::ResetAdagrad() {
   std::fill(adagrad_.begin(), adagrad_.end(), 0.0f);
 }
 
+ContextWeightTable::ContextWeightTable(int window, double decay)
+    : window_(window) {
+  SIGCHECK_GE(window, 0);
+  SIGCHECK_LE(window, kMaxContextWindow);
+  weights_.resize(static_cast<size_t>(window) * (window + 1) / 2);
+  for (int n = 1; n <= window; ++n) {
+    float* row = weights_.data() + static_cast<size_t>(n) * (n - 1) / 2;
+    double total = 0.0;
+    for (int j = 0; j < n; ++j) {
+      double w = std::pow(decay, n - 1 - j);
+      row[j] = static_cast<float>(w);
+      total += w;
+    }
+    if (total > 0.0) {
+      for (int j = 0; j < n; ++j) row[j] = static_cast<float>(row[j] / total);
+    }
+  }
+}
+
 BprModel::BprModel(const data::Catalog* catalog, const HyperParams& params)
-    : catalog_(catalog), params_(params) {
+    : catalog_(catalog),
+      params_(params),
+      context_weights_(params.context_window, params.context_decay) {
   SIGCHECK(catalog != nullptr);
   SIGCHECK_GT(params.num_factors, 0);
   const int dim = params.num_factors;
@@ -109,44 +130,22 @@ void BprModel::InitRandom(Rng* rng) {
 
 void BprModel::ItemRepresentation(data::ItemIndex i, float* out) const {
   const int d = dim();
-  const float* v = item_emb_.row(i);
-  for (int k = 0; k < d; ++k) out[k] = v[k];
+  std::memcpy(out, item_emb_.row(i), d * sizeof(float));
 
   const data::Item& item = catalog_->item(i);
   if (params_.use_taxonomy && taxonomy_emb_.rows() > 0) {
     for (data::CategoryId a : catalog_->taxonomy().PathToRoot(item.category)) {
-      const float* t = taxonomy_emb_.row(a);
-      for (int k = 0; k < d; ++k) out[k] += t[k];
+      AddScaled(1.0f, taxonomy_emb_.row(a), d, out);
     }
   }
   if (params_.use_brand && item.brand != data::kUnknownBrand &&
       item.brand < brand_emb_.rows()) {
-    const float* b = brand_emb_.row(item.brand);
-    for (int k = 0; k < d; ++k) out[k] += b[k];
+    AddScaled(1.0f, brand_emb_.row(item.brand), d, out);
   }
   if (params_.use_price) {
     int bucket = data::PriceBucket(item.price, data::kDefaultPriceBuckets);
-    if (bucket >= 0) {
-      const float* p = price_emb_.row(bucket);
-      for (int k = 0; k < d; ++k) out[k] += p[k];
-    }
+    if (bucket >= 0) AddScaled(1.0f, price_emb_.row(bucket), d, out);
   }
-}
-
-std::vector<float> BprModel::ContextWeights(int n) const {
-  // Geometric decay, newest entry (index n-1) weighted 1 before
-  // normalization.
-  std::vector<float> weights(n);
-  double total = 0.0;
-  for (int j = 0; j < n; ++j) {
-    double w = std::pow(params_.context_decay, n - 1 - j);
-    weights[j] = static_cast<float>(w);
-    total += w;
-  }
-  if (total > 0.0) {
-    for (float& w : weights) w = static_cast<float>(w / total);
-  }
-  return weights;
 }
 
 void BprModel::UserEmbedding(const Context& context, float* out) const {
@@ -157,11 +156,9 @@ void BprModel::UserEmbedding(const Context& context, float* out) const {
   const int window = params_.context_window;
   const int n = std::min<int>(window, static_cast<int>(context.size()));
   const int start = static_cast<int>(context.size()) - n;
-  std::vector<float> weights = ContextWeights(n);
+  const std::span<const float> weights = ContextWeights(n);
   for (int j = 0; j < n; ++j) {
-    const float* vc = context_emb_.row(context[start + j].item);
-    const float w = weights[j];
-    for (int k = 0; k < d; ++k) out[k] += w * vc[k];
+    AddScaled(weights[j], context_emb_.row(context[start + j].item), d, out);
   }
 }
 
@@ -173,12 +170,14 @@ double BprModel::Score(const float* user_vec, data::ItemIndex i) const {
   return ScoreWithPhi(user_vec, phi.data());
 }
 
-double BprModel::ScoreWithPhi(const float* user_vec, const float* phi) const {
-  double sum = 0.0;
-  for (int k = 0; k < dim(); ++k) {
-    sum += static_cast<double>(user_vec[k]) * phi[k];
+std::vector<float> BprModel::BuildPhiTable() const {
+  const int d = dim();
+  const int n = catalog_->num_items();
+  std::vector<float> table(static_cast<size_t>(n) * d);
+  for (data::ItemIndex i = 0; i < n; ++i) {
+    ItemRepresentation(i, table.data() + static_cast<size_t>(i) * d);
   }
-  return sum;
+  return table;
 }
 
 int BprModel::ResizeForCatalog(Rng* rng) {
@@ -243,6 +242,10 @@ StatusOr<BprModel> BprModel::Deserialize(const std::string& bytes,
   StatusOr<HyperParams> params =
       HyperParams::Deserialize(bytes.substr(offset, params_size));
   if (!params.ok()) return params.status();
+  if (params->num_factors <= 0 || params->context_window < 0 ||
+      params->context_window > kMaxContextWindow) {
+    return DataLossError("model params out of range");
+  }
   offset += params_size;
 
   BprModel model(catalog, *params);

@@ -3,9 +3,11 @@
 
 #include <stdint.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "core/hyperparams.h"
@@ -21,6 +23,54 @@ struct ContextEntry {
   data::ActionType action = data::ActionType::kView;
 };
 using Context = std::vector<ContextEntry>;
+
+// Longest context window a model or retrieval artifact may declare; bounds
+// the ContextWeightTable (window * (window + 1) / 2 floats).
+inline constexpr int kMaxContextWindow = 1024;
+
+// Normalized geometric-decay context weights (§III-B2) for every context
+// length 1..window, computed once. For length n the weights are, oldest
+// first, w_j = decay^(n-1-j) / sum_m decay^(n-1-m): the newest entry has
+// weight 1 before normalization. BprModel and the retrieval artifact both
+// read their weights from one of these, so the online query embedding is
+// bit-identical to the one training scored with.
+class ContextWeightTable {
+ public:
+  ContextWeightTable() = default;
+  ContextWeightTable(int window, double decay);
+
+  int window() const { return window_; }
+
+  // The n weights for a context of length n, 0 <= n <= window().
+  std::span<const float> Weights(int n) const {
+    SIGCHECK(n >= 0 && n <= window_);
+    return {weights_.data() + static_cast<size_t>(n) * (n - 1) / 2,
+            static_cast<size_t>(n)};
+  }
+
+ private:
+  int window_ = 0;
+  std::vector<float> weights_;  // rows for n = 1..window, back to back
+};
+
+// out[k] += scale * in[k] for k < d: the embedding kernels' inner loop.
+// Blocks of four, each loaded before it is stored, let the compiler
+// vectorize it; every element is still one multiply and one add, so the
+// result matches the plain loop bit for bit (scale 1 is an exact add).
+inline void AddScaled(float scale, const float* in, int d, float* out) {
+  int k = 0;
+  for (; k + 4 <= d; k += 4) {
+    const float o0 = out[k] + scale * in[k];
+    const float o1 = out[k + 1] + scale * in[k + 1];
+    const float o2 = out[k + 2] + scale * in[k + 2];
+    const float o3 = out[k + 3] + scale * in[k + 3];
+    out[k] = o0;
+    out[k + 1] = o1;
+    out[k + 2] = o2;
+    out[k + 3] = o3;
+  }
+  for (; k < d; ++k) out[k] += scale * in[k];
+}
 
 // Dense row-major float matrix holding one embedding per row, plus a
 // per-row Adagrad accumulator (sum of squared gradient norms). Rows are
@@ -92,9 +142,22 @@ class BprModel {
   // with empty context gets the zero vector.
   void UserEmbedding(const Context& context, float* out) const;
 
-  // Affinity x_ui given a precomputed user vector.
+  // Affinity x_ui given a precomputed user vector. Score() builds phi(i)
+  // on the fly, for a model that is still changing (adaptive negative
+  // sampling); scoring many items against a fixed model goes through
+  // BuildPhiTable() and ScoreWithPhi().
   double Score(const float* user_vec, data::ItemIndex i) const;
-  double ScoreWithPhi(const float* user_vec, const float* phi) const;
+  double ScoreWithPhi(const float* user_vec, const float* phi) const {
+    double sum = 0.0;
+    for (int k = 0, d = dim(); k < d; ++k) {
+      sum += static_cast<double>(user_vec[k]) * phi[k];
+    }
+    return sum;
+  }
+
+  // phi(i) for every catalog item, as a flat num_items*dim() row-major
+  // table. A snapshot: it goes stale when the model trains further.
+  std::vector<float> BuildPhiTable() const;
 
   // Mutable tables for the trainer.
   EmbeddingMatrix& item_embeddings() { return item_emb_; }
@@ -108,8 +171,11 @@ class BprModel {
   const EmbeddingMatrix& brand_embeddings() const { return brand_emb_; }
   const EmbeddingMatrix& price_embeddings() const { return price_emb_; }
 
-  // Context weights for a context of length n (normalized, oldest first).
-  std::vector<float> ContextWeights(int n) const;
+  // Context weights for a context of length n <= params().context_window
+  // (normalized, oldest first), from the table built with the model.
+  std::span<const float> ContextWeights(int n) const {
+    return context_weights_.Weights(n);
+  }
 
   // Grows the item/context tables after catalog growth (daily new items,
   // §III-C3), Gaussian-initializing new rows. Returns #items added.
@@ -131,6 +197,7 @@ class BprModel {
  private:
   const data::Catalog* catalog_;
   HyperParams params_;
+  ContextWeightTable context_weights_;
   EmbeddingMatrix item_emb_;      // v_i
   EmbeddingMatrix context_emb_;   // vC_i
   EmbeddingMatrix taxonomy_emb_;  // t_a, one per category

@@ -28,15 +28,20 @@ class BprTrainer {
  public:
   struct Options {
     int num_threads = 1;
-    // Epochs to run; <= 0 means model->params().num_epochs. Used by the
-    // pipeline to run only the epochs remaining after a checkpoint
-    // restore.
+    // Absolute index of the first epoch to run. Epoch e always draws the
+    // sample streams seeded by (params.seed, e), so a model restored from
+    // a checkpoint after epoch k and resumed with first_epoch = k + 1
+    // replays exactly the epochs an uninterrupted run would have.
+    int first_epoch = 0;
+    // Epochs to run from first_epoch; <= 0 means up to (excluding)
+    // model->params().num_epochs.
     int num_epochs = 0;
     // Steps per epoch; <= 0 means one step per training position.
     int64_t steps_per_epoch = 0;
-    // Invoked after every epoch (from the coordinating thread). Return
-    // false to stop early. Used by the pipeline for time-based
-    // checkpointing and by early-convergence experiments.
+    // Invoked after every epoch (from the coordinating thread) with the
+    // epoch's absolute index. Return false to stop early. Used by the
+    // pipeline for time-based checkpointing and by early-convergence
+    // experiments.
     std::function<bool(int epoch, const TrainStats& stats)> epoch_callback;
   };
 
@@ -44,8 +49,8 @@ class BprTrainer {
   BprTrainer(BprModel* model, const TrainingData* data,
              const NegativeSampler* sampler);
 
-  // Runs model->params().num_epochs epochs (or until the callback stops
-  // it) and returns aggregate stats.
+  // Runs the epochs options select (or until the callback stops it) and
+  // returns aggregate stats over them.
   TrainStats Train(const Options& options);
 
   // Runs one SGD step on the given example triple (context, positive,
@@ -55,16 +60,28 @@ class BprTrainer {
               data::ItemIndex negative, Rng* rng);
 
  private:
+  // Buffers one SGD loop (a Train() chunk, or one thread's Step() calls)
+  // reuses across steps, so a step allocates nothing.
+  struct Scratch {
+    // Sizes the vectors to the model dimension and reserves a full
+    // context window.
+    void Resize(int dim, int window);
+    Context context;
+    std::vector<float> u, phi_i, phi_j, diff, grad;
+  };
+
   // One SGD step sampled from the data; returns loss or -1 if skipped.
-  double SampleAndStep(Rng* rng);
+  double SampleAndStep(Rng* rng, Scratch* scratch);
 
-  // Applies the pairwise update given precomputed state.
+  // Applies the pairwise update for the user vector scratch->u of
+  // `context`.
   double ApplyUpdate(const Context& context, data::ItemIndex positive,
-                     data::ItemIndex negative);
+                     data::ItemIndex negative, Scratch* scratch);
 
-  // Adds grad into a row with Adagrad-scaled learning rate.
-  void UpdateRow(EmbeddingMatrix* table, int row, const float* grad,
-                 double scale_grad, double lambda);
+  // Adds the gradient scale * dir - lambda * w into a row with an
+  // Adagrad-scaled learning rate; `grad` is dim() floats of scratch.
+  void UpdateRow(EmbeddingMatrix* table, int row, const float* dir,
+                 float scale, float lambda, float* grad);
 
   BprModel* model_;
   const TrainingData* data_;

@@ -12,33 +12,37 @@ TrainingData::TrainingData(
     : histories_(histories), num_items_(num_items) {
   SIGCHECK(histories != nullptr);
   const int users = static_cast<int>(histories->size());
-  seen_.resize(users);
+  seen_offsets_.reserve(users + 1);
+  seen_offsets_.push_back(0);
   tier_buckets_.resize(users);
   item_counts_.assign(num_items, 0);
 
+  // (item, strength) of one user's events, sorted so each item's run ends
+  // with its strongest action.
+  std::vector<std::pair<data::ItemIndex, int>> events;
   for (data::UserIndex u = 0; u < users; ++u) {
     const auto& history = (*histories)[u];
-    // Max observed strength per item for this user.
-    std::unordered_map<data::ItemIndex, int> max_strength;
+    events.clear();
     for (int idx = 0; idx < static_cast<int>(history.size()); ++idx) {
       const data::Interaction& event = history[idx];
       SIGCHECK_GE(event.item, 0);
       SIGCHECK_LT(event.item, num_items);
       if (idx >= 1) positions_.push_back(Position{u, idx});
-      seen_[u].insert(event.item);
       ++item_counts_[event.item];
-      int strength = data::ActionStrength(event.action);
-      auto [it, inserted] = max_strength.emplace(event.item, strength);
-      if (!inserted) it->second = std::max(it->second, strength);
+      events.emplace_back(event.item, data::ActionStrength(event.action));
     }
+    std::sort(events.begin(), events.end());
     tier_buckets_[u].assign(data::kNumActionTypes, {});
-    for (const auto& [item, strength] : max_strength) {
-      tier_buckets_[u][strength].push_back(item);
+    for (size_t k = 0; k < events.size(); ++k) {
+      if (k + 1 < events.size() && events[k + 1].first == events[k].first) {
+        continue;
+      }
+      // Last of the item's run: its max observed strength. Items arrive
+      // ascending, so the seen row and every tier bucket stay sorted.
+      seen_items_.push_back(events[k].first);
+      tier_buckets_[u][events[k].second].push_back(events[k].first);
     }
-    // Deterministic bucket order regardless of hash-map iteration.
-    for (auto& bucket : tier_buckets_[u]) {
-      std::sort(bucket.begin(), bucket.end());
-    }
+    seen_offsets_.push_back(static_cast<int64_t>(seen_items_.size()));
   }
 }
 
@@ -47,24 +51,23 @@ TrainingData::Position TrainingData::SamplePosition(Rng* rng) const {
   return positions_[rng->Uniform(positions_.size())];
 }
 
-Context TrainingData::ContextAt(Position p, int window) const {
+void TrainingData::ContextAt(Position p, int window, Context* out) const {
   const auto& history = (*histories_)[p.user];
-  int start = std::max(0, p.index - window);
-  Context context;
-  context.reserve(p.index - start);
-  for (int idx = start; idx < p.index; ++idx) {
-    context.push_back(ContextEntry{history[idx].item, history[idx].action});
+  out->clear();
+  for (int idx = std::max(0, p.index - window); idx < p.index; ++idx) {
+    out->push_back(ContextEntry{history[idx].item, history[idx].action});
   }
-  return context;
 }
 
-Context TrainingData::FullContext(data::UserIndex user, int window) const {
+void TrainingData::FullContext(data::UserIndex user, int window,
+                               Context* out) const {
   const auto& history = (*histories_)[user];
-  return ContextAt(Position{user, static_cast<int>(history.size())}, window);
+  ContextAt(Position{user, static_cast<int>(history.size())}, window, out);
 }
 
 bool TrainingData::Seen(data::UserIndex user, data::ItemIndex item) const {
-  return seen_[user].count(item) > 0;
+  const std::span<const data::ItemIndex> row = SeenItems(user);
+  return std::binary_search(row.begin(), row.end(), item);
 }
 
 const std::vector<data::ItemIndex>& TrainingData::TierBucket(

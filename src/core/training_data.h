@@ -3,8 +3,7 @@
 
 #include <stdint.h>
 
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -18,7 +17,9 @@ namespace sigmund::core {
 //   - uniform sampling of training positions (user, index) where index >= 1
 //     so the context is non-empty (Fig. 2 of the paper),
 //   - context construction for any position,
-//   - per-user seen-item sets (negatives must be unseen),
+//   - per-user seen-item sets (negatives must be unseen), stored as sorted
+//     CSR rows (row offsets plus sorted item ids) and probed by binary
+//     search,
 //   - per-user tier buckets: items whose strongest observed action is a
 //     given tier, for the tier constraints search>view, cart>search,
 //     conversion>cart (§III-B1).
@@ -53,16 +54,23 @@ class TrainingData {
     return (*histories_)[p.user][p.index];
   }
 
-  // The user's context immediately before position `p`: the last `window`
-  // (action, item) pairs preceding it, oldest first.
-  Context ContextAt(Position p, int window) const;
+  // Writes into `out` the user's context immediately before position `p`:
+  // the last `window` (action, item) pairs preceding it, oldest first.
+  // `out` is caller-owned so a training loop can reuse one buffer.
+  void ContextAt(Position p, int window, Context* out) const;
 
-  // Full context of a user (all training events, capped to `window`), used
-  // at evaluation time for the hold-out example.
-  Context FullContext(data::UserIndex user, int window) const;
+  // Writes into `out` the full context of a user (all training events,
+  // capped to `window`), used at evaluation time for the hold-out example.
+  void FullContext(data::UserIndex user, int window, Context* out) const;
 
   // True if the user interacted with the item in training.
   bool Seen(data::UserIndex user, data::ItemIndex item) const;
+
+  // The distinct items the user interacted with in training, ascending.
+  std::span<const data::ItemIndex> SeenItems(data::UserIndex user) const {
+    return {seen_items_.data() + seen_offsets_[user],
+            seen_items_.data() + seen_offsets_[user + 1]};
+  }
 
   // Items whose strongest action by `user` is exactly `strength`
   // (0=view .. 3=conversion).
@@ -82,7 +90,9 @@ class TrainingData {
   const std::vector<std::vector<data::Interaction>>* histories_;
   int num_items_;
   std::vector<Position> positions_;
-  std::vector<std::unordered_set<data::ItemIndex>> seen_;
+  // SeenItems(u) = seen_items_[seen_offsets_[u], seen_offsets_[u + 1]).
+  std::vector<int64_t> seen_offsets_;
+  std::vector<data::ItemIndex> seen_items_;
   // tier_buckets_[user][strength] = items with max strength == strength.
   std::vector<std::vector<std::vector<data::ItemIndex>>> tier_buckets_;
   std::vector<int64_t> item_counts_;

@@ -12,6 +12,7 @@ Taxonomy::Taxonomy() {
   depths_.push_back(0);
   names_.push_back("root");
   children_.emplace_back();
+  paths_.push_back({0});
 }
 
 CategoryId Taxonomy::AddCategory(const std::string& name, CategoryId parent) {
@@ -23,6 +24,9 @@ CategoryId Taxonomy::AddCategory(const std::string& name, CategoryId parent) {
   names_.push_back(name);
   children_.emplace_back();
   children_[parent].push_back(id);
+  std::vector<CategoryId> path = {id};
+  path.insert(path.end(), paths_[parent].begin(), paths_[parent].end());
+  paths_.push_back(std::move(path));
   return id;
 }
 
@@ -52,16 +56,10 @@ const std::vector<CategoryId>& Taxonomy::children(CategoryId c) const {
 
 bool Taxonomy::IsLeaf(CategoryId c) const { return children(c).empty(); }
 
-std::vector<CategoryId> Taxonomy::PathToRoot(CategoryId c) const {
+const std::vector<CategoryId>& Taxonomy::PathToRoot(CategoryId c) const {
   SIGCHECK_GE(c, 0);
   SIGCHECK_LT(c, num_categories());
-  std::vector<CategoryId> path;
-  path.push_back(c);
-  while (c != 0) {
-    c = parents_[c];
-    path.push_back(c);
-  }
-  return path;
+  return paths_[c];
 }
 
 CategoryId Taxonomy::Lca(CategoryId a, CategoryId b) const {
@@ -85,12 +83,8 @@ int Taxonomy::LcaDistance(CategoryId a, CategoryId b) const {
 
 std::vector<CategoryId> Taxonomy::CategoriesWithinLca(CategoryId c,
                                                       int k) const {
-  SIGCHECK_GE(k, 1);
-  // Climb k-1 levels (clamped at the root), then collect that subtree.
-  CategoryId top = c;
-  for (int i = 1; i < k && top != 0; ++i) top = parents_[top];
   std::vector<CategoryId> result;
-  std::vector<CategoryId> stack = {top};
+  std::vector<CategoryId> stack = {LcaRoot(c, k)};
   while (!stack.empty()) {
     CategoryId cur = stack.back();
     stack.pop_back();
@@ -99,6 +93,13 @@ std::vector<CategoryId> Taxonomy::CategoriesWithinLca(CategoryId c,
   }
   std::sort(result.begin(), result.end());
   return result;
+}
+
+CategoryId Taxonomy::LcaRoot(CategoryId c, int k) const {
+  SIGCHECK_GE(k, 1);
+  CategoryId top = c;
+  for (int i = 1; i < k && top != 0; ++i) top = parents_[top];
+  return top;
 }
 
 std::vector<CategoryId> Taxonomy::Leaves() const {

@@ -33,8 +33,9 @@ class Taxonomy {
   bool IsLeaf(CategoryId c) const;
 
   // Path from `c` to the root, inclusive of both (c first). The
-  // hierarchical additive item model sums embeddings along this path.
-  std::vector<CategoryId> PathToRoot(CategoryId c) const;
+  // hierarchical additive item model sums embeddings along this path, so
+  // every category's path is built once, when the category is added.
+  const std::vector<CategoryId>& PathToRoot(CategoryId c) const;
 
   // Least common ancestor of two categories.
   CategoryId Lca(CategoryId a, CategoryId b) const;
@@ -47,8 +48,11 @@ class Taxonomy {
   int LcaDistance(CategoryId a, CategoryId b) const;
 
   // All categories whose items are within LCA distance <= k of category
-  // `c` — i.e. the categories in the subtree of `c`'s (k-1)-th ancestor.
+  // `c` — i.e. the categories in the subtree of LcaRoot(c, k).
   std::vector<CategoryId> CategoriesWithinLca(CategoryId c, int k) const;
+
+  // `c`'s (k-1)-th ancestor, clamped at the root (k >= 1).
+  CategoryId LcaRoot(CategoryId c, int k) const;
 
   // All leaf categories, in id order.
   std::vector<CategoryId> Leaves() const;
@@ -64,6 +68,7 @@ class Taxonomy {
   std::vector<int> depths_;
   std::vector<std::string> names_;
   std::vector<std::vector<CategoryId>> children_;
+  std::vector<std::vector<CategoryId>> paths_;  // paths_[c] = PathToRoot(c)
 };
 
 }  // namespace sigmund::data

@@ -169,12 +169,12 @@ class TrainMapper : public mapreduce::Mapper {
       bool evicted = false;
       core::BprTrainer::Options train_options;
       train_options.num_threads = options_->threads_per_model;
-      train_options.num_epochs = record.params.num_epochs - start_epoch;
+      train_options.first_epoch = start_epoch;
       train_options.epoch_callback =
           [&](int epoch, const core::TrainStats&) {
             clock.AdvanceSeconds(epoch_seconds);
             StatusOr<bool> wrote =
-                checkpoints.MaybeCheckpoint(model, start_epoch + epoch);
+                checkpoints.MaybeCheckpoint(model, epoch);
             if (!wrote.ok()) {
               checkpoint_error = wrote.status();
               return false;
@@ -209,8 +209,8 @@ class TrainMapper : public mapreduce::Mapper {
                     // A failed grace flush is not fatal: the machine is
                     // gone either way, and restore falls back to the last
                     // periodic checkpoint.
-                    Status flushed = checkpoints.ForceCheckpoint(
-                        model, start_epoch + epoch);
+                    Status flushed =
+                        checkpoints.ForceCheckpoint(model, epoch);
                     if (flushed.ok()) {
                       stats_->checkpoints_written.fetch_add(1);
                       stats_->eviction_grace_checkpoints.fetch_add(1);

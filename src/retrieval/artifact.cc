@@ -1,7 +1,6 @@
 #include "retrieval/artifact.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/binary_io.h"
 #include "common/string_util.h"
@@ -26,18 +25,7 @@ void IndexArtifact::QueryEmbedding(const core::Context& context,
   const int n =
       std::min<int>(context_window, static_cast<int>(context.size()));
   const int start = static_cast<int>(context.size()) - n;
-  // Normalized geometric decay, newest entry weighted 1 before
-  // normalization — the same weights BprModel::ContextWeights computes.
-  std::vector<float> weights(n);
-  double total = 0.0;
-  for (int j = 0; j < n; ++j) {
-    const double w = std::pow(context_decay, n - 1 - j);
-    weights[j] = static_cast<float>(w);
-    total += w;
-  }
-  if (total > 0.0) {
-    for (float& w : weights) w = static_cast<float>(w / total);
-  }
+  const std::span<const float> weights = context_weights.Weights(n);
   for (int j = 0; j < n; ++j) {
     const data::ItemIndex item = context[start + j].item;
     if (item < 0 || item >= num_context_rows) continue;
@@ -79,6 +67,11 @@ StatusOr<IndexArtifact> IndexArtifact::Deserialize(const std::string& bytes) {
   artifact.retailer = retailer;
   artifact.dim = dim;
   artifact.context_window = window;
+  if (window < 0 || window > core::kMaxContextWindow) {
+    return DataLossError("index artifact context window out of range");
+  }
+  artifact.context_weights =
+      core::ContextWeightTable(window, artifact.context_decay);
   StatusOr<AnnIndex> index = AnnIndex::DeserializeFrom(&reader);
   if (!index.ok()) return index.status();
   artifact.index = std::move(index).value();
@@ -88,7 +81,7 @@ StatusOr<IndexArtifact> IndexArtifact::Deserialize(const std::string& bytes) {
     return DataLossError("truncated index artifact payload");
   }
   artifact.num_context_rows = context_rows;
-  if (dim <= 0 || window < 0 || artifact.index.dim() != dim ||
+  if (dim <= 0 || artifact.index.dim() != dim ||
       context_rows < 0 ||
       artifact.context_vectors.size() !=
           static_cast<size_t>(context_rows) * static_cast<size_t>(dim)) {
@@ -135,6 +128,8 @@ IndexArtifact BuildArtifactFromFactors(data::RetailerId retailer,
   artifact.dim = dim;
   artifact.context_window = context_window;
   artifact.context_decay = context_decay;
+  artifact.context_weights =
+      core::ContextWeightTable(context_window, context_decay);
   artifact.index = AnnIndex::Build(item_vectors, dim, options);
   artifact.num_context_rows =
       dim > 0 ? static_cast<int>(query_vectors.size()) / dim : 0;

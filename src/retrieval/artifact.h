@@ -28,6 +28,10 @@ struct IndexArtifact {
   // of the model the artifact was built from).
   int context_window = 25;
   double context_decay = 0.85;
+  // Decay weights for context_window/context_decay, computed once by
+  // BuildArtifactFromFactors and Deserialize (the same table type
+  // BprModel scores with).
+  core::ContextWeightTable context_weights;
 
   // Item-side: ANN index over phi(i) for every catalog item.
   AnnIndex index;
@@ -39,10 +43,10 @@ struct IndexArtifact {
   std::vector<float> context_vectors;
 
   // Writes the context-derived query embedding into out[dim], using the
-  // last `context_window` entries with normalized geometric-decay
-  // weights — the same arithmetic as BprModel::UserEmbedding. Entries
-  // referencing items outside [0, num_context_rows) are skipped (catalog
-  // grew since the artifact was built).
+  // last `context_window` entries weighted by `context_weights` — the same
+  // arithmetic as BprModel::UserEmbedding. Entries referencing items
+  // outside [0, num_context_rows) are skipped (catalog grew since the
+  // artifact was built).
   void QueryEmbedding(const core::Context& context, float* out) const;
 
   // Payload + "SIDX" header; wrap in a checksummed frame for storage.

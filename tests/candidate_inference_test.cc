@@ -35,15 +35,16 @@ struct Fixture {
         repurchase(RepurchaseEstimator::Build(world.data.histories,
                                               world.data.catalog, {})),
         selector(&world.data.catalog, &cooccurrence, &repurchase),
-        model(&world.data.catalog, [] {
+        model([&] {
           HyperParams params;
           params.num_factors = 8;
-          return params;
+          BprModel initialized(&world.data.catalog, params);
+          Rng rng(7);
+          initialized.InitRandom(&rng);
+          return initialized;
         }()),
-        engine(&model, &selector) {
-    Rng rng(7);
-    model.InitRandom(&rng);
-  }
+        // The engine snapshots phi(i), so it is built after the model.
+        engine(&model, &selector) {}
 };
 
 // --- RepurchaseEstimator ------------------------------------------------

@@ -115,6 +115,41 @@ TEST(TrainingJobTest, MidTrainingPreemptionRecoversViaCheckpoints) {
             job.stats().preemptions.load());
 }
 
+// A preempted model resumes from its checkpoint on the sample streams of
+// the epochs it still has to run, so with one thread per model every
+// committed model is byte-identical to a run that was never preempted.
+TEST(TrainingJobTest, PreemptedModelsMatchUninterruptedRunBytes) {
+  JobFixture f;
+  std::vector<ConfigRecord> plan = f.SmallPlan();
+  for (ConfigRecord& record : plan) record.params.num_epochs = 6;
+  TrainingJob::Options options = JobFixture::FastTraining();
+  options.checkpoint_interval_seconds = 1.0;
+  options.simulated_seconds_per_step = 1.0;  // checkpoint every epoch
+
+  TrainingJob clean(&f.fs, &f.registry, options);
+  StatusOr<std::vector<ConfigRecord>> clean_results = clean.Run(plan);
+  ASSERT_TRUE(clean_results.ok());
+  EXPECT_EQ(clean.stats().preemptions.load(), 0);
+
+  sfs::MemFileSystem preempted_fs;
+  options.preemption_prob_per_epoch = 0.3;
+  TrainingJob preempted(&preempted_fs, &f.registry, options);
+  StatusOr<std::vector<ConfigRecord>> preempted_results = preempted.Run(plan);
+  ASSERT_TRUE(preempted_results.ok());
+  EXPECT_GT(preempted.stats().preemptions.load(), 0);
+
+  ASSERT_EQ(clean_results->size(), preempted_results->size());
+  for (const ConfigRecord& record : *clean_results) {
+    StatusOr<std::string> clean_bytes =
+        sfs::ReadChecksummedFile(&f.fs, record.model_path);
+    StatusOr<std::string> resumed_bytes =
+        sfs::ReadChecksummedFile(&preempted_fs, record.model_path);
+    ASSERT_TRUE(clean_bytes.ok());
+    ASSERT_TRUE(resumed_bytes.ok());
+    EXPECT_EQ(*clean_bytes, *resumed_bytes) << record.Key();
+  }
+}
+
 // --- Lease-churn training (preemptible cells).
 
 // Serializes results for byte-comparison between runs.

@@ -175,7 +175,7 @@ TEST(BprModelTest, ContextWeightsDecayAndNormalize) {
   HyperParams params = SmallParams();
   params.context_decay = 0.5;
   BprModel model(&world.catalog, params);
-  std::vector<float> w = model.ContextWeights(3);
+  std::span<const float> w = model.ContextWeights(3);
   ASSERT_EQ(w.size(), 3u);
   // Oldest first: 0.25, 0.5, 1.0 normalized by 1.75.
   EXPECT_NEAR(w[0], 0.25 / 1.75, 1e-6);

@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -230,6 +233,72 @@ TEST(IndexArtifactTest, FuzzTruncationsBitFlipsAndOverlengthNeverCrash) {
     }
     decode(mutated);
   }
+}
+
+// The artifact and BprModel read their decay weights from one
+// core::ContextWeightTable type: for every window 1..25 both equal the
+// normalized pow() weights bit for bit, before and after serialization,
+// and the online query embedding equals the model's user embedding.
+TEST(IndexArtifactTest, DecayWeightsBitIdenticalToModelForWindows1To25) {
+  data::WorldConfig config;
+  config.seed = 41;
+  data::WorldGenerator generator(config);
+  const data::RetailerWorld world = generator.GenerateRetailer(0, 60);
+  const int num_items = world.data.num_items();
+  retrieval::AnnIndex::Options options;
+  options.num_lists = 4;
+  options.kmeans_iters = 2;
+  for (int window = 1; window <= 25; ++window) {
+    SCOPED_TRACE(window);
+    core::HyperParams params;
+    params.num_factors = 4;
+    params.context_window = window;
+    params.context_decay = 0.85;
+    core::BprModel model(&world.data.catalog, params);
+    Rng rng(window);
+    model.InitRandom(&rng);
+    const retrieval::IndexArtifact built =
+        retrieval::BuildArtifactFromModel(0, model, options);
+    StatusOr<retrieval::IndexArtifact> loaded =
+        retrieval::IndexArtifact::Deserialize(built.Serialize());
+    ASSERT_TRUE(loaded.ok());
+
+    for (int n = 1; n <= window; ++n) {
+      std::vector<float> expected(n);
+      double total = 0.0;
+      for (int j = 0; j < n; ++j) {
+        const double w = std::pow(params.context_decay, n - 1 - j);
+        expected[j] = static_cast<float>(w);
+        total += w;
+      }
+      for (float& w : expected) w = static_cast<float>(w / total);
+      for (std::span<const float> weights :
+           {model.ContextWeights(n), built.context_weights.Weights(n),
+            loaded->context_weights.Weights(n)}) {
+        ASSERT_EQ(weights.size(), static_cast<size_t>(n));
+        EXPECT_EQ(std::memcmp(weights.data(), expected.data(),
+                              n * sizeof(float)),
+                  0);
+      }
+    }
+
+    core::Context context;
+    for (int j = 0; j < window + 3; ++j) {
+      context.push_back({(j * 7) % num_items, ActionType::kView});
+    }
+    std::vector<float> user(4), query(4);
+    model.UserEmbedding(context, user.data());
+    loaded->QueryEmbedding(context, query.data());
+    EXPECT_EQ(std::memcmp(user.data(), query.data(), 4 * sizeof(float)), 0);
+  }
+
+  // A window past core::kMaxContextWindow is refused at decode time,
+  // before any weight table is sized from it.
+  retrieval::IndexArtifact hostile = ToyArtifact(0, 12);
+  hostile.context_window = core::kMaxContextWindow + 1;
+  EXPECT_EQ(
+      retrieval::IndexArtifact::Deserialize(hostile.Serialize()).status().code(),
+      StatusCode::kDataLoss);
 }
 
 // --- Reader: version chain, corruption, serving ---------------------------

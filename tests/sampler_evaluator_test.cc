@@ -223,8 +223,8 @@ TEST(EvaluatorTest, PerfectModelGetsPerfectMetrics) {
   // All zero. For one holdout user, rig the scores.
   ASSERT_FALSE(f.split.holdout.empty());
   const data::HoldoutExample& example = f.split.holdout[0];
-  Context context =
-      f.training_data.FullContext(example.user, params.context_window);
+  Context context;
+  f.training_data.FullContext(example.user, params.context_window, &context);
   ASSERT_FALSE(context.empty());
   // Set context embedding of every context item to e0, and the target's
   // item embedding to e0 too => target scores 1; all else 0.

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -72,13 +73,15 @@ TEST(TrainingDataTest, ContextMatchesHistoryPrefix) {
     }
   }
   ASSERT_NE(user, -1);
-  Context ctx = f.training_data.ContextAt({user, 2}, 10);
+  Context ctx;
+  f.training_data.ContextAt({user, 2}, 10, &ctx);
   ASSERT_EQ(ctx.size(), 2u);
   EXPECT_EQ(ctx[0].item, f.split.train[user][0].item);
   EXPECT_EQ(ctx[1].item, f.split.train[user][1].item);
 
   // Window truncation keeps the most recent events.
-  Context ctx1 = f.training_data.ContextAt({user, 2}, 1);
+  Context ctx1;
+  f.training_data.ContextAt({user, 2}, 1, &ctx1);
   ASSERT_EQ(ctx1.size(), 1u);
   EXPECT_EQ(ctx1[0].item, f.split.train[user][1].item);
 }
@@ -147,7 +150,8 @@ TEST(BprTrainerTest, StepStrictlyDecreasesExampleLoss) {
   int tested = 0;
   for (int trial = 0; trial < 30; ++trial) {
     TrainingData::Position pos = f.training_data.SamplePosition(&rng);
-    Context ctx = f.training_data.ContextAt(pos, 10);
+    Context ctx;
+    f.training_data.ContextAt(pos, 10, &ctx);
     if (ctx.empty()) continue;
     data::ItemIndex i = f.training_data.EventAt(pos).item;
     data::ItemIndex j =
@@ -286,6 +290,69 @@ TEST(BprTrainerTest, RegularizationShrinksNorms) {
     return norm;
   };
   EXPECT_LT(norm_after_training(strong), norm_after_training(weak));
+}
+
+// Single-threaded training is a pure function of (seed, data): two runs
+// serialize to the same bytes, Adagrad accumulators included.
+TEST(BprTrainerTest, SingleThreadedRunsAreByteIdentical) {
+  HyperParams params = FastParams();
+  params.use_brand = true;
+  params.use_price = true;
+  auto train = [&params] {
+    Fixture f(params);
+    BprTrainer trainer(&f.model, &f.training_data, &f.sampler);
+    trainer.Train({});
+    return f.model.Serialize();
+  };
+  const std::string first = train();
+  EXPECT_EQ(first, train());
+}
+
+// A model checkpointed after epoch k and resumed from that checkpoint with
+// first_epoch = k + 1 replays epochs k+1.. with the same sample streams as
+// an uninterrupted run, so the two end byte-identical.
+TEST(BprTrainerTest, ResumeFromCheckpointMatchesUninterruptedRun) {
+  HyperParams params = FastParams();
+  params.num_epochs = 5;
+  constexpr int kCheckpointEpoch = 1;
+
+  Fixture uninterrupted(params);
+  BprTrainer full(&uninterrupted.model, &uninterrupted.training_data,
+                  &uninterrupted.sampler);
+  std::vector<int> epochs_seen;
+  BprTrainer::Options full_options;
+  full_options.epoch_callback = [&epochs_seen](int epoch, const TrainStats&) {
+    epochs_seen.push_back(epoch);
+    return true;
+  };
+  EXPECT_EQ(full.Train(full_options).epochs_run, params.num_epochs);
+  EXPECT_EQ(epochs_seen, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  Fixture interrupted(params);
+  std::string checkpoint;
+  BprTrainer first(&interrupted.model, &interrupted.training_data,
+                   &interrupted.sampler);
+  BprTrainer::Options first_options;
+  first_options.epoch_callback = [&](int epoch, const TrainStats&) {
+    if (epoch < kCheckpointEpoch) return true;
+    checkpoint = interrupted.model.Serialize();
+    return false;  // preempted right after the checkpoint
+  };
+  EXPECT_EQ(first.Train(first_options).epochs_run, kCheckpointEpoch + 1);
+
+  StatusOr<BprModel> resumed =
+      BprModel::Deserialize(checkpoint, &interrupted.world.data.catalog);
+  ASSERT_TRUE(resumed.ok());
+  BprTrainer second(&*resumed, &interrupted.training_data,
+                    &interrupted.sampler);
+  BprTrainer::Options resume_options;
+  resume_options.first_epoch = kCheckpointEpoch + 1;
+  epochs_seen.clear();
+  resume_options.epoch_callback = full_options.epoch_callback;
+  EXPECT_EQ(second.Train(resume_options).epochs_run,
+            params.num_epochs - kCheckpointEpoch - 1);
+  EXPECT_EQ(epochs_seen, (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(resumed->Serialize(), uninterrupted.model.Serialize());
 }
 
 // Tier constraints sweep: training remains sane across fractions.

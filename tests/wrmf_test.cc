@@ -1,4 +1,5 @@
 #include <cmath>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
