@@ -112,7 +112,6 @@ pipeline::SigmundService::Options MakeOptions(BenchWorld* bench, Clock* clock,
   options.canary.oracle = [bench](data::RetailerId id) {
     return &bench->worlds[id].truth;
   };
-  options.ledger.enabled = true;
   options.clock = clock;
   options.crash = crash;
   return options;

@@ -26,11 +26,13 @@
 //        index rebuild, serving continues from last-known-good); day 10's
 //        clean feed releases the quarantine and training resumes
 //        warm-started.
-// Day 11/12: crash and resume — the run ledger journals every durable
-//        transition. Day 11 completes cleanly and snapshots control
-//        state; on day 12 the coordinator is killed mid-rollout, a fresh
-//        process replays the journal, skips the committed stages, and
-//        finishes the day.
+// Day 11/12: crash and resume — every day above already ran through the
+//        run ledger, which journals every durable transition and
+//        snapshots control state at each day boundary. Day 11 boots a
+//        fresh coordinator from day 10's snapshot and runs an
+//        incremental day; on day 12 the coordinator is killed
+//        mid-rollout, a fresh process replays the journal, skips the
+//        committed stages, and finishes the day.
 
 #include <cstdio>
 #include <fstream>
@@ -371,17 +373,19 @@ int main() {
                   dq_service.store().RetailerVersion(medium.data.id)));
   ShowSample(dq_service, medium.data.id);
 
-  // --- Days 11/12: crash and resume (DESIGN.md §13). The run ledger
-  // journals every stage commit and per-retailer rollout intent, and the
-  // day boundary snapshots control state. Day 11 runs clean under the
-  // ledger; on day 12 the coordinator "process" dies mid-rollout (a
-  // CrashInjector throws at the batch.staged kill-point), its in-memory
-  // state is abandoned, and a fresh service recovers from the surviving
-  // filesystem: committed stages are skipped, the half-staged version is
-  // rehydrated, and the day finishes as if nothing happened.
+  // --- Days 11/12: crash and resume (DESIGN.md §13). Every RunDaily
+  // journals its stage commits and per-retailer rollout intents, and each
+  // day boundary snapshots control state — the services above included.
+  // Day 11 boots a fresh coordinator: RecoverDay rehydrates day 10's
+  // snapshot (warm-start results, quality baselines, both planes' version
+  // chains), so the day runs incrementally. On day 12 the coordinator
+  // "process" dies mid-rollout (a CrashInjector throws at the
+  // batch.staged kill-point), its in-memory state is abandoned, and a
+  // fresh service recovers from the surviving filesystem: committed
+  // stages are skipped, the half-staged version is rehydrated, and the
+  // day finishes as if nothing happened.
   CrashInjector injector;
   pipeline::SigmundService::Options durable = options;
-  durable.ledger.enabled = true;
   durable.crash = &injector;
   auto boot_durable = [&] {
     auto booted =
@@ -393,7 +397,13 @@ int main() {
                   recovered.status().ToString().c_str());
       return std::unique_ptr<pipeline::SigmundService>();
     }
-    if (recovered->resumed) {
+    if (!recovered->resumed) {
+      std::printf("  -> fresh coordinator rehydrated snapshot v%d: %lld "
+                  "versions rehydrated, %lld orphaned versions removed\n",
+                  recovered->snapshot_day,
+                  static_cast<long long>(recovered->versions_rehydrated),
+                  static_cast<long long>(recovered->orphan_versions_deleted));
+    } else {
       std::printf("  -> recovered mid-flight day %d: %lld ledger entries "
                   "replayed, %lld versions rehydrated, %lld tmp partials "
                   "swept, %lld orphaned versions removed\n",
@@ -415,7 +425,9 @@ int main() {
     std::printf("day 11 failed: %s\n", day11.status().ToString().c_str());
     return 1;
   }
-  std::printf("day 11 (ledgered run): %s\n", day11->ToString().c_str());
+  std::printf("day 11 (fresh coordinator, incremental from the snapshot): "
+              "%s\n",
+              day11->ToString().c_str());
 
   data::AdvanceOneDay(generator, &small, 2, 909);
   data::AdvanceOneDay(generator, &medium, 5, 910);

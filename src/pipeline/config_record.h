@@ -53,7 +53,7 @@ std::string BestModelPath(data::RetailerId retailer);
 std::string CheckpointDir(data::RetailerId retailer, int model_number);
 std::string RecommendationPath(data::RetailerId retailer);
 std::string SweepResultPath(data::RetailerId retailer);
-// Immutable per-version copy of a recommendation batch (ledger mode,
+// Immutable per-version copy of a recommendation batch (run ledger,
 // DESIGN.md §13): RecommendationPath is overwritten by every day's
 // inference, but crash rehydration and rollback need each retained
 // version's bytes as they were staged. The "." separator keeps prefix

@@ -23,16 +23,9 @@ using Op = RunLedger::Op;
 // run needs to skip the stage (restore its outputs) or cross-check a
 // deterministic re-run against what the crashed process committed.
 
-std::string JoinIds(const std::set<data::RetailerId>& ids) {
-  std::string out;
-  for (data::RetailerId id : ids) {
-    if (!out.empty()) out += ',';
-    out += StrFormat("%d", id);
-  }
-  return out;
-}
-
-std::string EncodeIdList(const std::vector<data::RetailerId>& ids) {
+// Comma-joined retailer ids (a std::set or an ordered std::vector).
+template <typename Ids>
+std::string JoinIds(const Ids& ids) {
   std::string out;
   for (data::RetailerId id : ids) {
     if (!out.empty()) out += ',';
@@ -181,7 +174,69 @@ bool ParseVersionFilePath(const std::string& path, const std::string& dir,
   return true;
 }
 
+// Records `store`'s version chain for `retailer` in a snapshot, unless
+// the chain is still pristine.
+template <typename Store>
+void SnapshotChain(const Store& store, data::RetailerId retailer,
+                   std::map<data::RetailerId, VersionChainState>* chains) {
+  VersionChainState chain;
+  chain.active = store.RetailerVersion(retailer);
+  chain.next_version = store.NextVersion(retailer);
+  chain.retained = store.RetainedVersions(retailer);
+  if (chain.active != 0 || chain.next_version != 1 ||
+      !chain.retained.empty()) {
+    (*chains)[retailer] = std::move(chain);
+  }
+}
+
 }  // namespace
+
+// Everything the journaled rollout protocol needs to know about one
+// serving plane. Both planes share one rollout unit (RollOut) and one
+// recovery loop (RehydratePlane); only publishing a version's bytes and
+// the batch plane's follower cutover differ.
+template <typename Store>
+struct SigmundService::Plane {
+  const char* name;  // kill-point prefix and orphan-GC kind
+  const char* dir;   // directory of the immutable version files
+  std::string (*version_path)(data::RetailerId, int64_t);
+  Op intent, canary, activate, discard;
+  Store* store;
+  StatusOr<int64_t> (Store::*stage)(data::RetailerId,
+                                    const sfs::SharedFileSystem&,
+                                    const std::string&, const RetryPolicy&,
+                                    sfs::ReliableIoCounters*, int64_t);
+  RecoveredPlane RecoveredDay::*recovered;
+  std::map<data::RetailerId, VersionChainState> ServiceSnapshot::*chains;
+  // Activation also cuts the follower replicas over (batch plane).
+  bool cutover_followers;
+};
+
+SigmundService::Plane<serving::RecommendationStore>
+SigmundService::BatchPlane() {
+  return {.name = "batch", .dir = "recommendations/",
+          .version_path = &RecommendationVersionPath,
+          .intent = Op::kBatchStageIntent, .canary = Op::kBatchCanary,
+          .activate = Op::kBatchActivate, .discard = Op::kBatchDiscard,
+          .store = store_group_->primary(),
+          .stage = &serving::RecommendationStore::StageRetailerFromFile,
+          .recovered = &RecoveredDay::batch,
+          .chains = &ServiceSnapshot::store_versions,
+          .cutover_followers = true};
+}
+
+SigmundService::Plane<retrieval::OnlineRetrievalReader>
+SigmundService::IndexPlane() {
+  return {.name = "index", .dir = "retrieval/",
+          .version_path = &retrieval::IndexArtifactVersionPath,
+          .intent = Op::kIndexStageIntent, .canary = Op::kIndexCanary,
+          .activate = Op::kIndexActivate, .discard = Op::kIndexDiscard,
+          .store = retrieval_reader_.get(),
+          .stage = &retrieval::OnlineRetrievalReader::StageFromFile,
+          .recovered = &RecoveredDay::index,
+          .chains = &ServiceSnapshot::index_versions,
+          .cutover_followers = false};
+}
 
 std::string DailyReport::ToString() const {
   std::string out = StrFormat(
@@ -312,10 +367,8 @@ SigmundService::SigmundService(sfs::SharedFileSystem* fs,
     sentry_ = std::make_unique<dataqual::DataSentry>(
         options_.dataqual.sentry, metrics_);
   }
-  if (options_.ledger.enabled) {
-    ledger_ = std::make_unique<RunLedger>(fs_, options_.ledger.ledger,
-                                          options_.sfs_retry, &io_, metrics_);
-  }
+  ledger_ = std::make_unique<RunLedger>(fs_, options_.ledger.ledger,
+                                        options_.sfs_retry, &io_, metrics_);
   crash_ = options_.crash;
   store_group_ = std::make_unique<serving::ReplicatedStoreGroup>(
       options_.serving, metrics_);
@@ -393,24 +446,9 @@ ServiceSnapshot SigmundService::BuildSnapshot() const {
   snapshot.shard_homes = shard_homes_;
   snapshot.monitor_state = monitor_.SerializeState();
   if (sentry_ != nullptr) snapshot.sentry_state = sentry_->SerializeState();
-  const serving::RecommendationStore& primary = *store_group_->primary();
   for (data::RetailerId id : registry_.Ids()) {
-    VersionChainState chain;
-    chain.active = primary.RetailerVersion(id);
-    chain.next_version = primary.NextVersion(id);
-    chain.retained = primary.RetainedVersions(id);
-    if (chain.active != 0 || chain.next_version != 1 ||
-        !chain.retained.empty()) {
-      snapshot.store_versions[id] = std::move(chain);
-    }
-    VersionChainState index_chain;
-    index_chain.active = retrieval_reader_->RetailerVersion(id);
-    index_chain.next_version = retrieval_reader_->NextVersion(id);
-    index_chain.retained = retrieval_reader_->RetainedVersions(id);
-    if (index_chain.active != 0 || index_chain.next_version != 1 ||
-        !index_chain.retained.empty()) {
-      snapshot.index_versions[id] = std::move(index_chain);
-    }
+    SnapshotChain(*store_group_->primary(), id, &snapshot.store_versions);
+    SnapshotChain(*retrieval_reader_, id, &snapshot.index_versions);
   }
   return snapshot;
 }
@@ -422,18 +460,21 @@ Status SigmundService::DeleteVersionFile(const std::string& path) {
   });
 }
 
-Status SigmundService::RetireVersionFiles(
-    const std::string& prefix, const std::vector<int64_t>& retained) {
+template <typename Store>
+StatusOr<int64_t> SigmundService::DeleteUnretainedVersions(
+    const Plane<Store>& plane, const std::string& prefix) {
   StatusOr<std::vector<std::string>> paths =
       RetryWithPolicy<std::vector<std::string>>(
           options_.sfs_retry, &io_.retry, [&] { return fs_->List(prefix); });
   SIGMUND_RETURN_IF_ERROR(paths.status());
   int64_t deleted = 0;
   for (const std::string& path : *paths) {
+    data::RetailerId retailer = 0;
     int64_t version = 0;
-    if (!ParseInt64(std::string_view(path).substr(prefix.size()), &version)) {
-      continue;  // a tmp partial or unrelated file; not ours to touch here
-    }
+    // Skips tmp partials and anything else that is not a version file.
+    if (!ParseVersionFilePath(path, plane.dir, &retailer, &version)) continue;
+    const std::vector<int64_t> retained =
+        plane.store->RetainedVersions(retailer);
     if (std::find(retained.begin(), retained.end(), version) !=
         retained.end()) {
       continue;
@@ -441,40 +482,192 @@ Status SigmundService::RetireVersionFiles(
     SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
     ++deleted;
   }
-  if (deleted > 0) {
-    metrics_->GetCounter("pipeline_version_files_retired_total")
-        ->Add(deleted);
-  }
-  return OkStatus();
+  return deleted;
 }
 
-Status SigmundService::GcOrphanVersionFiles(const std::string& dir,
-                                            bool index_plane,
-                                            const char* kind,
-                                            int64_t* deleted) {
-  StatusOr<std::vector<std::string>> paths =
-      RetryWithPolicy<std::vector<std::string>>(
-          options_.sfs_retry, &io_.retry, [&] { return fs_->List(dir); });
-  SIGMUND_RETURN_IF_ERROR(paths.status());
-  int64_t count = 0;
-  for (const std::string& path : *paths) {
-    data::RetailerId retailer = 0;
-    int64_t version = 0;
-    if (!ParseVersionFilePath(path, dir, &retailer, &version)) continue;
-    const std::vector<int64_t> retained =
-        index_plane ? retrieval_reader_->RetainedVersions(retailer)
-                    : store_group_->primary()->RetainedVersions(retailer);
-    if (std::find(retained.begin(), retained.end(), version) !=
-        retained.end()) {
-      continue;
+Status SigmundService::Journal(Op op, data::RetailerId retailer,
+                               int64_t version, std::string tag,
+                               std::string payload) {
+  return ledger_->Append({.op = op, .day = days_run_, .retailer = retailer,
+                          .version = version, .tag = std::move(tag),
+                          .payload = std::move(payload)});
+}
+
+template <typename Store>
+StatusOr<bool> SigmundService::RollOut(
+    const Plane<Store>& plane, data::RetailerId retailer,
+    const std::function<Status(const std::string&)>& publish,
+    const CanaryController* canary, const RecoveredDay* rec) {
+  auto crash_at = [&](const char* seam) {
+    if (crash_ != nullptr) {
+      MaybeCrash(crash_, StrFormat("%s.%s", plane.name, seam).c_str());
     }
-    SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
-    ++count;
+  };
+  Store* store = plane.store;
+  const int64_t version = store->NextVersion(retailer);
+  const std::string vpath = plane.version_path(retailer, version);
+  SIGMUND_RETURN_IF_ERROR(Journal(plane.intent, retailer, version, "", vpath));
+  crash_at("intent");
+  // Two-phase publish: a crash before the rename leaves only a sweepable
+  // tmp partial, never a half-written version under the live name.
+  SIGMUND_RETURN_IF_ERROR(publish(TmpPath(vpath)));
+  crash_at("tmp_written");
+  SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
+    return fs_->Rename(TmpPath(vpath), vpath);
+  }));
+  StatusOr<int64_t> staged = (store->*plane.stage)(
+      retailer, *fs_, vpath, options_.sfs_retry, &io_, version);
+  crash_at("staged");
+  if (!staged.ok()) {
+    if (staged.status().code() != StatusCode::kDataLoss) {
+      return staged.status();
+    }
+    SIGLOG(WARNING) << "rejecting corrupt " << plane.name << " v" << version
+                    << " for retailer " << retailer << ": "
+                    << staged.status().ToString();
+    SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
+    SIGMUND_RETURN_IF_ERROR(
+        Journal(plane.discard, retailer, version, "corrupt"));
+    return false;
   }
-  if (count > 0) {
-    metrics_->GetCounter("pipeline_orphans_gc_total", {{"kind", kind}})
-        ->Add(count);
-    *deleted += count;
+  std::string verdict = "promoted";
+  if (canary != nullptr) {
+    const std::string* replayed = nullptr;
+    if (rec != nullptr) {
+      const auto& logged = (rec->*plane.recovered).canary;
+      auto it = logged.find({retailer, version});
+      if (it != logged.end()) replayed = &it->second;
+    }
+    if (replayed != nullptr) {
+      // The crashed process already drew this verdict and made it
+      // durable; reuse it rather than re-simulating.
+      verdict = *replayed;
+    } else {
+      StatusOr<const data::RetailerData*> retailer_data =
+          registry_.Get(retailer);
+      if (retailer_data.ok()) {
+        const CanaryController::Outcome outcome =
+            canary->Evaluate(retailer, *store_group_->primary(), version,
+                             **retailer_data, days_run_);
+        if (outcome.verdict == CanaryController::Verdict::kRolledBack) {
+          verdict = "rolled_back";
+          SIGLOG(WARNING) << plane.name << " canary rolled back v" << version
+                          << " for retailer " << retailer
+                          << ": canary_ctr=" << outcome.CanaryCtr()
+                          << " control_ctr=" << outcome.ControlCtr()
+                          << "; the live version keeps serving";
+        }
+      }
+      SIGMUND_RETURN_IF_ERROR(
+          Journal(plane.canary, retailer, version, verdict));
+    }
+    crash_at("canary_logged");
+  }
+  if (verdict == "rolled_back") {
+    SIGMUND_RETURN_IF_ERROR(store->DiscardVersion(retailer, version));
+    SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
+    SIGMUND_RETURN_IF_ERROR(
+        Journal(plane.discard, retailer, version, "rolled_back"));
+    crash_at("discarded");
+    return true;
+  }
+  SIGMUND_RETURN_IF_ERROR(store->ActivateVersion(retailer, version));
+  if (plane.cutover_followers) {
+    SIGMUND_RETURN_IF_ERROR(store_group_->CutoverFollowersFromFile(
+        retailer, *fs_, vpath, version, options_.sfs_retry, &io_));
+  }
+  SIGMUND_RETURN_IF_ERROR(Journal(plane.activate, retailer, version));
+  crash_at("activated");
+  // Retire the version files this activation evicted from the chain.
+  StatusOr<int64_t> retired = DeleteUnretainedVersions(
+      plane, StrFormat("%sr%d.v", plane.dir, retailer));
+  if (!retired.ok()) return retired.status();
+  if (*retired > 0) {
+    metrics_->GetCounter("pipeline_version_files_retired_total")
+        ->Add(*retired);
+  }
+  return true;
+}
+
+template <typename Store>
+Status SigmundService::RehydratePlane(
+    const Plane<Store>& plane, const ServiceSnapshot& snapshot,
+    const std::vector<RunLedger::Entry>& entries, RecoveredDay* rec,
+    RecoveryReport* recovery) {
+  RecoveredPlane& committed = rec->*plane.recovered;
+  for (const RunLedger::Entry& entry : entries) {
+    // Intents without a matching commit are exactly the debris the
+    // orphan GC removes; nothing to replay.
+    if (entry.op == plane.canary) {
+      committed.canary[{entry.retailer, entry.version}] = entry.tag;
+    } else if (entry.op == plane.activate) {
+      committed.activated[entry.retailer] = entry.version;
+    } else if (entry.op == plane.discard) {
+      committed.discarded[entry.retailer] = entry.version;
+    }
+  }
+  // Snapshot chains first (retained versions re-staged pinned, in
+  // ascending order, then the active pointer), then this day's
+  // already-committed rollouts on top — so the in-memory version chain
+  // lands exactly where the crashed process had it.
+  Store* store = plane.store;
+  auto stage = [&](data::RetailerId retailer, int64_t version) {
+    return (store->*plane.stage)(retailer, *fs_,
+                                 plane.version_path(retailer, version),
+                                 options_.sfs_retry, &io_, version);
+  };
+  std::set<data::RetailerId> touched;
+  for (const auto& [retailer, chain] : snapshot.*plane.chains) {
+    touched.insert(retailer);
+    for (int64_t version : chain.retained) {
+      StatusOr<int64_t> staged = stage(retailer, version);
+      if (!staged.ok()) {
+        // A retained version evicted by a committed same-day activation
+        // has already lost its file; only the active version is
+        // load-bearing.
+        if (staged.status().code() == StatusCode::kNotFound &&
+            version != chain.active) {
+          continue;
+        }
+        return staged.status();
+      }
+      ++recovery->versions_rehydrated;
+    }
+    if (chain.active > 0) {
+      SIGMUND_RETURN_IF_ERROR(store->ActivateVersion(retailer, chain.active));
+    }
+    store->EnsureNextVersion(retailer, chain.next_version);
+  }
+  for (const auto& [retailer, version] : committed.activated) {
+    touched.insert(retailer);
+    SIGMUND_RETURN_IF_ERROR(stage(retailer, version).status());
+    SIGMUND_RETURN_IF_ERROR(store->ActivateVersion(retailer, version));
+    ++recovery->versions_rehydrated;
+  }
+  // A canary-discarded version consumed a version number even though no
+  // file survives; restore the counter so the resumed (and every later)
+  // day assigns the same numbers a crash-free run would.
+  for (const auto& [retailer, version] : committed.discarded) {
+    store->EnsureNextVersion(retailer, version + 1);
+  }
+  if (plane.cutover_followers && store_group_->num_replicas() > 1) {
+    for (data::RetailerId retailer : touched) {
+      const int64_t active = store->RetailerVersion(retailer);
+      if (active == 0) continue;
+      SIGMUND_RETURN_IF_ERROR(store_group_->CutoverFollowersFromFile(
+          retailer, *fs_, plane.version_path(retailer, active), active,
+          options_.sfs_retry, &io_));
+    }
+  }
+  // Every version file the rehydrated chain does not retain is debris:
+  // an uncommitted intent's copy, or an eviction whose file delete the
+  // crash preempted.
+  StatusOr<int64_t> orphans = DeleteUnretainedVersions(plane, plane.dir);
+  SIGMUND_RETURN_IF_ERROR(orphans.status());
+  if (*orphans > 0) {
+    metrics_->GetCounter("pipeline_orphans_gc_total", {{"kind", plane.name}})
+        ->Add(*orphans);
+    recovery->orphan_versions_deleted += *orphans;
   }
   return OkStatus();
 }
@@ -482,8 +675,8 @@ Status SigmundService::GcOrphanVersionFiles(const std::string& dir,
 StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
   RecoveryReport recovery;
   // 1. Sweep `*.tmp` partials everywhere the two-phase commit idiom
-  // writes them. Safe (and useful) on a clean first boot and with the
-  // ledger disabled: a tmp file is uncommitted by construction.
+  // writes them. Safe (and useful) on a clean first boot: a tmp file is
+  // uncommitted by construction.
   const std::string state_prefix = options_.ledger.ledger.state_dir + "/";
   for (const std::string& prefix :
        {std::string("recommendations/"), std::string("retrieval/"),
@@ -496,10 +689,6 @@ StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
   if (recovery.tmp_files_swept > 0) {
     metrics_->GetCounter("pipeline_orphans_gc_total", {{"kind", "tmp"}})
         ->Add(recovery.tmp_files_swept);
-  }
-  if (ledger_ == nullptr) {
-    recovery.day = days_run_;
-    return recovery;
   }
   metrics_->GetCounter("pipeline_recoveries_total")->Add(1);
 
@@ -551,39 +740,10 @@ StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
     bool started = false;
     bool complete = false;
     for (const RunLedger::Entry& entry : entries) {
-      switch (entry.op) {
-        case Op::kDayStart:
-          started = true;
-          break;
-        case Op::kDayComplete:
-          complete = true;
-          break;
-        case Op::kStageCommit:
-          rec.committed_stages[entry.tag] = entry.payload;
-          break;
-        case Op::kBatchCanary:
-          rec.batch_canary[{entry.retailer, entry.version}] = entry.tag;
-          break;
-        case Op::kBatchActivate:
-          rec.batch_activated[entry.retailer] = entry.version;
-          break;
-        case Op::kBatchDiscard:
-          rec.batch_discarded[entry.retailer] = entry.version;
-          break;
-        case Op::kIndexCanary:
-          rec.index_canary[{entry.retailer, entry.version}] = entry.tag;
-          break;
-        case Op::kIndexActivate:
-          rec.index_activated[entry.retailer] = entry.version;
-          break;
-        case Op::kIndexDiscard:
-          rec.index_discarded[entry.retailer] = entry.version;
-          break;
-        case Op::kBatchStageIntent:
-        case Op::kIndexStageIntent:
-          // Intents without a matching commit are exactly the debris the
-          // GC pass below removes; nothing to replay.
-          break;
+      started |= entry.op == Op::kDayStart;
+      complete |= entry.op == Op::kDayComplete;
+      if (entry.op == Op::kStageCommit) {
+        rec.committed_stages[entry.tag] = entry.payload;
       }
     }
     rec.resumed = started && !complete;
@@ -591,110 +751,15 @@ StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
     return day_log.status();
   }
 
-  // 4. Rebuild the serving planes: snapshot chains first (retained
-  // versions re-staged pinned, in ascending order, then the active
-  // pointer), then this day's already-committed rollouts on top — so the
-  // in-memory version chains land exactly where the crashed process had
-  // them.
-  serving::RecommendationStore* primary = store_group_->primary();
-  for (const auto& [retailer, chain] : snapshot.store_versions) {
-    for (int64_t version : chain.retained) {
-      StatusOr<int64_t> staged = primary->StageRetailerFromFile(
-          retailer, *fs_, RecommendationVersionPath(retailer, version),
-          options_.sfs_retry, &io_, version);
-      if (!staged.ok()) {
-        // A retained version evicted by a committed same-day activation
-        // has already lost its file; only the active version is
-        // load-bearing.
-        if (staged.status().code() == StatusCode::kNotFound &&
-            version != chain.active) {
-          continue;
-        }
-        return staged.status();
-      }
-      ++recovery.versions_rehydrated;
-    }
-    if (chain.active > 0) {
-      SIGMUND_RETURN_IF_ERROR(
-          primary->ActivateVersion(retailer, chain.active));
-    }
-    primary->EnsureNextVersion(retailer, chain.next_version);
-  }
-  for (const auto& [retailer, version] : rec.batch_activated) {
-    StatusOr<int64_t> staged = primary->StageRetailerFromFile(
-        retailer, *fs_, RecommendationVersionPath(retailer, version),
-        options_.sfs_retry, &io_, version);
-    SIGMUND_RETURN_IF_ERROR(staged.status());
-    SIGMUND_RETURN_IF_ERROR(primary->ActivateVersion(retailer, version));
-    ++recovery.versions_rehydrated;
-  }
-  // A canary-discarded version consumed a version number even though no
-  // file survives; restore the counter so the resumed (and every later)
-  // day assigns the same numbers a crash-free run would.
-  for (const auto& [retailer, version] : rec.batch_discarded) {
-    primary->EnsureNextVersion(retailer, version + 1);
-  }
-  if (store_group_->num_replicas() > 1) {
-    std::map<data::RetailerId, int64_t> final_active;
-    for (const auto& [retailer, chain] : snapshot.store_versions) {
-      if (chain.active > 0) final_active[retailer] = chain.active;
-    }
-    for (const auto& [retailer, version] : rec.batch_activated) {
-      final_active[retailer] = version;
-    }
-    for (const auto& [retailer, version] : final_active) {
-      SIGMUND_RETURN_IF_ERROR(store_group_->CutoverFollowersFromFile(
-          retailer, *fs_, RecommendationVersionPath(retailer, version),
-          version, options_.sfs_retry, &io_));
-    }
-  }
+  // 4. Rebuild both serving planes' version chains (and the batch
+  // plane's follower replicas) from the snapshot plus this day's
+  // committed rollouts, and delete the version files no chain retains.
+  SIGMUND_RETURN_IF_ERROR(
+      RehydratePlane(BatchPlane(), snapshot, entries, &rec, &recovery));
+  SIGMUND_RETURN_IF_ERROR(
+      RehydratePlane(IndexPlane(), snapshot, entries, &rec, &recovery));
 
-  for (const auto& [retailer, chain] : snapshot.index_versions) {
-    for (int64_t version : chain.retained) {
-      StatusOr<int64_t> staged = retrieval_reader_->StageFromFile(
-          retailer, *fs_, retrieval::IndexArtifactVersionPath(retailer,
-                                                              version),
-          options_.sfs_retry, &io_, version);
-      if (!staged.ok()) {
-        if (staged.status().code() == StatusCode::kNotFound &&
-            version != chain.active) {
-          continue;
-        }
-        return staged.status();
-      }
-      ++recovery.versions_rehydrated;
-    }
-    if (chain.active > 0) {
-      SIGMUND_RETURN_IF_ERROR(
-          retrieval_reader_->ActivateVersion(retailer, chain.active));
-    }
-    retrieval_reader_->EnsureNextVersion(retailer, chain.next_version);
-  }
-  for (const auto& [retailer, version] : rec.index_activated) {
-    StatusOr<int64_t> staged = retrieval_reader_->StageFromFile(
-        retailer, *fs_,
-        retrieval::IndexArtifactVersionPath(retailer, version),
-        options_.sfs_retry, &io_, version);
-    SIGMUND_RETURN_IF_ERROR(staged.status());
-    SIGMUND_RETURN_IF_ERROR(
-        retrieval_reader_->ActivateVersion(retailer, version));
-    ++recovery.versions_rehydrated;
-  }
-  for (const auto& [retailer, version] : rec.index_discarded) {
-    retrieval_reader_->EnsureNextVersion(retailer, version + 1);
-  }
-
-  // 5. GC: every versioned file the rehydrated planes do not retain is
-  // debris — an uncommitted intent's copy, or an eviction whose file
-  // delete the crash preempted.
-  SIGMUND_RETURN_IF_ERROR(GcOrphanVersionFiles(
-      "recommendations/", /*index_plane=*/false, "batch",
-      &recovery.orphan_versions_deleted));
-  SIGMUND_RETURN_IF_ERROR(GcOrphanVersionFiles(
-      "retrieval/", /*index_plane=*/true, "index",
-      &recovery.orphan_versions_deleted));
-
-  // 6. Retention, with the restored day counter. Normally the day-end
+  // 5. Retention, with the restored day counter. Normally the day-end
   // retention already ran and these are no-ops, but a crash inside the
   // day-boundary window (snapshot committed, retention not yet run)
   // would otherwise strand old snapshots that a crash-free run deletes —
@@ -704,7 +769,7 @@ StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
   SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldDays(days_run_));
   SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldSnapshots(days_run_));
 
-  // 7. Re-open the mid-flight day so resumed appends extend (and
+  // 6. Re-open the mid-flight day so resumed appends extend (and
   // tail-truncate) the durable log.
   if (rec.resumed) {
     ledger_->ResumeDay(days_run_, entries);
@@ -739,33 +804,17 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
         ->Observe(static_cast<double>(span.DurationMicros()));
   };
 
-  // --- Ledger plumbing (DESIGN.md §13). With the ledger disabled every
-  // helper below is a no-op and the run is byte-identical to the
-  // pre-ledger pipeline.
-  const bool ledgered = ledger_ != nullptr;
+  // --- Ledger plumbing (DESIGN.md §13): a day RecoverDay found
+  // mid-flight replays its committed work instead of redoing it.
   RecoveredDay* rec = nullptr;
-  if (ledgered && recovery_.has_value() && recovery_->resumed &&
+  if (recovery_.has_value() && recovery_->resumed &&
       recovery_->day == days_run_) {
     rec = &*recovery_;
   }
   report.recovered_day = rec != nullptr;
-  const int64_t appends_before = ledgered ? ledger_->appends() : 0;
+  const int64_t appends_before = ledger_->appends();
   int64_t units_skipped = 0;
 
-  auto make_entry = [&](Op op, data::RetailerId retailer, int64_t version,
-                        std::string tag, std::string payload) {
-    RunLedger::Entry entry;
-    entry.op = op;
-    entry.day = days_run_;
-    entry.retailer = retailer;
-    entry.version = version;
-    entry.tag = std::move(tag);
-    entry.payload = std::move(payload);
-    return entry;
-  };
-  auto append = [&](const RunLedger::Entry& entry) {
-    return ledger_->Append(entry);
-  };
   // Payload of a stage already committed this day (replay), or null.
   auto stage_committed = [&](const char* tag) -> const std::string* {
     if (rec == nullptr) return nullptr;
@@ -775,21 +824,17 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
   // Durably commits a stage, then exposes the stage-boundary kill-point.
   auto commit_stage = [&](const char* tag, std::string payload,
                           const char* point) -> Status {
-    if (!ledgered) return OkStatus();
     SIGMUND_RETURN_IF_ERROR(
-        append(make_entry(Op::kStageCommit, -1, 0, tag, std::move(payload))));
+        Journal(Op::kStageCommit, -1, 0, tag, std::move(payload)));
     MaybeCrash(crash_, point);
     return OkStatus();
   };
 
-  if (ledgered) {
-    if (rec == nullptr) {
-      ledger_->StartDay(days_run_);
-      SIGMUND_RETURN_IF_ERROR(
-          append(make_entry(Op::kDayStart, -1, 0, "", "")));
-    }
-    MaybeCrash(crash_, "day.start");
+  if (rec == nullptr) {
+    ledger_->StartDay(days_run_);
+    SIGMUND_RETURN_IF_ERROR(Journal(Op::kDayStart));
   }
+  MaybeCrash(crash_, "day.start");
 
   // --- Data placement: rebalance shards across cells and account the
   // migrated bytes (§IV-B1). Replay: shard migration is durable, so a
@@ -959,64 +1004,62 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
     SIGMUND_RETURN_IF_ERROR(clear_train_undo());
     ++units_skipped;
   } else {
-    if (ledgered) {
-      // Undo log (DESIGN.md §13): incremental records warm-start from —
-      // and then overwrite — yesterday's model files, so training is not
-      // idempotent once it starts publishing. Before the first model
-      // write, copy every file today's plan will overwrite aside; a
-      // resumed run whose train stage never committed restores them
-      // first, so its re-run reads exactly the bytes the crashed attempt
-      // read and trains bit-identically.
-      if (stage_committed("train_undo") != nullptr) {
-        for (const ConfigRecord& record : plan) {
-          const std::string prev = record.model_path + ".prev";
-          StatusOr<std::string> bytes =
-              RetryWithPolicy<std::string>(options_.sfs_retry, &io_.retry,
-                                           [&] { return fs_->Read(prev); });
-          if (bytes.ok()) {
-            SIGMUND_RETURN_IF_ERROR(
-                RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-                  return fs_->Write(record.model_path, *bytes);
-                }));
-          } else if (bytes.status().code() == StatusCode::kNotFound) {
-            // No undo copy means the file did not exist when the crashed
-            // attempt started; a warm-start record must see it absent
-            // again or it would warm from the half-published model.
-            if (record.warm_start) {
-              SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(record.model_path));
-            }
-          } else {
-            return bytes.status();
-          }
-        }
-        // A mid-train crash can also strand per-task checkpoints; a
-        // resumed task would warm-resume from them instead of training
-        // from scratch, diverging from the uninterrupted run.
-        StatusOr<std::vector<std::string>> stale =
-            RetryWithPolicy<std::vector<std::string>>(
-                options_.sfs_retry, &io_.retry,
-                [&] { return fs_->List("checkpoints/"); });
-        SIGMUND_RETURN_IF_ERROR(stale.status());
-        for (const std::string& path : *stale) {
-          SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
-        }
-      } else {
-        for (const ConfigRecord& record : plan) {
-          StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
-              options_.sfs_retry, &io_.retry,
-              [&] { return fs_->Read(record.model_path); });
-          if (!bytes.ok()) {
-            if (bytes.status().code() == StatusCode::kNotFound) continue;
-            return bytes.status();
-          }
+    // Undo log (DESIGN.md §13): incremental records warm-start from —
+    // and then overwrite — yesterday's model files, so training is not
+    // idempotent once it starts publishing. Before the first model
+    // write, copy every file today's plan will overwrite aside; a
+    // resumed run whose train stage never committed restores them
+    // first, so its re-run reads exactly the bytes the crashed attempt
+    // read and trains bit-identically.
+    if (stage_committed("train_undo") != nullptr) {
+      for (const ConfigRecord& record : plan) {
+        const std::string prev = record.model_path + ".prev";
+        StatusOr<std::string> bytes =
+            RetryWithPolicy<std::string>(options_.sfs_retry, &io_.retry,
+                                         [&] { return fs_->Read(prev); });
+        if (bytes.ok()) {
           SIGMUND_RETURN_IF_ERROR(
               RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-                return fs_->Write(record.model_path + ".prev", *bytes);
+                return fs_->Write(record.model_path, *bytes);
               }));
+        } else if (bytes.status().code() == StatusCode::kNotFound) {
+          // No undo copy means the file did not exist when the crashed
+          // attempt started; a warm-start record must see it absent
+          // again or it would warm from the half-published model.
+          if (record.warm_start) {
+            SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(record.model_path));
+          }
+        } else {
+          return bytes.status();
+        }
+      }
+      // A mid-train crash can also strand per-task checkpoints; a
+      // resumed task would warm-resume from them instead of training
+      // from scratch, diverging from the uninterrupted run.
+      StatusOr<std::vector<std::string>> stale =
+          RetryWithPolicy<std::vector<std::string>>(
+              options_.sfs_retry, &io_.retry,
+              [&] { return fs_->List("checkpoints/"); });
+      SIGMUND_RETURN_IF_ERROR(stale.status());
+      for (const std::string& path : *stale) {
+        SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
+      }
+    } else {
+      for (const ConfigRecord& record : plan) {
+        StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
+            options_.sfs_retry, &io_.retry,
+            [&] { return fs_->Read(record.model_path); });
+        if (!bytes.ok()) {
+          if (bytes.status().code() == StatusCode::kNotFound) continue;
+          return bytes.status();
         }
         SIGMUND_RETURN_IF_ERROR(
-            commit_stage("train_undo", "", "train.undo_logged"));
+            RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
+              return fs_->Write(record.model_path + ".prev", *bytes);
+            }));
       }
+      SIGMUND_RETURN_IF_ERROR(
+          commit_stage("train_undo", "", "train.undo_logged"));
     }
     results = [&] {
       // All training counters (checkpoints, preemptions, restores,
@@ -1039,14 +1082,12 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
       TrainingJob training(fs_, &registry_, training_options);
       return training.Run(plan);
     }();
-    if (ledgered) MaybeCrash(crash_, "train.ran");
+    MaybeCrash(crash_, "train.ran");
     if (results.ok()) {
       SIGMUND_RETURN_IF_ERROR(
           commit_stage("train", EncodeResults(*results), "train.done"));
-      if (ledgered) {
-        SIGMUND_RETURN_IF_ERROR(clear_train_undo());
-        MaybeCrash(crash_, "train.undo_cleared");
-      }
+      SIGMUND_RETURN_IF_ERROR(clear_train_undo());
+      MaybeCrash(crash_, "train.undo_cleared");
     }
   }
   end_stage(train_span, "train");
@@ -1105,7 +1146,7 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
         metrics_->GetCounter("pipeline_degraded_retailers_total")
             ->Add(static_cast<int64_t>(degraded.size()));
       }
-      if (ledgered) MaybeCrash(crash_, "select_models.ran");
+      MaybeCrash(crash_, "select_models.ran");
       SIGMUND_RETURN_IF_ERROR(commit_stage(
           "select_models",
           EncodeSelect(report.mean_best_map, best_map, degraded),
@@ -1195,29 +1236,44 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
       (void)recs;
       materialized_ids.push_back(retailer);
     }
-    if (ledgered) MaybeCrash(crash_, "inference.ran");
+    MaybeCrash(crash_, "inference.ran");
     SIGMUND_RETURN_IF_ERROR(commit_stage(
-        "inference", EncodeIdList(materialized_ids), "inference.done"));
+        "inference", JoinIds(materialized_ids), "inference.done"));
   }
 
-  // --- Safe rollout into the serving plane (DESIGN.md §7). For each
-  // retailer that passed the offline gates: stage the new batch on the
-  // primary replica (previous version keeps serving), canary it on
-  // simulated live traffic when configured, then either activate
-  // (pointer flip) and cut the follower replicas over one at a time, or
-  // discard the staged version. Regressed and degraded retailers keep
-  // serving the previous batch — a degraded retailer with no previous
-  // batch still loads its fresh one, so availability never drops below
-  // 100%. A batch that fails its checksum is rejected and the retailer
-  // keeps its previous recommendations; a bad refresh never takes down
-  // serving.
+  // --- Safe rollout into the serving planes (DESIGN.md §7, §11, §13).
+  // For each retailer that passed the offline gates, each plane runs one
+  // journaled rollout unit (RollOut): publish an immutable versioned
+  // file, stage it (the live version keeps serving), canary it on
+  // simulated live traffic when configured, then activate it (pointer
+  // flip) or discard it. Regressed and degraded retailers keep serving
+  // their live version — one with no live version still gets its fresh
+  // one, so availability never drops below 100%. A version that fails
+  // its checksum is rejected and the live one keeps serving; a bad
+  // refresh never takes down serving. On a resumed day, units the
+  // crashed run already committed are skipped.
   //
-  // Ledger mode turns each retailer into one journaled unit: the day
-  // batch is copied to an immutable versioned file (two-phase: tmp +
-  // rename) under a StageIntent, the canary verdict is logged before it
-  // is acted on, and exactly one of Activate / Discard commits the unit.
+  // True when `plane` has nothing to roll out for `retailer` today.
+  auto settled = [&](const auto& plane, data::RetailerId retailer) {
+    if ((hold_back.count(retailer) > 0 || degraded.count(retailer) > 0) &&
+        plane.store->RetailerVersion(retailer) > 0) {
+      return true;
+    }
+    if (rec == nullptr) return false;
+    const RecoveredPlane& done = rec->*plane.recovered;
+    if (done.activated.count(retailer) == 0 &&
+        done.discarded.count(retailer) == 0) {
+      return false;
+    }
+    ++units_skipped;
+    return true;
+  };
+
+  // Batch plane: each unit publishes a copy of the day's materialized
+  // batch and, on activation, cuts the follower replicas over one at a
+  // time. The batch canary needs a live batch to compare against.
   obs::Span store_span = tracer_->StartSpan("store_load");
-  serving::RecommendationStore* primary = store_group_->primary();
+  const Plane<serving::RecommendationStore> batch = BatchPlane();
   if (store_group_->num_replicas() > 1) {
     // Refresh replica health before cutting over: live replicas
     // heartbeat through the (possibly fault-injected) SFS, probes read
@@ -1227,164 +1283,37 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
     store_group_->ProbeReplicas(*fs_, options_.sfs_retry);
   }
   for (data::RetailerId retailer : materialized_ids) {
-    if ((hold_back.count(retailer) > 0 || degraded.count(retailer) > 0) &&
-        primary->RetailerVersion(retailer) > 0) {
-      continue;
-    }
-    if (!ledgered) {
-      // Pre-ledger path, byte-for-byte: stage straight off the day batch
-      // file and resolve in place.
-      const std::string path = RecommendationPath(retailer);
-      StatusOr<int64_t> staged = primary->StageRetailerFromFile(
-          retailer, *fs_, path, options_.sfs_retry, &io_);
-      if (!staged.ok()) {
-        if (staged.status().code() == StatusCode::kDataLoss) {
-          // Counted through serving_batch_loads_total{outcome=rejected}.
-          SIGLOG(WARNING) << "rejecting corrupt recommendation batch for "
-                          << "retailer " << retailer << ": "
-                          << staged.status().ToString();
-          continue;
-        }
-        return staged.status();
-      }
-      if (options_.canary.enabled && primary->RetailerVersion(retailer) > 0) {
-        StatusOr<const data::RetailerData*> retailer_data =
-            registry_.Get(retailer);
-        if (retailer_data.ok()) {
-          const CanaryController::Outcome canary = canary_->Evaluate(
-              retailer, *primary, *staged, **retailer_data, days_run_);
-          if (canary.verdict == CanaryController::Verdict::kRolledBack) {
-            SIGLOG(WARNING) << "canary rolled back batch v" << *staged
-                            << " for retailer " << retailer
-                            << ": canary_ctr=" << canary.CanaryCtr()
-                            << " control_ctr=" << canary.ControlCtr()
-                            << "; keeping previous recommendations";
-            SIGMUND_RETURN_IF_ERROR(
-                primary->DiscardVersion(retailer, *staged));
-            continue;
-          }
-        }
-      }
-      SIGMUND_RETURN_IF_ERROR(primary->ActivateVersion(retailer, *staged));
-      SIGMUND_RETURN_IF_ERROR(store_group_->CutoverFollowersFromFile(
-          retailer, *fs_, path, *staged, options_.sfs_retry, &io_));
-      continue;
-    }
-
-    // Ledgered unit. Already committed (this process or the one that
-    // crashed): the recovery rehydration has the store where the commit
-    // says it should be.
-    if (rec != nullptr && (rec->batch_activated.count(retailer) > 0 ||
-                           rec->batch_discarded.count(retailer) > 0)) {
-      ++units_skipped;
-      continue;
-    }
-    const int64_t version = primary->NextVersion(retailer);
-    const std::string vpath = RecommendationVersionPath(retailer, version);
+    if (settled(batch, retailer)) continue;
     StatusOr<std::string> raw =
         RetryWithPolicy<std::string>(options_.sfs_retry, &io_.retry, [&] {
           return fs_->Read(RecommendationPath(retailer));
         });
     if (!raw.ok()) return raw.status();
-    SIGMUND_RETURN_IF_ERROR(append(
-        make_entry(Op::kBatchStageIntent, retailer, version, "", vpath)));
-    MaybeCrash(crash_, "batch.intent");
-    const std::string tmp = TmpPath(vpath);
+    const CanaryController* canary =
+        options_.canary.enabled && batch.store->RetailerVersion(retailer) > 0
+            ? canary_.get()
+            : nullptr;
     SIGMUND_RETURN_IF_ERROR(
-        RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-          return fs_->Write(tmp, *raw);
-        }));
-    MaybeCrash(crash_, "batch.tmp_written");
-    SIGMUND_RETURN_IF_ERROR(
-        RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-          return fs_->Rename(tmp, vpath);
-        }));
-    StatusOr<int64_t> staged = primary->StageRetailerFromFile(
-        retailer, *fs_, vpath, options_.sfs_retry, &io_, version);
-    MaybeCrash(crash_, "batch.staged");
-    if (!staged.ok()) {
-      if (staged.status().code() != StatusCode::kDataLoss) {
-        return staged.status();
-      }
-      SIGLOG(WARNING) << "rejecting corrupt recommendation batch for "
-                      << "retailer " << retailer << ": "
-                      << staged.status().ToString();
-      SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
-      SIGMUND_RETURN_IF_ERROR(append(
-          make_entry(Op::kBatchDiscard, retailer, version, "corrupt", "")));
-      continue;
-    }
-    std::string verdict = "promoted";
-    if (options_.canary.enabled && primary->RetailerVersion(retailer) > 0) {
-      const std::string* replayed = nullptr;
-      if (rec != nullptr) {
-        auto it = rec->batch_canary.find({retailer, version});
-        if (it != rec->batch_canary.end()) replayed = &it->second;
-      }
-      if (replayed != nullptr) {
-        // The crashed process already drew this verdict and made it
-        // durable; reuse it rather than re-simulating.
-        verdict = *replayed;
-      } else {
-        StatusOr<const data::RetailerData*> retailer_data =
-            registry_.Get(retailer);
-        if (retailer_data.ok()) {
-          const CanaryController::Outcome canary = canary_->Evaluate(
-              retailer, *primary, version, **retailer_data, days_run_);
-          if (canary.verdict == CanaryController::Verdict::kRolledBack) {
-            verdict = "rolled_back";
-            SIGLOG(WARNING) << "canary rolled back batch v" << version
-                            << " for retailer " << retailer
-                            << ": canary_ctr=" << canary.CanaryCtr()
-                            << " control_ctr=" << canary.ControlCtr()
-                            << "; keeping previous recommendations";
-          }
-        }
-        SIGMUND_RETURN_IF_ERROR(append(
-            make_entry(Op::kBatchCanary, retailer, version, verdict, "")));
-      }
-      MaybeCrash(crash_, "batch.canary_logged");
-    }
-    if (verdict == "rolled_back") {
-      SIGMUND_RETURN_IF_ERROR(primary->DiscardVersion(retailer, version));
-      SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
-      SIGMUND_RETURN_IF_ERROR(append(make_entry(
-          Op::kBatchDiscard, retailer, version, "rolled_back", "")));
-      MaybeCrash(crash_, "batch.discarded");
-      continue;
-    }
-    SIGMUND_RETURN_IF_ERROR(primary->ActivateVersion(retailer, version));
-    SIGMUND_RETURN_IF_ERROR(store_group_->CutoverFollowersFromFile(
-        retailer, *fs_, vpath, version, options_.sfs_retry, &io_));
-    SIGMUND_RETURN_IF_ERROR(
-        append(make_entry(Op::kBatchActivate, retailer, version, "", "")));
-    MaybeCrash(crash_, "batch.activated");
-    SIGMUND_RETURN_IF_ERROR(
-        RetireVersionFiles(StrFormat("recommendations/r%d.v", retailer),
-                           primary->RetainedVersions(retailer)));
+        RollOut(
+            batch, retailer,
+            [&](const std::string& tmp) {
+              return RetryWithPolicy(options_.sfs_retry, &io_.retry,
+                                     [&] { return fs_->Write(tmp, *raw); });
+            },
+            canary, rec)
+            .status());
   }
   end_stage(store_span, "store_load");
 
-  // --- Online retrieval plane (DESIGN.md §11): snapshot each retailer's
-  // best model into a versioned ANN index artifact, publish it CRC-framed
-  // through the same Stage/Activate flow as recommendation batches, and
-  // gate activation with a retrieval-plane canary against the live
-  // materialized plane. A corrupt artifact is rejected at stage time and
-  // the previous index (or the materialized-only route) keeps serving.
-  // Ledger mode journals each retailer's index exactly like a batch.
+  // Index plane (DESIGN.md §11): each unit snapshots the retailer's best
+  // model into a CRC-framed ANN index artifact. Its canary compares the
+  // staged index against the live materialized plane, so it gates every
+  // index, the first one included.
   if (options_.retrieval.enabled) {
     obs::Span retrieval_span = tracer_->StartSpan("retrieval_index");
+    const Plane<retrieval::OnlineRetrievalReader> index = IndexPlane();
     for (data::RetailerId retailer : materialized_ids) {
-      if ((hold_back.count(retailer) > 0 || degraded.count(retailer) > 0) &&
-          retrieval_reader_->RetailerVersion(retailer) > 0) {
-        continue;
-      }
-      if (ledgered && rec != nullptr &&
-          (rec->index_activated.count(retailer) > 0 ||
-           rec->index_discarded.count(retailer) > 0)) {
-        ++units_skipped;
-        continue;
-      }
+      if (settled(index, retailer)) continue;
       StatusOr<const data::RetailerData*> retailer_data =
           registry_.Get(retailer);
       if (!retailer_data.ok()) continue;
@@ -1413,144 +1342,58 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
       if (options_.retrieval.build_hook_for_testing) {
         options_.retrieval.build_hook_for_testing(retailer, &artifact);
       }
-      StatusOr<int64_t> staged = 0;
-      int64_t version = 0;
-      std::string vpath;
-      if (!ledgered) {
-        const std::string index_path = retrieval::IndexArtifactPath(retailer);
-        SIGMUND_RETURN_IF_ERROR(sfs::WriteChecksummedFile(
-            fs_, index_path, artifact.Serialize(), options_.sfs_retry,
-            &io_));
-        staged = retrieval_reader_->StageFromFile(
-            retailer, *fs_, index_path, options_.sfs_retry, &io_);
-        if (staged.ok()) version = *staged;
-      } else {
-        version = retrieval_reader_->NextVersion(retailer);
-        vpath = retrieval::IndexArtifactVersionPath(retailer, version);
-        SIGMUND_RETURN_IF_ERROR(append(make_entry(
-            Op::kIndexStageIntent, retailer, version, "", vpath)));
-        MaybeCrash(crash_, "index.intent");
-        SIGMUND_RETURN_IF_ERROR(sfs::WriteChecksummedFile(
-            fs_, TmpPath(vpath), artifact.Serialize(), options_.sfs_retry,
-            &io_));
-        MaybeCrash(crash_, "index.tmp_written");
-        SIGMUND_RETURN_IF_ERROR(
-            RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-              return fs_->Rename(TmpPath(vpath), vpath);
-            }));
-        staged = retrieval_reader_->StageFromFile(
-            retailer, *fs_, vpath, options_.sfs_retry, &io_, version);
-        MaybeCrash(crash_, "index.staged");
-      }
-      if (!staged.ok()) {
-        if (staged.status().code() == StatusCode::kDataLoss) {
-          SIGLOG(WARNING) << "rejecting corrupt retrieval index for retailer "
-                          << retailer << ": " << staged.status().ToString();
-          metrics_
-              ->GetCounter("retrieval_index_builds_total",
-                           {{"outcome", "rejected"}})
-              ->Add(1);
-          if (ledgered) {
-            SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
-            SIGMUND_RETURN_IF_ERROR(append(make_entry(
-                Op::kIndexDiscard, retailer, version, "corrupt", "")));
-          }
-          continue;
-        }
-        return staged.status();
-      }
-      ++report.retrieval_indexes_built;
+      StatusOr<bool> staged = RollOut(
+          index, retailer,
+          [&](const std::string& tmp) {
+            return sfs::WriteChecksummedFile(fs_, tmp, artifact.Serialize(),
+                                             options_.sfs_retry, &io_);
+          },
+          retrieval_canary_.get(), rec);
+      if (!staged.ok()) return staged.status();
       metrics_
-          ->GetCounter("retrieval_index_builds_total", {{"outcome", "ok"}})
+          ->GetCounter("retrieval_index_builds_total",
+                       {{"outcome", *staged ? "ok" : "rejected"}})
           ->Add(1);
-      std::string verdict = "promoted";
-      if (retrieval_canary_ != nullptr) {
-        const std::string* replayed = nullptr;
-        if (ledgered && rec != nullptr) {
-          auto it = rec->index_canary.find({retailer, version});
-          if (it != rec->index_canary.end()) replayed = &it->second;
-        }
-        if (replayed != nullptr) {
-          verdict = *replayed;
-        } else {
-          const CanaryController::Outcome canary =
-              retrieval_canary_->Evaluate(retailer, *primary, version,
-                                          **retailer_data, days_run_);
-          if (canary.verdict == CanaryController::Verdict::kRolledBack) {
-            verdict = "rolled_back";
-            SIGLOG(WARNING) << "retrieval canary rolled back index v"
-                            << version << " for retailer " << retailer
-                            << ": canary_ctr=" << canary.CanaryCtr()
-                            << " control_ctr=" << canary.ControlCtr()
-                            << "; retailer stays on the materialized plane";
-          }
-          if (ledgered) {
-            SIGMUND_RETURN_IF_ERROR(append(make_entry(
-                Op::kIndexCanary, retailer, version, verdict, "")));
-          }
-        }
-        if (ledgered) MaybeCrash(crash_, "index.canary_logged");
-      }
-      if (verdict == "rolled_back") {
-        SIGMUND_RETURN_IF_ERROR(
-            retrieval_reader_->DiscardVersion(retailer, version));
-        if (ledgered) {
-          SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
-          SIGMUND_RETURN_IF_ERROR(append(make_entry(
-              Op::kIndexDiscard, retailer, version, "rolled_back", "")));
-          MaybeCrash(crash_, "index.discarded");
-        }
-        continue;
-      }
-      SIGMUND_RETURN_IF_ERROR(
-          retrieval_reader_->ActivateVersion(retailer, version));
-      if (ledgered) {
-        SIGMUND_RETURN_IF_ERROR(append(
-            make_entry(Op::kIndexActivate, retailer, version, "", "")));
-        MaybeCrash(crash_, "index.activated");
-        SIGMUND_RETURN_IF_ERROR(RetireVersionFiles(
-            StrFormat("retrieval/r%d.v", retailer),
-            retrieval_reader_->RetainedVersions(retailer)));
-      }
     }
     end_stage(retrieval_span, "retrieval_index");
   }
 
-  // --- Mirror chaos-layer fault totals into the registry. Self-
-  // correcting: only the portion not already recorded (e.g. by a fault
-  // injector wired live via SetMetrics) is added, so the registry's sum
-  // across label sets always equals the injector's own total.
-  if (options_.injected_faults != nullptr) {
-    const int64_t recorded =
-        metrics_->Snapshot().CounterValue("sfs_faults_injected_total");
-    metrics_->GetCounter("sfs_faults_injected_total")
-        ->Add(options_.injected_faults->total() - recorded);
-  }
-
-  // --- Day boundary (ledger mode): two-phase control-state snapshot,
-  // then the kDayComplete marker, then retention. Order matters — a
-  // crash before the rename leaves only a sweepable tmp, a crash before
-  // kDayComplete resumes an all-committed day that replays to the same
-  // bytes, a crash before retention is converged by the next boundary.
-  if (ledgered) {
+  // --- Day boundary: two-phase control-state snapshot, then the
+  // kDayComplete marker, then retention. Order matters — a crash before
+  // the rename leaves only a sweepable tmp, a crash before kDayComplete
+  // resumes an all-committed day that replays to the same bytes, a crash
+  // before retention is converged by the next boundary.
+  {
     obs::Span span = tracer_->StartSpan("commit_day");
     const ServiceSnapshot snapshot = BuildSnapshot();
     SIGMUND_RETURN_IF_ERROR(ledger_->WriteSnapshotTmp(snapshot.Serialize()));
     MaybeCrash(crash_, "day.snapshot_tmp");
     SIGMUND_RETURN_IF_ERROR(ledger_->CommitSnapshot(days_run_ + 1));
     MaybeCrash(crash_, "day.snapshot_committed");
-    SIGMUND_RETURN_IF_ERROR(
-        append(make_entry(Op::kDayComplete, -1, 0, "", "")));
+    SIGMUND_RETURN_IF_ERROR(Journal(Op::kDayComplete));
     MaybeCrash(crash_, "day.complete");
     SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldDays(days_run_));
     SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldSnapshots(days_run_ + 1));
     end_stage(span, "commit_day");
-    report.ledger_appends = ledger_->appends() - appends_before;
-    report.replay_units_skipped = units_skipped;
-    if (units_skipped > 0) {
-      metrics_->GetCounter("pipeline_replay_units_skipped_total")
-          ->Add(units_skipped);
-    }
+  }
+  report.ledger_appends = ledger_->appends() - appends_before;
+  report.replay_units_skipped = units_skipped;
+  if (units_skipped > 0) {
+    metrics_->GetCounter("pipeline_replay_units_skipped_total")
+        ->Add(units_skipped);
+  }
+
+  // --- Mirror chaos-layer fault totals into the registry, after the last
+  // SFS access of the run so the day-boundary I/O's faults land in this
+  // run's report. Self-correcting: only the portion not already recorded
+  // (e.g. by a fault injector wired live via SetMetrics) is added, so the
+  // registry's sum across label sets always equals the injector's own
+  // total.
+  if (options_.injected_faults != nullptr) {
+    const int64_t recorded =
+        metrics_->Snapshot().CounterValue("sfs_faults_injected_total");
+    metrics_->GetCounter("sfs_faults_injected_total")
+        ->Add(options_.injected_faults->total() - recorded);
   }
 
   day_span.End();
@@ -1611,6 +1454,8 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
   report.retrieval_rollbacks =
       delta("canary_verdicts_total",
             {{"plane", "retrieval"}, {"verdict", "rolled_back"}});
+  report.retrieval_indexes_built = static_cast<int>(
+      delta("retrieval_index_builds_total", {{"outcome", "ok"}}));
   report.corrupt_indexes_rejected =
       delta("retrieval_index_builds_total", {{"outcome", "rejected"}});
   report.replica_cutovers =

@@ -214,8 +214,8 @@ class SigmundService {
     // Online embedding-retrieval plane (DESIGN.md §11). When enabled,
     // each daily run snapshots every retailer's best model into a
     // versioned, CRC-framed ANN index artifact
-    // (retrieval::IndexArtifactPath), stages it on the online reader,
-    // gates it with a retrieval-plane canary against the live
+    // (retrieval::IndexArtifactVersionPath), stages it on the online
+    // reader, gates it with a retrieval-plane canary against the live
     // materialized plane (when `canary.enabled`), and activates or
     // discards it. Serving the staged index to users is the Frontend's
     // job (Options::retrieval_store + retrieval_ab_fraction).
@@ -245,7 +245,7 @@ class SigmundService {
     };
     DataQualOptions dataqual;
 
-    // Durable run ledger + crash recovery (DESIGN.md §13). When enabled,
+    // Durable run ledger + crash recovery (DESIGN.md §13), always on:
     // every RunDaily journals a StageIntent before each externally
     // visible per-retailer mutation and a StageCommit after it, batch /
     // index activations publish immutable versioned SFS copies
@@ -255,7 +255,9 @@ class SigmundService {
     // RecoverDay(), and finish the day byte-identical to an
     // uninterrupted same-seed run.
     struct LedgerOptions {
-      bool enabled = false;
+      // No-op: the ledger can no longer be turned off. Kept so callers
+      // written against the opt-in ledger still compile.
+      bool enabled = true;
       RunLedger::Options ledger;
     };
     LedgerOptions ledger;
@@ -321,16 +323,16 @@ class SigmundService {
     int64_t versions_rehydrated = 0;
   };
 
-  // Crash-anywhere startup path (DESIGN.md §13). Always sweeps orphaned
-  // `*.tmp` partials (safe on a clean first boot too); with the ledger
-  // enabled it additionally rehydrates durable control state from the
-  // newest readable snapshot (warm-start results, quality baselines,
-  // sentry quarantine state, shard placement), rebuilds the serving
-  // store and retrieval reader version chains from their versioned SFS
-  // files, garbage-collects version files orphaned by uncommitted
-  // intents, and re-opens a day the crashed process left mid-flight so
-  // the next RunDaily replays it idempotently. Call once on a freshly
-  // constructed service, before UpsertRetailer data is served.
+  // Crash-anywhere startup path (DESIGN.md §13). Sweeps orphaned
+  // `*.tmp` partials (safe on a clean first boot too), rehydrates
+  // durable control state from the newest readable snapshot (warm-start
+  // results, quality baselines, sentry quarantine state, shard
+  // placement), rebuilds the serving store and retrieval reader version
+  // chains from their versioned SFS files, garbage-collects version
+  // files orphaned by uncommitted intents, and re-opens a day the
+  // crashed process left mid-flight so the next RunDaily replays it
+  // idempotently. Call once on a freshly constructed service, before
+  // UpsertRetailer data is served.
   StatusOr<RecoveryReport> RecoverDay();
 
   // Forces the next RunDaily to perform a full sweep (used after the
@@ -374,9 +376,6 @@ class SigmundService {
   // The data-plane sentry (null unless Options::dataqual.enabled).
   const dataqual::DataSentry* sentry() const { return sentry_.get(); }
 
-  // The run ledger (null unless Options::ledger.enabled).
-  const RunLedger* ledger() const { return ledger_.get(); }
-
   // Days completed so far. After RecoverDay this is the day the next
   // RunDaily will run — which may be one past the day a crashed caller
   // thinks it was on, when the crash landed after the day's snapshot
@@ -389,6 +388,13 @@ class SigmundService {
   obs::Tracer* tracer() const { return tracer_; }
 
  private:
+  // One plane's per-retailer rollout outcomes already committed this
+  // day: activated / discarded versions and logged canary verdicts.
+  struct RecoveredPlane {
+    std::map<data::RetailerId, int64_t> activated;
+    std::map<data::RetailerId, int64_t> discarded;
+    std::map<std::pair<data::RetailerId, int64_t>, std::string> canary;
+  };
   // Everything RecoverDay decoded from a mid-flight day's ledger; the
   // next RunDaily consumes it to skip committed work and reuse durable
   // canary verdicts.
@@ -397,14 +403,46 @@ class SigmundService {
     int day = 0;
     // Stage tag -> commit payload, for every kStageCommit already durable.
     std::map<std::string, std::string> committed_stages;
-    // Per-retailer rollout outcomes already committed this day.
-    std::map<data::RetailerId, int64_t> batch_activated;
-    std::map<data::RetailerId, int64_t> batch_discarded;
-    std::map<std::pair<data::RetailerId, int64_t>, std::string> batch_canary;
-    std::map<data::RetailerId, int64_t> index_activated;
-    std::map<data::RetailerId, int64_t> index_discarded;
-    std::map<std::pair<data::RetailerId, int64_t>, std::string> index_canary;
+    RecoveredPlane batch;
+    RecoveredPlane index;
   };
+
+  // One serving plane as the journaled rollout protocol sees it (defined
+  // in service.cc): the batch plane drives the primary
+  // RecommendationStore, the index plane the OnlineRetrievalReader.
+  template <typename Store>
+  struct Plane;
+  Plane<serving::RecommendationStore> BatchPlane();
+  Plane<retrieval::OnlineRetrievalReader> IndexPlane();
+
+  // Appends one entry for the current day to the run ledger.
+  Status Journal(RunLedger::Op op, data::RetailerId retailer = -1,
+                 int64_t version = 0, std::string tag = "",
+                 std::string payload = "");
+
+  // One per-retailer rollout unit, the same for both planes:
+  // intent -> publish -> stage -> canary verdict -> activate or discard,
+  // with a kill-point after each durable step. `publish` writes the new
+  // version's bytes to the tmp path it is given; `canary` (null = none)
+  // gates activation on live traffic; a resumed day's `rec` (else null)
+  // supplies the canary verdicts the crashed run already logged. Returns
+  // false when the version failed its integrity check at stage time.
+  template <typename Store>
+  StatusOr<bool> RollOut(const Plane<Store>& plane, data::RetailerId retailer,
+                         const std::function<Status(const std::string&)>&
+                             publish,
+                         const CanaryController* canary,
+                         const RecoveredDay* rec);
+
+  // Recovery: decodes the plane's rollout entries from the day log into
+  // `rec`, rebuilds its version chain from the snapshot plus the day's
+  // committed rollouts, and deletes the version files it does not retain
+  // (counted in pipeline_orphans_gc_total{kind}).
+  template <typename Store>
+  Status RehydratePlane(const Plane<Store>& plane,
+                        const ServiceSnapshot& snapshot,
+                        const std::vector<RunLedger::Entry>& entries,
+                        RecoveredDay* rec, RecoveryReport* recovery);
 
   // Picks the best record per retailer, copies its model to BestModelPath
   // and fills `best_map` per retailer. Retailers whose winning record is
@@ -422,17 +460,12 @@ class SigmundService {
 
   // Deletes `path` with retry; a file already gone is success.
   Status DeleteVersionFile(const std::string& path);
-  // Deletes version files under `prefix` (e.g. "recommendations/r7.v")
-  // whose version is not in `retained` — the files evicted from the
-  // in-memory chain by the activation that just committed. Counted in
-  // pipeline_version_files_retired_total.
-  Status RetireVersionFiles(const std::string& prefix,
-                            const std::vector<int64_t>& retained);
-  // Recovery-time GC: deletes every `<dir>r<id>.v<NNNNNN>` file whose
-  // version the rehydrated plane does not retain (debris of uncommitted
-  // intents). Counted in pipeline_orphans_gc_total{kind}.
-  Status GcOrphanVersionFiles(const std::string& dir, bool index_plane,
-                              const char* kind, int64_t* deleted);
+  // Deletes the plane's version files under `prefix` (its directory, or
+  // one retailer's "recommendations/r7.v") whose version its store does
+  // not retain; returns how many.
+  template <typename Store>
+  StatusOr<int64_t> DeleteUnretainedVersions(const Plane<Store>& plane,
+                                             const std::string& prefix);
 
   sfs::SharedFileSystem* fs_;
   Options options_;
@@ -451,8 +484,8 @@ class SigmundService {
   // Data-plane sentry (null unless Options::dataqual.enabled); judges
   // every feed before the sweep and owns quarantine state across days.
   std::unique_ptr<dataqual::DataSentry> sentry_;
-  // Durable run ledger (null unless Options::ledger.enabled) and the
-  // borrowed kill-point injector.
+  // Durable run ledger (always constructed) and the borrowed kill-point
+  // injector.
   std::unique_ptr<RunLedger> ledger_;
   CrashInjector* crash_ = nullptr;
   // Set by RecoverDay when a mid-flight day was found; consumed (and

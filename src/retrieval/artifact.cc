@@ -90,10 +90,6 @@ StatusOr<IndexArtifact> IndexArtifact::Deserialize(const std::string& bytes) {
   return artifact;
 }
 
-std::string IndexArtifactPath(data::RetailerId retailer) {
-  return StrFormat("retrieval/r%d", retailer);
-}
-
 std::string IndexArtifactVersionPath(data::RetailerId retailer,
                                      int64_t version) {
   return StrFormat("retrieval/r%d.v%06lld", retailer,

@@ -54,10 +54,10 @@ struct IndexArtifact {
   static StatusOr<IndexArtifact> Deserialize(const std::string& bytes);
 };
 
-// Canonical SFS location, alongside models/ and recommendations/.
-std::string IndexArtifactPath(data::RetailerId retailer);
-// Immutable per-version artifact copy (ledger mode, DESIGN.md §13):
-// crash rehydration re-stages retained index versions from these.
+// Immutable per-version artifact location (DESIGN.md §13), alongside
+// models/ and recommendations/: the daily run publishes each index
+// version here, and crash rehydration re-stages retained versions from
+// these.
 std::string IndexArtifactVersionPath(data::RetailerId retailer,
                                      int64_t version);
 

@@ -156,8 +156,8 @@ RunResult RunScenario(bool poison) {
   for (data::RetailerId id = 0; id < kRetailers; ++id) {
     StatusOr<std::string> recs = fs.Read(pipeline::RecommendationPath(id));
     result.recommendation_bytes[id] = recs.ok() ? *recs : "<unreadable>";
-    StatusOr<std::string> index =
-        fs.Read(retrieval::IndexArtifactPath(id));
+    StatusOr<std::string> index = fs.Read(retrieval::IndexArtifactVersionPath(
+        id, service.retrieval_reader()->RetailerVersion(id)));
     result.index_bytes[id] = index.ok() ? *index : "<unreadable>";
   }
   return result;
@@ -213,6 +213,7 @@ TEST(DataQualChaosTest, PoisonedFeedsNeverPromoteAndHealthyBytesMatch) {
             clean.recommendation_bytes.at(1));
   EXPECT_EQ(poisoned.index_bytes.at(1), clean.index_bytes.at(1));
   EXPECT_NE(poisoned.recommendation_bytes.at(1), "<unreadable>");
+  EXPECT_NE(poisoned.index_bytes.at(1), "<unreadable>");
 
   // 5. Releases happened (r0 on days 2 and 4, r2 on day 5) and the
   // release days warm-started: no retailer was re-planned as a full-grid

@@ -410,7 +410,7 @@ TEST(RunProfileTest, DailyRunEmitsCoherentProfile) {
   }
   EXPECT_LE(stage_sum, report->total_wall_micros);
   EXPECT_EQ(report->stage_wall_micros.front().first, "plan_sweep");
-  EXPECT_EQ(report->stage_wall_micros.back().first, "store_load");
+  EXPECT_EQ(report->stage_wall_micros.back().first, "commit_day");
 
   // The profile JSON exists and nests: every stage span's duration fits
   // inside the root's, and the root equals the report total.

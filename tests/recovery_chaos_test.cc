@@ -221,7 +221,6 @@ Outcome RunScenario(int64_t crash_at) {
             for (float& v : artifact->context_vectors) v = -v;
           }
         };
-    options.ledger.enabled = true;
     options.clock = &clock;
     options.crash = &injector;
     return options;
@@ -355,10 +354,14 @@ TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
   };
   EXPECT_GT(hit("day.start"), 0);
   EXPECT_GT(hit("train.done"), 0);
-  EXPECT_GT(hit("batch.intent"), 0);
-  EXPECT_GT(hit("batch.activated"), 0);
-  EXPECT_GT(hit("batch.discarded"), 0);
-  EXPECT_GT(hit("index.discarded"), 0);
+  // Every seam of the shared rollout unit, on both planes.
+  for (const char* plane : {"batch", "index"}) {
+    for (const char* seam : {"intent", "tmp_written", "staged",
+                             "canary_logged", "discarded", "activated"}) {
+      const std::string point = StrFormat("%s.%s", plane, seam);
+      EXPECT_GT(hit(point.c_str()), 0) << point;
+    }
+  }
   EXPECT_GT(hit("day.snapshot_committed"), 0);
   EXPECT_GT(hit("day.complete"), 0);
 
@@ -383,15 +386,14 @@ TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
   }
 }
 
-// Clean cold start with the ledger disabled still sweeps `*.tmp`
-// partials — the startup GC is not tied to ledger mode.
-TEST(RecoveryChaosTest, StartupGcSweepsPartialsWithoutLedger) {
+// A cold start sweeps `*.tmp` partials and leaves committed files alone.
+TEST(RecoveryChaosTest, StartupGcSweepsPartials) {
   sfs::MemFileSystem fs;
   ASSERT_TRUE(fs.Write("recommendations/r0.v000002.tmp", "partial").ok());
   ASSERT_TRUE(fs.Write("retrieval/r1.v000001.tmp", "partial").ok());
   ASSERT_TRUE(fs.Write("recommendations/r0", "committed").ok());
 
-  SigmundService::Options options;  // ledger disabled
+  SigmundService::Options options;
   SigmundService service(&fs, options);
   StatusOr<SigmundService::RecoveryReport> recovered = service.RecoverDay();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -405,12 +407,11 @@ TEST(RecoveryChaosTest, StartupGcSweepsPartialsWithoutLedger) {
             2);
 }
 
-// A ledger-enabled cold start on an empty filesystem is a no-op
+// A cold start on an empty filesystem is a no-op
 // recovery: nothing swept, nothing resumed, day counter at zero.
 TEST(RecoveryChaosTest, ColdStartRecoveryIsNoop) {
   sfs::MemFileSystem fs;
   SigmundService::Options options;
-  options.ledger.enabled = true;
   SigmundService service(&fs, options);
   StatusOr<SigmundService::RecoveryReport> recovered = service.RecoverDay();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();

@@ -359,7 +359,7 @@ TEST(OnlineRetrievalReaderTest, CorruptArtifactRejectedPreviousKeepsServing) {
   sfs::MemFileSystem fs;
   sfs::ReliableIoCounters io;
   retrieval::OnlineRetrievalReader reader({});
-  const std::string path = retrieval::IndexArtifactPath(3);
+  const std::string path = "retrieval/r3";
 
   ASSERT_TRUE(sfs::WriteChecksummedFile(&fs, path,
                                         ToyArtifact(3, 10).Serialize())
