@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "core/inference.h"
 #include "serving/replicated_store.h"
@@ -37,6 +38,7 @@ std::vector<core::ItemRecommendations> MakeRetailerRecs(int items,
   return recs;
 }
 
+// A CRC-framed batch file, as the inference job writes it.
 std::string SerializeBatch(
     const std::vector<core::ItemRecommendations>& batch) {
   std::string blob;
@@ -44,7 +46,7 @@ std::string SerializeBatch(
     blob += recs.Serialize();
     blob += '\n';
   }
-  return blob;
+  return WriteChecksummedFrame(blob);
 }
 
 // Pointer-flip rollback: alternate the active version between the two

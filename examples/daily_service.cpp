@@ -241,13 +241,13 @@ int main() {
   std::printf("day 5 (churn storm): %s\n", day5->ToString().c_str());
   EmitObservability(churny_service, *day5, 5);
   std::printf("  -> %lld evictions (%lld grace checkpoints, %lld hard), "
-              "%lld tasks escalated to regular priority, %d retailers "
+              "%lld tasks escalated to regular priority, %lld retailers "
               "degraded but still serving\n",
               static_cast<long long>(day5->evictions),
               static_cast<long long>(day5->eviction_grace_checkpoints),
               static_cast<long long>(day5->hard_evictions),
               static_cast<long long>(day5->priority_escalations),
-              day5->degraded_retailers);
+              static_cast<long long>(day5->degraded_retailers));
   ShowSample(churny_service, 2);
 
   // --- Days 6/7: safe rollout. Serving moves to a 3-replica store group

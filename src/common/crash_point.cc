@@ -1,5 +1,7 @@
 #include "common/crash_point.h"
 
+#include "common/hash.h"
+
 namespace sigmund {
 namespace {
 
@@ -7,17 +9,8 @@ namespace {
 // avalanche: the same hash-not-RNG construction FaultInjectingFileSystem
 // uses, so a given (seed, point, nth) fires identically on every run.
 uint64_t MixHit(uint64_t seed, std::string_view point, int64_t nth) {
-  uint64_t h = 14695981039346656037ULL ^ seed;
-  for (char c : point) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= static_cast<uint64_t>(nth);
-  h *= 1099511628211ULL;
-  h += 0x9E3779B97F4A7C15ULL;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  return h ^ (h >> 31);
+  return Mix64(Fnv1a64Mix(Fnv1a64(point, kFnv64OffsetBasis ^ seed),
+                          static_cast<uint64_t>(nth)));
 }
 
 double ToUnit(uint64_t h) {

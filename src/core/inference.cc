@@ -46,8 +46,7 @@ std::string ItemRecommendations::Serialize() const {
 StatusOr<ItemRecommendations> ItemRecommendations::Deserialize(
     const std::string& text) {
   std::vector<std::string> parts = StrSplit(text, '|');
-  // 3-part records predate the late-funnel list; still accepted.
-  if (parts.size() != 3 && parts.size() != 4) {
+  if (parts.size() != 4) {
     return DataLossError("malformed recommendations");
   }
   int64_t query = 0;
@@ -60,13 +59,11 @@ StatusOr<ItemRecommendations> ItemRecommendations::Deserialize(
   if (!view.ok()) return view.status();
   StatusOr<std::vector<ScoredItem>> purchase = DeserializeList(parts[2]);
   if (!purchase.ok()) return purchase.status();
+  StatusOr<std::vector<ScoredItem>> late = DeserializeList(parts[3]);
+  if (!late.ok()) return late.status();
   recs.view_based = std::move(view).value();
   recs.purchase_based = std::move(purchase).value();
-  if (parts.size() == 4) {
-    StatusOr<std::vector<ScoredItem>> late = DeserializeList(parts[3]);
-    if (!late.ok()) return late.status();
-    recs.view_based_late = std::move(late).value();
-  }
+  recs.view_based_late = std::move(late).value();
   return recs;
 }
 

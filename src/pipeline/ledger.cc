@@ -89,7 +89,6 @@ Status RunLedger::Append(const Entry& entry) {
   SIGMUND_RETURN_IF_ERROR(
       RetryWithPolicy(retry_, stats != nullptr ? stats : &local,
                       [&] { return fs_->Write(path, buffer_); }));
-  ++appends_;
   bytes_written_ += static_cast<int64_t>(buffer_.size());
   if (appends_counter_ != nullptr) appends_counter_->Add(1);
   return OkStatus();

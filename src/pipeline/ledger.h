@@ -109,7 +109,6 @@ class RunLedger {
   Status Append(const Entry& entry);
 
   int day() const { return day_; }
-  int64_t appends() const { return appends_; }
   int64_t bytes_written() const { return bytes_written_; }
 
   struct DecodeResult {
@@ -156,7 +155,6 @@ class RunLedger {
 
   int day_ = -1;
   std::string buffer_;  // the current day file's full contents
-  int64_t appends_ = 0;
   int64_t bytes_written_ = 0;
 };
 

@@ -4,8 +4,10 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "common/binary_io.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "core/model.h"
@@ -127,28 +129,26 @@ std::string EncodeResults(const std::vector<ConfigRecord>& results) {
   return out;
 }
 
-StatusOr<std::vector<ConfigRecord>> DecodeResults(const std::string& text) {
-  std::vector<ConfigRecord> results;
+bool DecodeResults(const std::string& text,
+                   std::vector<ConfigRecord>* results) {
+  std::vector<ConfigRecord> parsed;
   for (const std::string& line : StrSplit(text, '\n')) {
     if (line.empty()) continue;
     StatusOr<ConfigRecord> record = ConfigRecord::Deserialize(line);
-    SIGMUND_RETURN_IF_ERROR(record.status());
-    results.push_back(*std::move(record));
+    if (!record.ok()) return false;
+    parsed.push_back(*std::move(record));
   }
-  return results;
+  results->swap(parsed);
+  return true;
 }
 
 // FNV-1a over the serialized plan: the plan is cheap to recompute
 // deterministically, so the ledger stores only a fingerprint to
 // cross-check the resumed run against.
 uint64_t FingerprintPlan(const std::vector<ConfigRecord>& plan) {
-  uint64_t hash = 14695981039346656037ull;
+  uint64_t hash = kFnv64OffsetBasis;
   for (const ConfigRecord& record : plan) {
-    const std::string bytes = record.Serialize() + "\n";
-    for (unsigned char c : bytes) {
-      hash ^= c;
-      hash *= 1099511628211ull;
-    }
+    hash = Fnv1a64(record.Serialize() + "\n", hash);
   }
   return hash;
 }
@@ -186,6 +186,168 @@ void SnapshotChain(const Store& store, data::RetailerId retailer,
   if (chain.active != 0 || chain.next_version != 1 ||
       !chain.retained.empty()) {
     (*chains)[retailer] = std::move(chain);
+  }
+}
+
+// --- DailyReport as a view over the registry (DESIGN.md §5). Where a
+// report counter's value comes from:
+enum CounterSource {
+  kDelta,       // the run's delta of a registry counter
+  kCumulative,  // the counter's value at report time: serving traffic
+                // arrives between runs, so a per-run delta would read 0
+  kSetByRun,    // set by RunDaily itself (or the SLO engine)
+};
+
+// One DailyReport counter field: the report line that prints it ("" =
+// the headline, null = none), its printf fragment, and its source.
+struct ReportCounter {
+  const char* line;
+  const char* format;
+  int64_t DailyReport::*field;
+  CounterSource source;
+  const char* metric = nullptr;
+  obs::Labels labels = {};
+};
+
+using R = DailyReport;
+
+// Every counter field of DailyReport, in print order.
+const ReportCounter kReportCounters[] = {
+    {"", " checkpoints=%lld", &R::checkpoints_written, kDelta,
+     "training_checkpoints_written_total"},
+    {"", " preemptions=%lld", &R::preemptions, kDelta,
+     "training_preemptions_total"},
+    {"", " restores=%lld", &R::restored_from_checkpoint, kDelta,
+     "training_restores_total"},
+    {"", " model_loads=%lld", &R::model_loads, kDelta,
+     "inference_model_loads_total"},
+    {"", " items=%lld", &R::items_scored, kDelta,
+     "inference_items_scored_total"},
+    {"", " map_attempts=%lld", &R::map_attempts, kDelta,
+     "mapreduce_task_attempts_total", {{"phase", "map"}}},
+    {"", " map_failures=%lld", &R::map_failures, kDelta,
+     "mapreduce_task_failures_total", {{"phase", "map"}}},
+    {"", " reduce_attempts=%lld", &R::reduce_attempts, kDelta,
+     "mapreduce_task_attempts_total", {{"phase", "reduce"}}},
+    {"", " reduce_failures=%lld", &R::reduce_failures, kDelta,
+     "mapreduce_task_failures_total", {{"phase", "reduce"}}},
+    {"", " quality_regressions=%lld", &R::quality_regressions, kSetByRun},
+    {"", " shard_bytes_moved=%lld", &R::shard_bytes_moved, kSetByRun},
+    {"", " sfs_retries=%lld", &R::sfs_retries, kDelta, "sfs_retries_total"},
+    {"", " corruptions_detected=%lld", &R::corruptions_detected, kDelta,
+     "sfs_corruptions_detected_total"},
+    {"", " corruptions_healed=%lld", &R::corruptions_healed, kDelta,
+     "sfs_corruptions_healed_total"},
+    {"", " corrupt_checkpoints_skipped=%lld", &R::corrupt_checkpoints_skipped,
+     kDelta, "training_corrupt_checkpoints_skipped_total"},
+    {"", " corrupt_batches_rejected=%lld", &R::corrupt_batches_rejected,
+     kDelta, "serving_batch_loads_total", {{"outcome", "rejected"}}},
+    {"", " faults_injected=%lld", &R::faults_injected, kDelta,
+     "sfs_faults_injected_total"},
+    // Printed by the wall line, next to the stage timings.
+    {nullptr, nullptr, &R::simulated_train_micros, kDelta,
+     "training_simulated_micros_total"},
+    {"churn", " evictions=%lld", &R::evictions, kDelta,
+     "training_evictions_total"},
+    {"churn", " grace_checkpoints=%lld", &R::eviction_grace_checkpoints,
+     kDelta, "training_eviction_grace_checkpoints_total"},
+    {"churn", " hard=%lld", &R::hard_evictions, kDelta,
+     "training_hard_evictions_total"},
+    {"churn", " escalations=%lld", &R::priority_escalations, kDelta,
+     "training_priority_escalations_total"},
+    {"churn", " budget_exhausted=%lld", &R::preemption_budget_exhausted,
+     kDelta, "training_preemption_budget_exhausted_total"},
+    {"churn", " deadline_exceeded=%lld", &R::deadline_exceeded, kDelta,
+     "training_deadline_exceeded_total"},
+    {"churn", " degraded_retailers=%lld", &R::degraded_retailers, kSetByRun},
+    {"churn", " backups=%lld", &R::map_backup_attempts, kDelta,
+     "mapreduce_backup_attempts_total"},
+    {"churn", " backups_won=%lld", &R::map_backups_won, kDelta,
+     "mapreduce_backups_won_total"},
+    {"churn", " breaker_trips=%lld", &R::breaker_trips, kCumulative,
+     "serving_breaker_trips_total"},
+    {"churn", " fallbacks_served=%lld", &R::fallbacks_served, kCumulative,
+     "serving_fallbacks_total"},
+    {"rollout", " canary_promotions=%lld", &R::canary_promotions, kDelta,
+     "canary_verdicts_total", {{"plane", "batch"}, {"verdict", "promoted"}}},
+    {"rollout", " canary_rollbacks=%lld", &R::canary_rollbacks, kDelta,
+     "canary_verdicts_total", {{"plane", "batch"}, {"verdict", "rolled_back"}}},
+    {"rollout", " replica_cutovers=%lld", &R::replica_cutovers, kDelta,
+     "serving_replica_cutovers_total", {{"outcome", "ok"}}},
+    {"rollout", " cutovers_skipped=%lld", &R::replica_cutovers_skipped, kDelta,
+     "serving_replica_cutovers_total", {{"outcome", "skipped_dead"}}},
+    {"rollout", " failovers=%lld", &R::replica_failovers, kCumulative,
+     "serving_replica_failovers_total"},
+    {"rollout", " hedged_reads=%lld", &R::hedged_reads, kCumulative,
+     "serving_hedged_reads_total"},
+    {"retrieval", " indexes_built=%lld", &R::retrieval_indexes_built, kDelta,
+     "retrieval_index_builds_total", {{"outcome", "ok"}}},
+    {"retrieval", " promotions=%lld", &R::retrieval_promotions, kDelta,
+     "canary_verdicts_total",
+     {{"plane", "retrieval"}, {"verdict", "promoted"}}},
+    {"retrieval", " rollbacks=%lld", &R::retrieval_rollbacks, kDelta,
+     "canary_verdicts_total",
+     {{"plane", "retrieval"}, {"verdict", "rolled_back"}}},
+    {"retrieval", " corrupt_rejected=%lld", &R::corrupt_indexes_rejected,
+     kDelta, "retrieval_index_builds_total", {{"outcome", "rejected"}}},
+    {"retrieval", " requests(materialized=%lld", &R::requests_materialized,
+     kCumulative, "serving_requests_total", {{"path", "materialized"}}},
+    {"retrieval", " online_retrieval=%lld", &R::requests_online_retrieval,
+     kCumulative, "serving_requests_total", {{"path", "online_retrieval"}}},
+    {"retrieval", " fallback=%lld)", &R::requests_fallback, kCumulative,
+     "serving_requests_total", {{"path", "fallback"}}},
+    {"overload", " shed=%lld", &R::requests_shed, kCumulative,
+     "serving_shed_total"},
+    {"overload", " brownouts=%lld", &R::brownout_serves, kCumulative,
+     "serving_brownout_total"},
+    {"overload", " hedges_suppressed=%lld", &R::hedges_suppressed, kCumulative,
+     "serving_hedges_suppressed_total"},
+    {"overload", " retry_budget_exhausted=%lld", &R::retry_budget_exhausted,
+     kCumulative, "serving_retry_budget_exhausted_total"},
+    {"overload", " canary_ignored=%lld", &R::canary_samples_ignored, kDelta,
+     "canary_samples_ignored_total"},
+    {"dataqual", " quarantined=%lld", &R::quarantined_retailers, kSetByRun},
+    {"dataqual", " feed_quarantines=%lld", &R::feed_quarantines, kDelta,
+     "dataqual_verdicts_total", {{"verdict", "quarantine"}}},
+    {"dataqual", " feed_warns=%lld", &R::feed_warns, kDelta,
+     "dataqual_verdicts_total", {{"verdict", "warn"}}},
+    {"dataqual", " releases=%lld", &R::quarantine_releases, kDelta,
+     "dataqual_releases_total"},
+    {"ledger", " appends=%lld", &R::ledger_appends, kDelta,
+     "pipeline_ledger_appends_total"},
+    {"ledger", " units_skipped=%lld", &R::replay_units_skipped, kDelta,
+     "pipeline_replay_units_skipped_total"},
+    // Summed over kinds. Never printed: a day after a recovery must print
+    // the same report as the same day in an uninterrupted run.
+    {nullptr, nullptr, &R::orphans_gc, kCumulative,
+     "pipeline_orphans_gc_total"},
+    {"slo", " firing=%lld", &R::slo_objectives_firing, kSetByRun},
+    {"slo", " fired=%lld", &R::slo_alerts_fired, kSetByRun},
+    {"slo", " resolved=%lld", &R::slo_alerts_resolved, kSetByRun},
+};
+
+// Appends the fragments of every counter printed on `line`.
+void AppendCounters(const DailyReport& report, std::string_view line,
+                    std::string* out) {
+  for (const ReportCounter& counter : kReportCounters) {
+    if (counter.line != nullptr && counter.line == line) {
+      *out += StrFormat(counter.format,
+                        static_cast<long long>(report.*counter.field));
+    }
+  }
+}
+
+// Fills every registry-backed counter of `report` from the run's two
+// registry snapshots.
+void FillCounters(const obs::RegistrySnapshot& before,
+                  const obs::RegistrySnapshot& after, DailyReport* report) {
+  for (const ReportCounter& counter : kReportCounters) {
+    if (counter.source == kSetByRun) continue;
+    int64_t value = after.CounterValue(counter.metric, counter.labels);
+    if (counter.source == kDelta) {
+      value -= before.CounterValue(counter.metric, counter.labels);
+    }
+    report->*counter.field = value;
   }
 }
 
@@ -240,32 +402,10 @@ SigmundService::IndexPlane() {
 
 std::string DailyReport::ToString() const {
   std::string out = StrFormat(
-      "%s sweep: retailers=%d (new=%d) models=%d mean_best_map=%.4f "
-      "checkpoints=%lld preemptions=%lld restores=%lld model_loads=%lld "
-      "items=%lld map_attempts=%lld map_failures=%lld "
-      "reduce_attempts=%lld reduce_failures=%lld "
-      "quality_regressions=%d shard_bytes_moved=%lld "
-      "sfs_retries=%lld corruptions_detected=%lld corruptions_healed=%lld "
-      "corrupt_checkpoints_skipped=%lld corrupt_batches_rejected=%lld "
-      "faults_injected=%lld",
+      "%s sweep: retailers=%d (new=%d) models=%d mean_best_map=%.4f",
       full_sweep ? "full" : "incremental", retailers, new_retailers,
-      models_trained, mean_best_map,
-      static_cast<long long>(checkpoints_written),
-      static_cast<long long>(preemptions),
-      static_cast<long long>(restored_from_checkpoint),
-      static_cast<long long>(model_loads),
-      static_cast<long long>(items_scored),
-      static_cast<long long>(map_attempts),
-      static_cast<long long>(map_failures),
-      static_cast<long long>(reduce_attempts),
-      static_cast<long long>(reduce_failures), quality_regressions,
-      static_cast<long long>(shard_bytes_moved),
-      static_cast<long long>(sfs_retries),
-      static_cast<long long>(corruptions_detected),
-      static_cast<long long>(corruptions_healed),
-      static_cast<long long>(corrupt_checkpoints_skipped),
-      static_cast<long long>(corrupt_batches_rejected),
-      static_cast<long long>(faults_injected));
+      models_trained, mean_best_map);
+  AppendCounters(*this, "", &out);
   if (!stage_wall_micros.empty()) {
     out += StrFormat("\n  wall: total=%.1fms",
                      static_cast<double>(total_wall_micros) / 1000.0);
@@ -278,69 +418,19 @@ std::string DailyReport::ToString() const {
                        static_cast<double>(simulated_train_micros) / 1e6);
     }
   }
-  out += StrFormat(
-      "\n  churn: evictions=%lld grace_checkpoints=%lld hard=%lld "
-      "escalations=%lld budget_exhausted=%lld deadline_exceeded=%lld "
-      "degraded_retailers=%d backups=%lld backups_won=%lld "
-      "breaker_trips=%lld fallbacks_served=%lld",
-      static_cast<long long>(evictions),
-      static_cast<long long>(eviction_grace_checkpoints),
-      static_cast<long long>(hard_evictions),
-      static_cast<long long>(priority_escalations),
-      static_cast<long long>(preemption_budget_exhausted),
-      static_cast<long long>(deadline_exceeded), degraded_retailers,
-      static_cast<long long>(map_backup_attempts),
-      static_cast<long long>(map_backups_won),
-      static_cast<long long>(breaker_trips),
-      static_cast<long long>(fallbacks_served));
-  out += StrFormat(
-      "\n  rollout: canary_promotions=%lld canary_rollbacks=%lld "
-      "replica_cutovers=%lld cutovers_skipped=%lld failovers=%lld "
-      "hedged_reads=%lld",
-      static_cast<long long>(canary_promotions),
-      static_cast<long long>(canary_rollbacks),
-      static_cast<long long>(replica_cutovers),
-      static_cast<long long>(replica_cutovers_skipped),
-      static_cast<long long>(replica_failovers),
-      static_cast<long long>(hedged_reads));
-  out += StrFormat(
-      "\n  retrieval: indexes_built=%d promotions=%lld rollbacks=%lld "
-      "corrupt_rejected=%lld requests(materialized=%lld "
-      "online_retrieval=%lld fallback=%lld)",
-      retrieval_indexes_built, static_cast<long long>(retrieval_promotions),
-      static_cast<long long>(retrieval_rollbacks),
-      static_cast<long long>(corrupt_indexes_rejected),
-      static_cast<long long>(requests_materialized),
-      static_cast<long long>(requests_online_retrieval),
-      static_cast<long long>(requests_fallback));
-  out += StrFormat(
-      "\n  overload: shed=%lld brownouts=%lld hedges_suppressed=%lld "
-      "retry_budget_exhausted=%lld canary_ignored=%lld",
-      static_cast<long long>(requests_shed),
-      static_cast<long long>(brownout_serves),
-      static_cast<long long>(hedges_suppressed),
-      static_cast<long long>(retry_budget_exhausted),
-      static_cast<long long>(canary_samples_ignored));
-  out += StrFormat(
-      "\n  dataqual: quarantined=%d feed_quarantines=%lld feed_warns=%lld "
-      "releases=%lld",
-      quarantined_retailers, static_cast<long long>(feed_quarantines),
-      static_cast<long long>(feed_warns),
-      static_cast<long long>(quarantine_releases));
-  // Per-run deltas only: a day run after a recovery earlier in the
-  // service's life must print the same line as the same day in an
-  // uninterrupted run (cumulative GC totals would differ).
+  for (const char* line :
+       {"churn", "rollout", "retrieval", "overload", "dataqual"}) {
+    out += StrFormat("\n  %s:", line);
+    AppendCounters(*this, line, &out);
+  }
   if (ledger_appends > 0 || recovered_day) {
-    out += StrFormat(
-        "\n  ledger: appends=%lld units_skipped=%lld recovered=%d",
-        static_cast<long long>(ledger_appends),
-        static_cast<long long>(replay_units_skipped), recovered_day ? 1 : 0);
+    out += "\n  ledger:";
+    AppendCounters(*this, "ledger", &out);
+    out += StrFormat(" recovered=%d", recovered_day ? 1 : 0);
   }
   if (!slo_json.empty()) {
-    out += StrFormat(
-        "\n  slo: firing=%d fired=%lld resolved=%lld",
-        slo_objectives_firing, static_cast<long long>(slo_alerts_fired),
-        static_cast<long long>(slo_alerts_resolved));
+    out += "\n  slo:";
+    AppendCounters(*this, "slo", &out);
   }
   return out;
 }
@@ -493,31 +583,32 @@ Status SigmundService::Journal(Op op, data::RetailerId retailer,
                           .payload = std::move(payload)});
 }
 
+void SigmundService::CrashPoint(const char* prefix, const char* seam) {
+  if (crash_ != nullptr) {
+    crash_->Hit(StrFormat("%s.%s", prefix, seam).c_str());
+  }
+}
+
 template <typename Store>
 StatusOr<bool> SigmundService::RollOut(
     const Plane<Store>& plane, data::RetailerId retailer,
     const std::function<Status(const std::string&)>& publish,
     const CanaryController* canary, const RecoveredDay* rec) {
-  auto crash_at = [&](const char* seam) {
-    if (crash_ != nullptr) {
-      MaybeCrash(crash_, StrFormat("%s.%s", plane.name, seam).c_str());
-    }
-  };
   Store* store = plane.store;
   const int64_t version = store->NextVersion(retailer);
   const std::string vpath = plane.version_path(retailer, version);
   SIGMUND_RETURN_IF_ERROR(Journal(plane.intent, retailer, version, "", vpath));
-  crash_at("intent");
+  CrashPoint(plane.name, "intent");
   // Two-phase publish: a crash before the rename leaves only a sweepable
   // tmp partial, never a half-written version under the live name.
   SIGMUND_RETURN_IF_ERROR(publish(TmpPath(vpath)));
-  crash_at("tmp_written");
+  CrashPoint(plane.name, "tmp_written");
   SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
     return fs_->Rename(TmpPath(vpath), vpath);
   }));
   StatusOr<int64_t> staged = (store->*plane.stage)(
       retailer, *fs_, vpath, options_.sfs_retry, &io_, version);
-  crash_at("staged");
+  CrashPoint(plane.name, "staged");
   if (!staged.ok()) {
     if (staged.status().code() != StatusCode::kDataLoss) {
       return staged.status();
@@ -561,14 +652,14 @@ StatusOr<bool> SigmundService::RollOut(
       SIGMUND_RETURN_IF_ERROR(
           Journal(plane.canary, retailer, version, verdict));
     }
-    crash_at("canary_logged");
+    CrashPoint(plane.name, "canary_logged");
   }
   if (verdict == "rolled_back") {
     SIGMUND_RETURN_IF_ERROR(store->DiscardVersion(retailer, version));
     SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(vpath));
     SIGMUND_RETURN_IF_ERROR(
         Journal(plane.discard, retailer, version, "rolled_back"));
-    crash_at("discarded");
+    CrashPoint(plane.name, "discarded");
     return true;
   }
   SIGMUND_RETURN_IF_ERROR(store->ActivateVersion(retailer, version));
@@ -577,7 +668,7 @@ StatusOr<bool> SigmundService::RollOut(
         retailer, *fs_, vpath, version, options_.sfs_retry, &io_));
   }
   SIGMUND_RETURN_IF_ERROR(Journal(plane.activate, retailer, version));
-  crash_at("activated");
+  CrashPoint(plane.name, "activated");
   // Retire the version files this activation evicted from the chain.
   StatusOr<int64_t> retired = DeleteUnretainedVersions(
       plane, StrFormat("%sr%d.v", plane.dir, retailer));
@@ -783,6 +874,69 @@ StatusOr<SigmundService::RecoveryReport> SigmundService::RecoverDay() {
   return recovery;
 }
 
+Status SigmundService::RunStage(const DailyStage& stage, const StageBody& body,
+                                const RecoveredDay* rec, DailyReport* report) {
+  if (!body.enabled) return OkStatus();
+  auto committed = [&](const std::string& tag) -> const std::string* {
+    if (rec == nullptr) return nullptr;
+    auto it = rec->committed_stages.find(tag);
+    return it == rec->committed_stages.end() ? nullptr : &it->second;
+  };
+  // Durably commits `tag`, then exposes the kill-point "<stage>.<seam>".
+  auto commit = [&](const std::string& tag, std::string payload,
+                    const char* seam) -> Status {
+    SIGMUND_RETURN_IF_ERROR(
+        Journal(Op::kStageCommit, -1, 0, tag, std::move(payload)));
+    CrashPoint(stage.tag, seam);
+    return OkStatus();
+  };
+  obs::Span span = tracer_->StartSpan(stage.name);
+  const Status status = [&]() -> Status {
+    if (stage.tag == nullptr) return body.run().status();
+    const std::string* payload = committed(stage.tag);
+    if (payload != nullptr && stage.replay == DailyStage::Replay::kRestore) {
+      if (body.restore && !body.restore(*payload)) {
+        return InternalError(
+            StrFormat("ledger: undecodable %s payload", stage.tag));
+      }
+      if (body.undo) SIGMUND_RETURN_IF_ERROR(body.undo->clear());
+      metrics_->GetCounter("pipeline_replay_units_skipped_total")->Add(1);
+      return OkStatus();
+    }
+    if (body.undo) {
+      const std::string undo_tag = StrFormat("%s_undo", stage.tag);
+      if (committed(undo_tag) != nullptr) {
+        SIGMUND_RETURN_IF_ERROR(body.undo->rollback());
+      } else {
+        SIGMUND_RETURN_IF_ERROR(body.undo->log());
+        SIGMUND_RETURN_IF_ERROR(commit(undo_tag, "", "undo_logged"));
+      }
+    }
+    StatusOr<std::string> result = body.run();
+    SIGMUND_RETURN_IF_ERROR(result.status());
+    CrashPoint(stage.tag, "ran");
+    if (payload != nullptr) {
+      // kCrossCheck: determinism drift must fail loudly, not silently
+      // fork the day.
+      if (*result == *payload) return OkStatus();
+      return InternalError(StrFormat(
+          "ledger: %s replay diverged from its committed payload",
+          stage.name));
+    }
+    SIGMUND_RETURN_IF_ERROR(commit(stage.tag, *std::move(result), "done"));
+    if (body.undo) {
+      SIGMUND_RETURN_IF_ERROR(body.undo->clear());
+      CrashPoint(stage.tag, "undo_cleared");
+    }
+    return OkStatus();
+  }();
+  span.End();
+  report->stage_wall_micros.emplace_back(stage.name, span.DurationMicros());
+  metrics_->GetHistogram("pipeline_stage_micros", {{"stage", stage.name}})
+      ->Observe(static_cast<double>(span.DurationMicros()));
+  return status;
+}
+
 StatusOr<DailyReport> SigmundService::RunDaily() {
   DailyReport report;
   report.retailers = registry_.size();
@@ -790,470 +944,38 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
     return FailedPreconditionError("no retailers registered");
   }
 
-  // The report's counter fields are per-run deltas of registry counters:
+  // The report's counters are per-run deltas of registry counters:
   // snapshot now, instrument everything, snapshot again at the end.
   const obs::RegistrySnapshot before = metrics_->Snapshot();
   obs::Span day_span =
       tracer_->StartSpan(StrFormat("run_daily/day%d", days_run_));
-  // Ends a stage span and records its wall time in the report and in the
-  // pipeline_stage_micros{stage=...} histogram.
-  auto end_stage = [&](obs::Span& span, const char* stage) {
-    span.End();
-    report.stage_wall_micros.emplace_back(stage, span.DurationMicros());
-    metrics_->GetHistogram("pipeline_stage_micros", {{"stage", stage}})
-        ->Observe(static_cast<double>(span.DurationMicros()));
-  };
 
-  // --- Ledger plumbing (DESIGN.md §13): a day RecoverDay found
-  // mid-flight replays its committed work instead of redoing it.
+  // A day RecoverDay found mid-flight replays its committed work instead
+  // of redoing it (DESIGN.md §13).
   RecoveredDay* rec = nullptr;
   if (recovery_.has_value() && recovery_->resumed &&
       recovery_->day == days_run_) {
     rec = &*recovery_;
   }
   report.recovered_day = rec != nullptr;
-  const int64_t appends_before = ledger_->appends();
-  int64_t units_skipped = 0;
-
-  // Payload of a stage already committed this day (replay), or null.
-  auto stage_committed = [&](const char* tag) -> const std::string* {
-    if (rec == nullptr) return nullptr;
-    auto it = rec->committed_stages.find(tag);
-    return it == rec->committed_stages.end() ? nullptr : &it->second;
-  };
-  // Durably commits a stage, then exposes the stage-boundary kill-point.
-  auto commit_stage = [&](const char* tag, std::string payload,
-                          const char* point) -> Status {
-    SIGMUND_RETURN_IF_ERROR(
-        Journal(Op::kStageCommit, -1, 0, tag, std::move(payload)));
-    MaybeCrash(crash_, point);
-    return OkStatus();
-  };
-
   if (rec == nullptr) {
     ledger_->StartDay(days_run_);
     SIGMUND_RETURN_IF_ERROR(Journal(Op::kDayStart));
   }
   MaybeCrash(crash_, "day.start");
 
-  // --- Data placement: rebalance shards across cells and account the
-  // migrated bytes (§IV-B1). Replay: shard migration is durable, so a
-  // committed stage restores the placement map and skips the move.
-  if (!options_.placement.cells.empty()) {
-    obs::Span span = tracer_->StartSpan("placement");
-    if (const std::string* payload = stage_committed("placement")) {
-      if (!DecodeShardHomes(*payload, &shard_homes_)) {
-        return InternalError("ledger: undecodable placement payload");
-      }
-      ++units_skipped;
-    } else {
-      DataPlacementPlanner placement_planner(fs_, options_.placement);
-      DataPlacementPlanner::Plan placement =
-          placement_planner.PlanPlacement(registry_);
-      int64_t bytes_before = transfer_ledger_.total_bytes();
-      SIGMUND_RETURN_IF_ERROR(placement_planner.Materialize(
-          registry_, placement, shard_homes_, &transfer_ledger_,
-          options_.sfs_retry, &io_));
-      report.shard_bytes_moved =
-          transfer_ledger_.total_bytes() - bytes_before;
-      shard_homes_ = std::move(placement.home_cell);
-      SIGMUND_RETURN_IF_ERROR(commit_stage(
-          "placement", EncodeShardHomes(shard_homes_), "placement.done"));
-    }
-    end_stage(span, "placement");
-  }
-
-  // --- Data-plane sentry (DESIGN.md §12): profile every retailer's feed
-  // and judge it before any training is planned. Quarantined retailers
-  // are cut out of the sweep, inference, and index rebuild below; they
-  // keep serving their last-known-good batch/index until a later feed
-  // passes. Replay: Observe mutates sentry state, so the stage re-runs
-  // (deterministic from the snapshot-restored state) and a committed
-  // entry only cross-checks the verdict set.
+  // What the stages hand each other down the day.
   std::set<data::RetailerId> quarantined;
   std::string dataqual_json;
-  if (sentry_ != nullptr) {
-    obs::Span span = tracer_->StartSpan("dataqual");
-    std::string retailers_json;
-    for (data::RetailerId id : registry_.Ids()) {
-      StatusOr<const data::RetailerData*> data = registry_.Get(id);
-      if (!data.ok()) continue;
-      const dataqual::FeedProfile feed_profile =
-          dataqual::BuildFeedProfile(**data);
-      const dataqual::DataSentry::Observation observation =
-          sentry_->Observe(feed_profile);
-      if (observation.verdict == dataqual::DataSentry::Verdict::kQuarantine) {
-        quarantined.insert(id);
-        SIGLOG(WARNING) << "dataqual quarantined retailer " << id << " ("
-                        << feed_profile.ToString() << ")";
-        for (const dataqual::DataSentry::Finding& finding :
-             observation.findings) {
-          SIGLOG(WARNING) << "  " << finding.ToString();
-        }
-      } else if (observation.released) {
-        SIGLOG(INFO) << "dataqual released retailer " << id
-                     << " from quarantine";
-      }
-      // The profile JSON only carries non-pass verdicts: at 10k retailers
-      // a per-retailer dump would dwarf the rest of the profile.
-      if (observation.verdict != dataqual::DataSentry::Verdict::kPass ||
-          observation.released) {
-        std::string findings_json;
-        for (const dataqual::DataSentry::Finding& finding :
-             observation.findings) {
-          if (!findings_json.empty()) findings_json += ",";
-          findings_json += StrFormat(
-              "{\"check\":\"%s\",\"severity\":\"%s\",\"value\":%.6f,"
-              "\"threshold\":%.6f}",
-              obs::JsonEscape(finding.check).c_str(),
-              dataqual::VerdictName(finding.severity), finding.value,
-              finding.threshold);
-        }
-        if (!retailers_json.empty()) retailers_json += ",";
-        retailers_json += StrFormat(
-            "\"%d\":{\"verdict\":\"%s\",\"released\":%s,\"findings\":[%s]}",
-            id, dataqual::VerdictName(observation.verdict),
-            observation.released ? "true" : "false", findings_json.c_str());
-      }
-    }
-    report.quarantined_retailers = sentry_->QuarantinedCount();
-    dataqual_json = StrFormat(
-        "{\"quarantined_retailers\":%d,\"retailers\":{%s}}",
-        report.quarantined_retailers, retailers_json.c_str());
-    if (const std::string* payload = stage_committed("dataqual")) {
-      if (JoinIds(quarantined) != *payload) {
-        return InternalError(
-            "ledger: dataqual replay diverged from committed verdicts");
-      }
-    } else {
-      SIGMUND_RETURN_IF_ERROR(
-          commit_stage("dataqual", JoinIds(quarantined), "dataqual.done"));
-    }
-    end_stage(span, "dataqual");
-  }
-
-  // --- Plan the sweep. Replay: pure function of restored state, so it
-  // re-runs and cross-checks a fingerprint against the committed one.
-  const bool periodic_restart =
-      options_.full_sweep_every_days > 0 && days_run_ > 0 &&
-      days_run_ % options_.full_sweep_every_days == 0;
-  const bool full =
-      previous_results_.empty() || force_full_sweep_ || periodic_restart;
-  force_full_sweep_ = false;
-  report.full_sweep = full;
-
-  SweepPlanner planner(options_.sweep);
-  std::vector<ConfigRecord> plan;
-  {
-    obs::Span span = tracer_->StartSpan("plan_sweep");
-    if (full) {
-      plan = planner.PlanFullSweep(registry_);
-    } else {
-      plan = planner.PlanIncrementalSweep(registry_, previous_results_);
-    }
-    // Quarantined retailers train nothing today: their last-good models
-    // keep serving, and their previous sweep results are carried forward
-    // (below) so the release day warm-starts instead of re-gridding.
-    if (!quarantined.empty()) {
-      std::erase_if(plan, [&](const ConfigRecord& record) {
-        return quarantined.count(record.retailer) > 0;
-      });
-    }
-    if (!full) {
-      // Count retailers that got a full grid (new sign-ups).
-      std::map<data::RetailerId, int> per_retailer;
-      for (const ConfigRecord& record : plan) ++per_retailer[record.retailer];
-      for (const auto& [retailer, count] : per_retailer) {
-        if (count > options_.sweep.incremental_top_k) ++report.new_retailers;
-      }
-    }
-    const std::string fingerprint = StrFormat(
-        "full=%d;n=%d;fp=%llu", full ? 1 : 0, static_cast<int>(plan.size()),
-        static_cast<unsigned long long>(FingerprintPlan(plan)));
-    if (const std::string* payload = stage_committed("plan_sweep")) {
-      if (fingerprint != *payload) {
-        return InternalError(
-            "ledger: sweep plan replay diverged from committed fingerprint");
-      }
-    } else {
-      SIGMUND_RETURN_IF_ERROR(
-          commit_stage("plan_sweep", fingerprint, "plan_sweep.done"));
-    }
-    end_stage(span, "plan_sweep");
-  }
-
-  // --- Train: one MapReduce, or one per cell when data placement routes
-  // each retailer's work to the cell holding its shard (§IV-B1).
-  // Replay: the committed payload carries every trained ConfigRecord, so
-  // the resumed run restores the results and skips the MapReduce — the
-  // big recovery-time win (models and checkpoints are already durable).
-  obs::Span train_span = tracer_->StartSpan("train");
-  StatusOr<std::vector<ConfigRecord>> results = std::vector<ConfigRecord>();
-  // Drops the train-stage undo copies (below); idempotent, called from
-  // both the commit path and the replay path so a crash between the
-  // commit append and the cleanup converges on resume.
-  auto clear_train_undo = [&]() -> Status {
-    for (const ConfigRecord& record : plan) {
-      SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(record.model_path + ".prev"));
-    }
-    return OkStatus();
-  };
-  if (const std::string* payload = stage_committed("train")) {
-    results = DecodeResults(*payload);
-    if (!results.ok()) return results.status();
-    SIGMUND_RETURN_IF_ERROR(clear_train_undo());
-    ++units_skipped;
-  } else {
-    // Undo log (DESIGN.md §13): incremental records warm-start from —
-    // and then overwrite — yesterday's model files, so training is not
-    // idempotent once it starts publishing. Before the first model
-    // write, copy every file today's plan will overwrite aside; a
-    // resumed run whose train stage never committed restores them
-    // first, so its re-run reads exactly the bytes the crashed attempt
-    // read and trains bit-identically.
-    if (stage_committed("train_undo") != nullptr) {
-      for (const ConfigRecord& record : plan) {
-        const std::string prev = record.model_path + ".prev";
-        StatusOr<std::string> bytes =
-            RetryWithPolicy<std::string>(options_.sfs_retry, &io_.retry,
-                                         [&] { return fs_->Read(prev); });
-        if (bytes.ok()) {
-          SIGMUND_RETURN_IF_ERROR(
-              RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-                return fs_->Write(record.model_path, *bytes);
-              }));
-        } else if (bytes.status().code() == StatusCode::kNotFound) {
-          // No undo copy means the file did not exist when the crashed
-          // attempt started; a warm-start record must see it absent
-          // again or it would warm from the half-published model.
-          if (record.warm_start) {
-            SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(record.model_path));
-          }
-        } else {
-          return bytes.status();
-        }
-      }
-      // A mid-train crash can also strand per-task checkpoints; a
-      // resumed task would warm-resume from them instead of training
-      // from scratch, diverging from the uninterrupted run.
-      StatusOr<std::vector<std::string>> stale =
-          RetryWithPolicy<std::vector<std::string>>(
-              options_.sfs_retry, &io_.retry,
-              [&] { return fs_->List("checkpoints/"); });
-      SIGMUND_RETURN_IF_ERROR(stale.status());
-      for (const std::string& path : *stale) {
-        SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
-      }
-    } else {
-      for (const ConfigRecord& record : plan) {
-        StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
-            options_.sfs_retry, &io_.retry,
-            [&] { return fs_->Read(record.model_path); });
-        if (!bytes.ok()) {
-          if (bytes.status().code() == StatusCode::kNotFound) continue;
-          return bytes.status();
-        }
-        SIGMUND_RETURN_IF_ERROR(
-            RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-              return fs_->Write(record.model_path + ".prev", *bytes);
-            }));
-      }
-      SIGMUND_RETURN_IF_ERROR(
-          commit_stage("train_undo", "", "train.undo_logged"));
-    }
-    results = [&] {
-      // All training counters (checkpoints, preemptions, restores,
-      // retries, corruptions, ...) reach the report through the registry
-      // mirrors the jobs maintain — no per-job bookkeeping here.
-      if (!options_.placement.cells.empty()) {
-        MultiCellTrainingJob::Options multi_options;
-        multi_options.cells = options_.placement.cells;
-        multi_options.per_cell = options_.training;
-        multi_options.per_cell.metrics = metrics_;
-        multi_options.per_cell.tracer = tracer_;
-        multi_options.per_cell.clock = clock_;
-        MultiCellTrainingJob training(fs_, &registry_, multi_options);
-        return training.Run(plan, shard_homes_);
-      }
-      TrainingJob::Options training_options = options_.training;
-      training_options.metrics = metrics_;
-      training_options.tracer = tracer_;
-      training_options.clock = clock_;
-      TrainingJob training(fs_, &registry_, training_options);
-      return training.Run(plan);
-    }();
-    MaybeCrash(crash_, "train.ran");
-    if (results.ok()) {
-      SIGMUND_RETURN_IF_ERROR(
-          commit_stage("train", EncodeResults(*results), "train.done"));
-      SIGMUND_RETURN_IF_ERROR(clear_train_undo());
-      MaybeCrash(crash_, "train.undo_cleared");
-    }
-  }
-  end_stage(train_span, "train");
-  if (!results.ok()) return results.status();
-  report.models_trained = static_cast<int>(results->size());
-
-  // Persist sweep results per retailer (debuggability). Replay: the
-  // writes are idempotent whole-file overwrites; a committed stage skips
-  // them outright.
-  {
-    obs::Span span = tracer_->StartSpan("persist_sweep_results");
-    if (stage_committed("persist_sweep") != nullptr) {
-      ++units_skipped;
-    } else {
-      std::map<data::RetailerId, std::string> blobs;
-      for (const ConfigRecord& record : *results) {
-        blobs[record.retailer] += record.Serialize();
-        blobs[record.retailer] += '\n';
-      }
-      for (const auto& [retailer, blob] : blobs) {
-        // Debug artifact: plain text (not framed) so it stays greppable,
-        // but still retried through transient storage errors.
-        const std::string path = SweepResultPath(retailer);
-        const std::string& data = blob;
-        SIGMUND_RETURN_IF_ERROR(
-            RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
-              return fs_->Write(path, data);
-            }));
-      }
-      SIGMUND_RETURN_IF_ERROR(
-          commit_stage("persist_sweep", "", "persist_sweep.done"));
-    }
-    end_stage(span, "persist_sweep_results");
-  }
-
-  // --- Model selection + quality guardrail. Replay: the best-model
-  // copies are durable, so a committed stage restores best_map /
-  // degraded / mean MAP from the payload and skips the copies.
+  std::vector<ConfigRecord> plan, results;
   std::map<data::RetailerId, double> best_map;
-  std::set<data::RetailerId> degraded;
-  {
-    obs::Span span = tracer_->StartSpan("select_models");
-    if (const std::string* payload = stage_committed("select_models")) {
-      if (!DecodeSelect(*payload, &report.mean_best_map, &best_map,
-                        &degraded)) {
-        return InternalError("ledger: undecodable select_models payload");
-      }
-      report.degraded_retailers = static_cast<int>(degraded.size());
-      ++units_skipped;
-    } else {
-      SIGMUND_RETURN_IF_ERROR(
-          SelectBestModels(*results, &report, &best_map, &degraded));
-      report.degraded_retailers = static_cast<int>(degraded.size());
-      // Mirrored so the degradation shows up in RunProfile snapshots.
-      if (!degraded.empty()) {
-        metrics_->GetCounter("pipeline_degraded_retailers_total")
-            ->Add(static_cast<int64_t>(degraded.size()));
-      }
-      MaybeCrash(crash_, "select_models.ran");
-      SIGMUND_RETURN_IF_ERROR(commit_stage(
-          "select_models",
-          EncodeSelect(report.mean_best_map, best_map, degraded),
-          "select_models.done"));
-    }
-    end_stage(span, "select_models");
-  }
-  // Quarantined retailers trained nothing, so today's results carry no
-  // records for them. Splice their previous records forward: without
-  // them, the release day would plan a full grid (cold start) instead of
-  // warm-starting from the last-good checkpoint.
-  std::vector<ConfigRecord> carried;
-  if (!quarantined.empty()) {
-    for (const ConfigRecord& record : previous_results_) {
-      if (quarantined.count(record.retailer) > 0) carried.push_back(record);
-    }
-  }
-  previous_results_ = std::move(results).value();
-  previous_results_.insert(previous_results_.end(),
-                           std::make_move_iterator(carried.begin()),
-                           std::make_move_iterator(carried.end()));
-  // A quarantined retailer is degraded for rollout purposes: even if a
-  // fresh artifact for it existed, the serving planes below would keep
-  // its previous version.
-  degraded.insert(quarantined.begin(), quarantined.end());
-
-  // Quality guardrail. Replay: Record mutates the monitor, so the stage
-  // re-runs (deterministic from the snapshot-restored baselines) and a
-  // committed entry cross-checks the hold-back set.
-  std::set<data::RetailerId> hold_back;
-  if (options_.guard_quality) {
-    obs::Span span = tracer_->StartSpan("quality_guard");
-    for (const auto& [retailer, map_at_10] : best_map) {
-      if (monitor_.Record(retailer, map_at_10) ==
-          QualityMonitor::Verdict::kRegressed) {
-        hold_back.insert(retailer);
-        SIGLOG(WARNING) << "retailer " << retailer
-                        << " regressed: map=" << map_at_10
-                        << " trailing best=" << monitor_.TrailingBest(retailer)
-                        << "; keeping previous recommendations";
-      }
-    }
-    report.quality_regressions = static_cast<int>(hold_back.size());
-    if (const std::string* payload = stage_committed("quality_guard")) {
-      if (JoinIds(hold_back) != *payload) {
-        return InternalError(
-            "ledger: quality-guard replay diverged from committed verdicts");
-      }
-    } else {
-      SIGMUND_RETURN_IF_ERROR(commit_stage("quality_guard",
-                                           JoinIds(hold_back),
-                                           "quality_guard.done"));
-    }
-    end_stage(span, "quality_guard");
-  }
-
-  // --- Inference. Counters flow through the registry, like training.
-  // Replay: batch files are durable, so a committed stage restores the
-  // materialized-retailer list and skips the MapReduce.
-  obs::Span inference_span = tracer_->StartSpan("inference");
-  // Quarantined retailers are excluded: no fresh batch is materialized,
-  // so the store and retrieval loops below never see them and their
-  // last-known-good versions keep serving untouched.
-  std::vector<data::RetailerId> serve_ids = registry_.Ids();
-  if (!quarantined.empty()) {
-    std::erase_if(serve_ids, [&](data::RetailerId id) {
-      return quarantined.count(id) > 0;
-    });
-  }
+  std::set<data::RetailerId> degraded, hold_back;
   std::vector<data::RetailerId> materialized_ids;
-  if (const std::string* payload = stage_committed("inference")) {
-    if (!DecodeIdList(*payload, &materialized_ids)) {
-      return InternalError("ledger: undecodable inference payload");
-    }
-    ++units_skipped;
-    end_stage(inference_span, "inference");
-  } else {
-    InferenceJob::Options inference_options = options_.inference;
-    inference_options.metrics = metrics_;
-    inference_options.tracer = tracer_;
-    inference_options.clock = clock_;
-    InferenceJob inference(fs_, &registry_, inference_options);
-    auto recommendations = inference.Run(serve_ids);
-    end_stage(inference_span, "inference");
-    if (!recommendations.ok()) return recommendations.status();
-    for (const auto& [retailer, recs] : *recommendations) {
-      (void)recs;
-      materialized_ids.push_back(retailer);
-    }
-    MaybeCrash(crash_, "inference.ran");
-    SIGMUND_RETURN_IF_ERROR(commit_stage(
-        "inference", JoinIds(materialized_ids), "inference.done"));
-  }
 
-  // --- Safe rollout into the serving planes (DESIGN.md §7, §11, §13).
-  // For each retailer that passed the offline gates, each plane runs one
-  // journaled rollout unit (RollOut): publish an immutable versioned
-  // file, stage it (the live version keeps serving), canary it on
-  // simulated live traffic when configured, then activate it (pointer
-  // flip) or discard it. Regressed and degraded retailers keep serving
-  // their live version — one with no live version still gets its fresh
-  // one, so availability never drops below 100%. A version that fails
-  // its checksum is rejected and the live one keeps serving; a bad
-  // refresh never takes down serving. On a resumed day, units the
-  // crashed run already committed are skipped.
-  //
   // True when `plane` has nothing to roll out for `retailer` today.
+  // Regressed and degraded retailers keep their live version (one with no
+  // live version still gets its fresh one), and a resumed day skips the
+  // units the crashed run already committed.
   auto settled = [&](const auto& plane, data::RetailerId retailer) {
     if ((hold_back.count(retailer) > 0 || degraded.count(retailer) > 0) &&
         plane.store->RetailerVersion(retailer) > 0) {
@@ -1265,130 +987,409 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
         done.discarded.count(retailer) == 0) {
       return false;
     }
-    ++units_skipped;
+    metrics_->GetCounter("pipeline_replay_units_skipped_total")->Add(1);
     return true;
   };
 
-  // Batch plane: each unit publishes a copy of the day's materialized
-  // batch and, on activation, cuts the follower replicas over one at a
-  // time. The batch canary needs a live batch to compare against.
-  obs::Span store_span = tracer_->StartSpan("store_load");
-  const Plane<serving::RecommendationStore> batch = BatchPlane();
-  if (store_group_->num_replicas() > 1) {
-    // Refresh replica health before cutting over: live replicas
-    // heartbeat through the (possibly fault-injected) SFS, probes read
-    // the heartbeats back.
-    SIGMUND_RETURN_IF_ERROR(
-        store_group_->WriteHeartbeats(fs_, options_.sfs_retry));
-    store_group_->ProbeReplicas(*fs_, options_.sfs_retry);
+  // One row per kDailyStages entry, in the same order. Each comment says
+  // why the stage's replay policy is safe.
+  const StageBody stages[] = {
+      // placement: rebalance shards across cells (§IV-B1). The migration
+      // is durable, so replay restores the placement map.
+      {.enabled = !options_.placement.cells.empty(),
+       .run = [&]() -> StatusOr<std::string> {
+         DataPlacementPlanner planner(fs_, options_.placement);
+         DataPlacementPlanner::Plan placement =
+             planner.PlanPlacement(registry_);
+         const int64_t bytes_before = transfer_ledger_.total_bytes();
+         SIGMUND_RETURN_IF_ERROR(planner.Materialize(
+             registry_, placement, shard_homes_, &transfer_ledger_,
+             options_.sfs_retry, &io_));
+         report.shard_bytes_moved =
+             transfer_ledger_.total_bytes() - bytes_before;
+         shard_homes_ = std::move(placement.home_cell);
+         return EncodeShardHomes(shard_homes_);
+       },
+       .restore =
+           [&](const std::string& payload) {
+             return DecodeShardHomes(payload, &shard_homes_);
+           }},
+      // dataqual (DESIGN.md §12): judge every feed before any training is
+      // planned. Quarantined retailers skip training, inference and both
+      // rollouts, so their last-known-good versions keep serving. Observe
+      // mutates sentry state: replay re-runs it from the restored state.
+      {.enabled = sentry_ != nullptr,
+       .run = [&]() -> StatusOr<std::string> {
+         std::string retailers_json;
+         for (data::RetailerId id : registry_.Ids()) {
+           StatusOr<const data::RetailerData*> data = registry_.Get(id);
+           if (!data.ok()) continue;
+           const dataqual::FeedProfile feed_profile =
+               dataqual::BuildFeedProfile(**data);
+           const dataqual::DataSentry::Observation observation =
+               sentry_->Observe(feed_profile);
+           if (observation.verdict ==
+               dataqual::DataSentry::Verdict::kQuarantine) {
+             quarantined.insert(id);
+             SIGLOG(WARNING) << "dataqual quarantined retailer " << id
+                             << " (" << feed_profile.ToString() << ")";
+             for (const dataqual::DataSentry::Finding& finding :
+                  observation.findings) {
+               SIGLOG(WARNING) << "  " << finding.ToString();
+             }
+           } else if (observation.released) {
+             SIGLOG(INFO) << "dataqual released retailer " << id
+                          << " from quarantine";
+           }
+           // The profile JSON only carries non-pass verdicts: at 10k
+           // retailers a per-retailer dump would dwarf the profile.
+           if (observation.verdict != dataqual::DataSentry::Verdict::kPass ||
+               observation.released) {
+             std::string findings_json;
+             for (const dataqual::DataSentry::Finding& finding :
+                  observation.findings) {
+               if (!findings_json.empty()) findings_json += ",";
+               findings_json += StrFormat(
+                   "{\"check\":\"%s\",\"severity\":\"%s\",\"value\":%.6f,"
+                   "\"threshold\":%.6f}",
+                   obs::JsonEscape(finding.check).c_str(),
+                   dataqual::VerdictName(finding.severity), finding.value,
+                   finding.threshold);
+             }
+             if (!retailers_json.empty()) retailers_json += ",";
+             retailers_json += StrFormat(
+                 "\"%d\":{\"verdict\":\"%s\",\"released\":%s,"
+                 "\"findings\":[%s]}",
+                 id, dataqual::VerdictName(observation.verdict),
+                 observation.released ? "true" : "false",
+                 findings_json.c_str());
+           }
+         }
+         report.quarantined_retailers = sentry_->QuarantinedCount();
+         dataqual_json = StrFormat(
+             "{\"quarantined_retailers\":%d,\"retailers\":{%s}}",
+             sentry_->QuarantinedCount(), retailers_json.c_str());
+         return JoinIds(quarantined);
+       }},
+      // plan_sweep: full on first start or a forced / periodic restart
+      // (§III-C3), else incremental. A pure function of restored state;
+      // the payload is a fingerprint.
+      {.run = [&]() -> StatusOr<std::string> {
+         const bool periodic_restart =
+             options_.full_sweep_every_days > 0 && days_run_ > 0 &&
+             days_run_ % options_.full_sweep_every_days == 0;
+         const bool full =
+             previous_results_.empty() || force_full_sweep_ || periodic_restart;
+         force_full_sweep_ = false;
+         report.full_sweep = full;
+         SweepPlanner planner(options_.sweep);
+         plan = full ? planner.PlanFullSweep(registry_)
+                     : planner.PlanIncrementalSweep(registry_,
+                                                    previous_results_);
+         // Quarantined retailers train nothing today; commit_day carries
+         // their previous results forward.
+         std::erase_if(plan, [&](const ConfigRecord& record) {
+           return quarantined.count(record.retailer) > 0;
+         });
+         if (!full) {
+           // Count retailers that got a full grid (new sign-ups).
+           std::map<data::RetailerId, int> grid;
+           for (const ConfigRecord& record : plan) ++grid[record.retailer];
+           for (const auto& [retailer, count] : grid) {
+             if (count > options_.sweep.incremental_top_k) {
+               ++report.new_retailers;
+             }
+           }
+         }
+         return StrFormat(
+             "full=%d;n=%d;fp=%llu", full ? 1 : 0,
+             static_cast<int>(plan.size()),
+             static_cast<unsigned long long>(FingerprintPlan(plan)));
+       }},
+      // train: one MapReduce, or one per cell holding the shards (§IV-B1).
+      // Models and checkpoints are durable, so replay restores the trained
+      // ConfigRecords and skips the MapReduce: the big recovery-time win.
+      {.run = [&]() -> StatusOr<std::string> {
+         TrainingJob::Options training = options_.training;
+         training.metrics = metrics_;
+         training.tracer = tracer_;
+         training.clock = clock_;
+         StatusOr<std::vector<ConfigRecord>> trained =
+             options_.placement.cells.empty()
+                 ? TrainingJob(fs_, &registry_, training).Run(plan)
+                 : MultiCellTrainingJob(fs_, &registry_,
+                                        {.cells = options_.placement.cells,
+                                         .per_cell = training})
+                       .Run(plan, shard_homes_);
+         if (!trained.ok()) return trained.status();
+         results = *std::move(trained);
+         return EncodeResults(results);
+       },
+       .restore =
+           [&](const std::string& payload) {
+             return DecodeResults(payload, &results);
+           },
+       // Incremental records warm-start from, and then overwrite,
+       // yesterday's model files, so training is not idempotent once it
+       // starts publishing (DESIGN.md §13.2). The undo log makes a re-run
+       // read exactly the bytes the crashed attempt read.
+       .undo = StageBody::Undo{
+           .log = [&]() -> Status {
+             for (const ConfigRecord& record : plan) {
+               StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
+                   options_.sfs_retry, &io_.retry,
+                   [&] { return fs_->Read(record.model_path); });
+               if (!bytes.ok()) {
+                 if (bytes.status().code() == StatusCode::kNotFound) continue;
+                 return bytes.status();
+               }
+               SIGMUND_RETURN_IF_ERROR(
+                   RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
+                     return fs_->Write(record.model_path + ".prev", *bytes);
+                   }));
+             }
+             return OkStatus();
+           },
+           .rollback = [&]() -> Status {
+             for (const ConfigRecord& record : plan) {
+               const std::string prev = record.model_path + ".prev";
+               StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
+                   options_.sfs_retry, &io_.retry,
+                   [&] { return fs_->Read(prev); });
+               if (bytes.ok()) {
+                 SIGMUND_RETURN_IF_ERROR(
+                     RetryWithPolicy(options_.sfs_retry, &io_.retry, [&] {
+                       return fs_->Write(record.model_path, *bytes);
+                     }));
+               } else if (bytes.status().code() == StatusCode::kNotFound) {
+                 // The file did not exist when the crashed attempt
+                 // started; a warm-start record must not warm from its
+                 // half-published model.
+                 if (record.warm_start) {
+                   SIGMUND_RETURN_IF_ERROR(
+                       DeleteVersionFile(record.model_path));
+                 }
+               } else {
+                 return bytes.status();
+               }
+             }
+             // A mid-train crash can also strand per-task checkpoints; a
+             // resumed task would warm-resume from them instead of
+             // training from scratch, diverging from the clean run.
+             StatusOr<std::vector<std::string>> stale =
+                 RetryWithPolicy<std::vector<std::string>>(
+                     options_.sfs_retry, &io_.retry,
+                     [&] { return fs_->List("checkpoints/"); });
+             SIGMUND_RETURN_IF_ERROR(stale.status());
+             for (const std::string& path : *stale) {
+               SIGMUND_RETURN_IF_ERROR(DeleteVersionFile(path));
+             }
+             return OkStatus();
+           },
+           .clear = [&]() -> Status {
+             for (const ConfigRecord& record : plan) {
+               SIGMUND_RETURN_IF_ERROR(
+                   DeleteVersionFile(record.model_path + ".prev"));
+             }
+             return OkStatus();
+           }}},
+      // persist_sweep_results: per-retailer sweep results, for debugging.
+      {.run = [&]() -> StatusOr<std::string> {
+         std::map<data::RetailerId, std::string> blobs;
+         for (const ConfigRecord& record : results) {
+           blobs[record.retailer] += record.Serialize();
+           blobs[record.retailer] += '\n';
+         }
+         for (const auto& [retailer, blob] : blobs) {
+           // Debug artifact: plain text (not framed) so it stays
+           // greppable, but still retried through transient errors.
+           const std::string path = SweepResultPath(retailer);
+           SIGMUND_RETURN_IF_ERROR(
+               RetryWithPolicy(options_.sfs_retry, &io_.retry,
+                               [&] { return fs_->Write(path, blob); }));
+         }
+         return std::string();
+       }},
+      // select_models: copy each retailer's best model by MAP@10 to its
+      // best-model path. The copies are durable; replay restores the rest.
+      {.run = [&]() -> StatusOr<std::string> {
+         SIGMUND_RETURN_IF_ERROR(
+             SelectBestModels(results, &report, &best_map, &degraded));
+         // Mirrored so the degradation shows up in RunProfile snapshots.
+         if (!degraded.empty()) {
+           metrics_->GetCounter("pipeline_degraded_retailers_total")
+               ->Add(static_cast<int64_t>(degraded.size()));
+         }
+         return EncodeSelect(report.mean_best_map, best_map, degraded);
+       },
+       .restore =
+           [&](const std::string& payload) {
+             return DecodeSelect(payload, &report.mean_best_map, &best_map,
+                                 &degraded);
+           }},
+      // quality_guard (§I): a retailer whose MAP@10 regressed keeps its
+      // live recommendations. Record mutates the monitor: replay re-runs
+      // it from the restored baselines.
+      {.enabled = options_.guard_quality,
+       .run = [&]() -> StatusOr<std::string> {
+         for (const auto& [retailer, map_at_10] : best_map) {
+           if (monitor_.Record(retailer, map_at_10) ==
+               QualityMonitor::Verdict::kRegressed) {
+             hold_back.insert(retailer);
+             SIGLOG(WARNING)
+                 << "retailer " << retailer << " regressed: map=" << map_at_10
+                 << " trailing best=" << monitor_.TrailingBest(retailer)
+                 << "; keeping previous recommendations";
+           }
+         }
+         report.quality_regressions = static_cast<int64_t>(hold_back.size());
+         return JoinIds(hold_back);
+       }},
+      // inference: materialize every non-quarantined retailer's batch.
+      // Batch files are durable, so replay restores the retailer list.
+      {.run = [&]() -> StatusOr<std::string> {
+         std::vector<data::RetailerId> serve_ids = registry_.Ids();
+         std::erase_if(serve_ids, [&](data::RetailerId id) {
+           return quarantined.count(id) > 0;
+         });
+         InferenceJob::Options inference = options_.inference;
+         inference.metrics = metrics_;
+         inference.tracer = tracer_;
+         inference.clock = clock_;
+         auto recommendations =
+             InferenceJob(fs_, &registry_, inference).Run(serve_ids);
+         if (!recommendations.ok()) return recommendations.status();
+         for (const auto& [retailer, recs] : *recommendations) {
+           materialized_ids.push_back(retailer);
+         }
+         return JoinIds(materialized_ids);
+       },
+       .restore =
+           [&](const std::string& payload) {
+             return DecodeIdList(payload, &materialized_ids);
+           }},
+      // store_load: the batch plane's rollout (DESIGN.md §7, §13). Each
+      // unit publishes a copy of the day's batch; activation cuts the
+      // followers over. The canary needs a live batch to compare against.
+      {.run = [&]() -> StatusOr<std::string> {
+         const Plane<serving::RecommendationStore> batch = BatchPlane();
+         if (store_group_->num_replicas() > 1) {
+           // Refresh replica health before cutting over: live replicas
+           // heartbeat through the (possibly fault-injected) SFS, probes
+           // read the heartbeats back.
+           SIGMUND_RETURN_IF_ERROR(
+               store_group_->WriteHeartbeats(fs_, options_.sfs_retry));
+           store_group_->ProbeReplicas(*fs_, options_.sfs_retry);
+         }
+         for (data::RetailerId retailer : materialized_ids) {
+           if (settled(batch, retailer)) continue;
+           StatusOr<std::string> raw = RetryWithPolicy<std::string>(
+               options_.sfs_retry, &io_.retry,
+               [&] { return fs_->Read(RecommendationPath(retailer)); });
+           if (!raw.ok()) return raw.status();
+           const CanaryController* canary =
+               options_.canary.enabled &&
+                       batch.store->RetailerVersion(retailer) > 0
+                   ? canary_.get()
+                   : nullptr;
+           auto publish = [&](const std::string& tmp) {
+             return RetryWithPolicy(options_.sfs_retry, &io_.retry,
+                                    [&] { return fs_->Write(tmp, *raw); });
+           };
+           SIGMUND_RETURN_IF_ERROR(
+               RollOut(batch, retailer, publish, canary, rec).status());
+         }
+         return std::string();
+       }},
+      // retrieval_index (DESIGN.md §11): each unit publishes the best
+      // model as an ANN index artifact. Its canary compares against the
+      // materialized plane, so it gates the first index too.
+      {.enabled = options_.retrieval.enabled,
+       .run = [&]() -> StatusOr<std::string> {
+         const Plane<retrieval::OnlineRetrievalReader> index = IndexPlane();
+         for (data::RetailerId retailer : materialized_ids) {
+           if (settled(index, retailer)) continue;
+           StatusOr<const data::RetailerData*> retailer_data =
+               registry_.Get(retailer);
+           if (!retailer_data.ok()) continue;
+           StatusOr<std::string> model_bytes = sfs::ReadChecksummedFile(
+               fs_, BestModelPath(retailer), options_.sfs_retry, &io_);
+           if (!model_bytes.ok()) {
+             // No (readable) best model, e.g. a corrupt frame or a
+             // retailer served purely from a previous day. The index just
+             // isn't refreshed; never fail the run over it.
+             if (model_bytes.status().code() == StatusCode::kDataLoss ||
+                 model_bytes.status().code() == StatusCode::kNotFound) {
+               continue;
+             }
+             return model_bytes.status();
+           }
+           StatusOr<core::BprModel> model = core::BprModel::Deserialize(
+               *model_bytes, &(*retailer_data)->catalog);
+           if (!model.ok()) {
+             SIGLOG(WARNING) << "retailer " << retailer
+                             << ": best model undecodable, skipping index "
+                                "build: "
+                             << model.status().ToString();
+             continue;
+           }
+           retrieval::IndexArtifact artifact =
+               retrieval::BuildArtifactFromModel(retailer, *model,
+                                                 options_.retrieval.ann);
+           if (options_.retrieval.build_hook_for_testing) {
+             options_.retrieval.build_hook_for_testing(retailer, &artifact);
+           }
+           auto publish = [&](const std::string& tmp) {
+             return sfs::WriteChecksummedFile(fs_, tmp, artifact.Serialize(),
+                                              options_.sfs_retry, &io_);
+           };
+           StatusOr<bool> staged = RollOut(index, retailer, publish,
+                                           retrieval_canary_.get(), rec);
+           if (!staged.ok()) return staged.status();
+           metrics_
+               ->GetCounter("retrieval_index_builds_total",
+                            {{"outcome", *staged ? "ok" : "rejected"}})
+               ->Add(1);
+         }
+         return std::string();
+       }},
+      // commit_day: today's results become the warm-start state; then the
+      // two-phase snapshot, kDayComplete and retention, in that order (a
+      // crash before kDayComplete resumes an all-committed day, one
+      // before retention is converged by the next boundary).
+      {.run = [&]() -> StatusOr<std::string> {
+         report.models_trained = static_cast<int>(results.size());
+         // Carry quarantined retailers' records forward, so their release
+         // day warm-starts instead of planning a full grid.
+         std::erase_if(previous_results_, [&](const ConfigRecord& record) {
+           return quarantined.count(record.retailer) == 0;
+         });
+         results.insert(results.end(),
+                        std::make_move_iterator(previous_results_.begin()),
+                        std::make_move_iterator(previous_results_.end()));
+         previous_results_ = std::move(results);
+         const ServiceSnapshot snapshot = BuildSnapshot();
+         SIGMUND_RETURN_IF_ERROR(
+             ledger_->WriteSnapshotTmp(snapshot.Serialize()));
+         MaybeCrash(crash_, "day.snapshot_tmp");
+         SIGMUND_RETURN_IF_ERROR(ledger_->CommitSnapshot(days_run_ + 1));
+         MaybeCrash(crash_, "day.snapshot_committed");
+         SIGMUND_RETURN_IF_ERROR(Journal(Op::kDayComplete));
+         MaybeCrash(crash_, "day.complete");
+         SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldDays(days_run_));
+         SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldSnapshots(days_run_ + 1));
+         return std::string();
+       }},
+  };
+  static_assert(std::extent_v<decltype(stages)> == std::size(kDailyStages));
+  for (size_t i = 0; i < std::size(kDailyStages); ++i) {
+    SIGMUND_RETURN_IF_ERROR(RunStage(kDailyStages[i], stages[i], rec, &report));
   }
-  for (data::RetailerId retailer : materialized_ids) {
-    if (settled(batch, retailer)) continue;
-    StatusOr<std::string> raw =
-        RetryWithPolicy<std::string>(options_.sfs_retry, &io_.retry, [&] {
-          return fs_->Read(RecommendationPath(retailer));
-        });
-    if (!raw.ok()) return raw.status();
-    const CanaryController* canary =
-        options_.canary.enabled && batch.store->RetailerVersion(retailer) > 0
-            ? canary_.get()
-            : nullptr;
-    SIGMUND_RETURN_IF_ERROR(
-        RollOut(
-            batch, retailer,
-            [&](const std::string& tmp) {
-              return RetryWithPolicy(options_.sfs_retry, &io_.retry,
-                                     [&] { return fs_->Write(tmp, *raw); });
-            },
-            canary, rec)
-            .status());
-  }
-  end_stage(store_span, "store_load");
+  report.degraded_retailers = static_cast<int64_t>(degraded.size());
 
-  // Index plane (DESIGN.md §11): each unit snapshots the retailer's best
-  // model into a CRC-framed ANN index artifact. Its canary compares the
-  // staged index against the live materialized plane, so it gates every
-  // index, the first one included.
-  if (options_.retrieval.enabled) {
-    obs::Span retrieval_span = tracer_->StartSpan("retrieval_index");
-    const Plane<retrieval::OnlineRetrievalReader> index = IndexPlane();
-    for (data::RetailerId retailer : materialized_ids) {
-      if (settled(index, retailer)) continue;
-      StatusOr<const data::RetailerData*> retailer_data =
-          registry_.Get(retailer);
-      if (!retailer_data.ok()) continue;
-      StatusOr<std::string> model_bytes = sfs::ReadChecksummedFile(
-          fs_, BestModelPath(retailer), options_.sfs_retry, &io_);
-      if (!model_bytes.ok()) {
-        // No (readable) best model — e.g. corrupt frame or a retailer
-        // served purely from a previous day. The index just isn't
-        // refreshed; never fail the run over it.
-        if (model_bytes.status().code() == StatusCode::kDataLoss ||
-            model_bytes.status().code() == StatusCode::kNotFound) {
-          continue;
-        }
-        return model_bytes.status();
-      }
-      StatusOr<core::BprModel> model = core::BprModel::Deserialize(
-          *model_bytes, &(*retailer_data)->catalog);
-      if (!model.ok()) {
-        SIGLOG(WARNING) << "retailer " << retailer
-                        << ": best model undecodable, skipping index build: "
-                        << model.status().ToString();
-        continue;
-      }
-      retrieval::IndexArtifact artifact = retrieval::BuildArtifactFromModel(
-          retailer, *model, options_.retrieval.ann);
-      if (options_.retrieval.build_hook_for_testing) {
-        options_.retrieval.build_hook_for_testing(retailer, &artifact);
-      }
-      StatusOr<bool> staged = RollOut(
-          index, retailer,
-          [&](const std::string& tmp) {
-            return sfs::WriteChecksummedFile(fs_, tmp, artifact.Serialize(),
-                                             options_.sfs_retry, &io_);
-          },
-          retrieval_canary_.get(), rec);
-      if (!staged.ok()) return staged.status();
-      metrics_
-          ->GetCounter("retrieval_index_builds_total",
-                       {{"outcome", *staged ? "ok" : "rejected"}})
-          ->Add(1);
-    }
-    end_stage(retrieval_span, "retrieval_index");
-  }
-
-  // --- Day boundary: two-phase control-state snapshot, then the
-  // kDayComplete marker, then retention. Order matters — a crash before
-  // the rename leaves only a sweepable tmp, a crash before kDayComplete
-  // resumes an all-committed day that replays to the same bytes, a crash
-  // before retention is converged by the next boundary.
-  {
-    obs::Span span = tracer_->StartSpan("commit_day");
-    const ServiceSnapshot snapshot = BuildSnapshot();
-    SIGMUND_RETURN_IF_ERROR(ledger_->WriteSnapshotTmp(snapshot.Serialize()));
-    MaybeCrash(crash_, "day.snapshot_tmp");
-    SIGMUND_RETURN_IF_ERROR(ledger_->CommitSnapshot(days_run_ + 1));
-    MaybeCrash(crash_, "day.snapshot_committed");
-    SIGMUND_RETURN_IF_ERROR(Journal(Op::kDayComplete));
-    MaybeCrash(crash_, "day.complete");
-    SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldDays(days_run_));
-    SIGMUND_RETURN_IF_ERROR(ledger_->RetireOldSnapshots(days_run_ + 1));
-    end_stage(span, "commit_day");
-  }
-  report.ledger_appends = ledger_->appends() - appends_before;
-  report.replay_units_skipped = units_skipped;
-  if (units_skipped > 0) {
-    metrics_->GetCounter("pipeline_replay_units_skipped_total")
-        ->Add(units_skipped);
-  }
-
-  // --- Mirror chaos-layer fault totals into the registry, after the last
-  // SFS access of the run so the day-boundary I/O's faults land in this
-  // run's report. Self-correcting: only the portion not already recorded
-  // (e.g. by a fault injector wired live via SetMetrics) is added, so the
-  // registry's sum across label sets always equals the injector's own
-  // total.
+  // Mirror chaos-layer fault totals into the registry after the run's
+  // last SFS access. Only the part not already recorded (by an injector
+  // wired live via SetMetrics) is added, so the sums always agree.
   if (options_.injected_faults != nullptr) {
     const int64_t recorded =
         metrics_->Snapshot().CounterValue("sfs_faults_injected_total");
@@ -1398,110 +1399,11 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
 
   day_span.End();
   report.total_wall_micros = day_span.DurationMicros();
-
-  // --- The report's counters are the run's registry deltas: everything
-  // the jobs and I/O layers recorded between the two snapshots.
   const obs::RegistrySnapshot after = metrics_->Snapshot();
-  auto delta = [&](std::string_view name, const obs::Labels& labels) {
-    return after.CounterValue(name, labels) -
-           before.CounterValue(name, labels);
-  };
-  const obs::Labels none;
-  report.checkpoints_written = delta("training_checkpoints_written_total", none);
-  report.preemptions = delta("training_preemptions_total", none);
-  report.restored_from_checkpoint = delta("training_restores_total", none);
-  report.corrupt_checkpoints_skipped =
-      delta("training_corrupt_checkpoints_skipped_total", none);
-  report.simulated_train_micros = delta("training_simulated_micros_total", none);
-  report.model_loads = delta("inference_model_loads_total", none);
-  report.items_scored = delta("inference_items_scored_total", none);
-  report.map_attempts =
-      delta("mapreduce_task_attempts_total", {{"phase", "map"}});
-  report.map_failures =
-      delta("mapreduce_task_failures_total", {{"phase", "map"}});
-  report.reduce_attempts =
-      delta("mapreduce_task_attempts_total", {{"phase", "reduce"}});
-  report.reduce_failures =
-      delta("mapreduce_task_failures_total", {{"phase", "reduce"}});
-  report.sfs_retries = delta("sfs_retries_total", none);
-  report.corruptions_detected = delta("sfs_corruptions_detected_total", none);
-  report.corruptions_healed = delta("sfs_corruptions_healed_total", none);
-  report.corrupt_batches_rejected =
-      delta("serving_batch_loads_total", {{"outcome", "rejected"}});
-  report.faults_injected = delta("sfs_faults_injected_total", none);
-  report.evictions = delta("training_evictions_total", none);
-  report.eviction_grace_checkpoints =
-      delta("training_eviction_grace_checkpoints_total", none);
-  report.hard_evictions = delta("training_hard_evictions_total", none);
-  report.priority_escalations =
-      delta("training_priority_escalations_total", none);
-  report.preemption_budget_exhausted =
-      delta("training_preemption_budget_exhausted_total", none);
-  report.deadline_exceeded = delta("training_deadline_exceeded_total", none);
-  report.map_backup_attempts =
-      delta("mapreduce_backup_attempts_total", none);
-  report.map_backups_won = delta("mapreduce_backups_won_total", none);
-  // Canary verdicts are split by plane: the batch ladder and the online
-  // retrieval ladder roll out (and back) independently.
-  report.canary_promotions = delta(
-      "canary_verdicts_total", {{"plane", "batch"}, {"verdict", "promoted"}});
-  report.canary_rollbacks =
-      delta("canary_verdicts_total",
-            {{"plane", "batch"}, {"verdict", "rolled_back"}});
-  report.retrieval_promotions =
-      delta("canary_verdicts_total",
-            {{"plane", "retrieval"}, {"verdict", "promoted"}});
-  report.retrieval_rollbacks =
-      delta("canary_verdicts_total",
-            {{"plane", "retrieval"}, {"verdict", "rolled_back"}});
-  report.retrieval_indexes_built = static_cast<int>(
-      delta("retrieval_index_builds_total", {{"outcome", "ok"}}));
-  report.corrupt_indexes_rejected =
-      delta("retrieval_index_builds_total", {{"outcome", "rejected"}});
-  report.replica_cutovers =
-      delta("serving_replica_cutovers_total", {{"outcome", "ok"}});
-  report.replica_cutovers_skipped =
-      delta("serving_replica_cutovers_total", {{"outcome", "skipped_dead"}});
-  // Serving health is cumulative at snapshot time: requests arrive
-  // between daily runs, so a per-run delta would always read zero.
-  report.breaker_trips = after.CounterValue("serving_breaker_trips_total", none);
-  report.fallbacks_served = after.CounterValue("serving_fallbacks_total", none);
-  report.replica_failovers =
-      after.CounterValue("serving_replica_failovers_total", none);
-  report.hedged_reads =
-      after.CounterValue("serving_hedged_reads_total", none);
-  report.requests_shed = after.CounterValue("serving_shed_total", none);
-  report.brownout_serves =
-      after.CounterValue("serving_brownout_total", none);
-  report.hedges_suppressed =
-      after.CounterValue("serving_hedges_suppressed_total", none);
-  report.retry_budget_exhausted =
-      after.CounterValue("serving_retry_budget_exhausted_total", none);
-  report.canary_samples_ignored =
-      delta("canary_samples_ignored_total", none);
-  // Data-plane sentry verdicts, per-run deltas like the rest of the
-  // pipeline counters.
-  report.feed_quarantines =
-      delta("dataqual_verdicts_total", {{"verdict", "quarantine"}});
-  report.feed_warns = delta("dataqual_verdicts_total", {{"verdict", "warn"}});
-  report.quarantine_releases = delta("dataqual_releases_total", none);
-  // Per-path request counts: cumulative like the rest of serving health
-  // (traffic arrives between runs, so per-run deltas would read zero).
-  report.requests_materialized =
-      after.CounterValue("serving_requests_total", {{"path", "materialized"}});
-  report.requests_online_retrieval = after.CounterValue(
-      "serving_requests_total", {{"path", "online_retrieval"}});
-  report.requests_fallback =
-      after.CounterValue("serving_requests_total", {{"path", "fallback"}});
-  // Orphan GC is cumulative (startup GC happens before any run; a delta
-  // would always be zero) and deliberately absent from ToString.
-  for (const char* kind : {"tmp", "batch", "index"}) {
-    report.orphans_gc +=
-        after.CounterValue("pipeline_orphans_gc_total", {{"kind", kind}});
-  }
+  FillCounters(before, after, &report);
 
-  // --- SLO evaluation: burn rates over the run-end snapshot. Runs after
-  // the pipeline finished, so it is passive by construction.
+  // SLO evaluation: burn rates over the run-end snapshot. Runs after the
+  // pipeline finished, so it is passive by construction.
   if (options_.slo != nullptr) {
     options_.slo->Evaluate(after, clock_->NowMicros());
     report.slo_alerts_fired = options_.slo->FiredTotal();
@@ -1510,7 +1412,7 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
     report.slo_json = options_.slo->ToJson();
   }
 
-  // --- Machine-readable run profile: this run's span tree + the full
+  // Machine-readable run profile: this run's span tree + the full
   // metrics snapshot.
   obs::RunProfile profile = obs::BuildRunProfile(
       StrFormat("day%d", days_run_), *tracer_, day_span.id(), after);

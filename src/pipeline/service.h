@@ -36,7 +36,12 @@
 
 namespace sigmund::pipeline {
 
-// Summary of one daily run.
+// Summary of one daily run: a view over the metrics registry. Each
+// counter field has one row in the report's counter table (service.cc).
+// The row says which report line prints the field, and how, and where its
+// value comes from: the run's delta of a registry counter, the counter's
+// cumulative value, or RunDaily itself. Adding a counter means adding one
+// field and one row.
 struct DailyReport {
   bool full_sweep = false;
   int retailers = 0;
@@ -54,11 +59,11 @@ struct DailyReport {
   int64_t reduce_failures = 0;
   // Retailers whose new models regressed past the quality guardrail; the
   // store kept serving their previous batch.
-  int quality_regressions = 0;
+  int64_t quality_regressions = 0;
   // Degradation ladder: retailers whose winning model trained under an
   // exhausted deadline/preemption budget this run (the store keeps
   // serving their previous batch when one exists).
-  int degraded_retailers = 0;
+  int64_t degraded_retailers = 0;
   // Lease churn (preemptible training cells): machine revocations, final
   // checkpoints flushed inside the eviction-grace window, revocations
   // that missed the window, tasks escalated from preemptible to regular
@@ -94,7 +99,7 @@ struct DailyReport {
   // Online retrieval plane (DESIGN.md §11), this run: ANN index
   // artifacts built + staged, retrieval-plane canary verdicts, and
   // corrupt index artifacts rejected at stage time.
-  int retrieval_indexes_built = 0;
+  int64_t retrieval_indexes_built = 0;
   int64_t retrieval_promotions = 0;
   int64_t retrieval_rollbacks = 0;
   int64_t corrupt_indexes_rejected = 0;
@@ -119,7 +124,7 @@ struct DailyReport {
   int64_t feed_quarantines = 0;
   int64_t feed_warns = 0;
   int64_t quarantine_releases = 0;
-  int quarantined_retailers = 0;
+  int64_t quarantined_retailers = 0;
 
   // Robustness counters for this run. Transient SFS errors that a retry
   // absorbed, checksum failures caught (and healed on the write path),
@@ -162,7 +167,7 @@ struct DailyReport {
   // many objectives are in the firing state right now.
   int64_t slo_alerts_fired = 0;
   int64_t slo_alerts_resolved = 0;
-  int slo_objectives_firing = 0;
+  int64_t slo_objectives_firing = 0;
   std::string slo_json;
 
   // Machine-readable run profile: the run's span tree plus a full metrics
@@ -171,6 +176,41 @@ struct DailyReport {
   std::string profile_json;
 
   std::string ToString() const;
+};
+
+// One stage of a daily run (DESIGN.md §13.2). `name` labels the stage's
+// span, its pipeline_stage_micros{stage} histogram and its
+// DailyReport::stage_wall_micros entry. A committed stage journals one
+// kStageCommit tagged `tag`, with the kill-point "<tag>.ran" after its
+// work and "<tag>.done" after the commit. On a resumed day its `replay`
+// policy decides what a committed payload means. The rollout and
+// day-boundary stages commit per unit instead and carry no tag.
+struct DailyStage {
+  enum class Replay {
+    kNone,        // uncommitted stage
+    kRestore,     // skip the work; restore its outputs from the payload
+    kCrossCheck,  // re-run the work (it mutates control state); the new
+                  // payload must equal the committed one
+  };
+  const char* name;
+  const char* tag;
+  Replay replay;
+};
+
+// Every stage of RunDaily, in run order. RunDaily's stage table gives each
+// row its body; no other list of stages exists.
+inline constexpr DailyStage kDailyStages[] = {
+    {"placement", "placement", DailyStage::Replay::kRestore},
+    {"dataqual", "dataqual", DailyStage::Replay::kCrossCheck},
+    {"plan_sweep", "plan_sweep", DailyStage::Replay::kCrossCheck},
+    {"train", "train", DailyStage::Replay::kRestore},
+    {"persist_sweep_results", "persist_sweep", DailyStage::Replay::kRestore},
+    {"select_models", "select_models", DailyStage::Replay::kRestore},
+    {"quality_guard", "quality_guard", DailyStage::Replay::kCrossCheck},
+    {"inference", "inference", DailyStage::Replay::kRestore},
+    {"store_load", nullptr, DailyStage::Replay::kNone},
+    {"retrieval_index", nullptr, DailyStage::Replay::kNone},
+    {"commit_day", nullptr, DailyStage::Replay::kNone},
 };
 
 // The whole Sigmund service, end to end (§II-A): each daily run plans a
@@ -419,6 +459,31 @@ class SigmundService {
   Status Journal(RunLedger::Op op, data::RetailerId retailer = -1,
                  int64_t version = 0, std::string tag = "",
                  std::string payload = "");
+  // Hits the kill-point "<prefix>.<seam>" (no-op without an injector).
+  void CrashPoint(const char* prefix, const char* seam);
+
+  // What RunDaily's stage table attaches to one kDailyStages row.
+  struct StageBody {
+    bool enabled = true;
+    // The stage's work; returns its commit payload ("" when uncommitted).
+    std::function<StatusOr<std::string>()> run = {};
+    // kRestore: restores the stage's outputs from a committed payload;
+    // false when the payload does not decode. Null: nothing to restore.
+    std::function<bool(const std::string&)> restore = {};
+    // Undo log of a stage that overwrites its own inputs (train),
+    // committed under "<tag>_undo" (kill-point "<tag>.undo_logged")
+    // before the work starts: `log` copies the inputs aside, `rollback`
+    // puts them back before a crashed attempt re-runs, and `clear` drops
+    // the copies once the stage has committed ("<tag>.undo_cleared").
+    struct Undo {
+      std::function<Status()> log, rollback, clear;
+    };
+    std::optional<Undo> undo = {};
+  };
+  // Runs one stage-table row under its span, and owns its commit,
+  // its kill-points and its replay on a resumed day (`rec`, else null).
+  Status RunStage(const DailyStage& stage, const StageBody& body,
+                  const RecoveredDay* rec, DailyReport* report);
 
   // One per-retailer rollout unit, the same for both planes:
   // intent -> publish -> stage -> canary verdict -> activate or discard,

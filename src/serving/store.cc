@@ -131,21 +131,15 @@ StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
         return fs.Read(path);
       });
   if (!blob.ok()) return finish("error", blob.status());
-  std::string payload;
-  if (LooksLikeChecksummedFrame(*blob)) {
-    StatusOr<std::string> unwrapped = ReadChecksummedFrame(*blob);
-    if (!unwrapped.ok()) {
-      // Torn or bit-rotted batch: refuse it and keep serving the previous
-      // version of this retailer's recommendations.
-      if (io != nullptr) io->CountCorruptionDetected();
-      return finish("rejected", unwrapped.status());
-    }
-    payload = std::move(unwrapped).value();
-  } else {
-    payload = std::move(blob).value();  // legacy unframed batch
+  StatusOr<std::string> payload = ReadChecksummedFrame(*blob);
+  if (!payload.ok()) {
+    // Torn, bit-rotted or unframed batch: refuse it and keep serving the
+    // previous version of this retailer's recommendations.
+    if (io != nullptr) io->CountCorruptionDetected();
+    return finish("rejected", payload.status());
   }
   std::vector<core::ItemRecommendations> recommendations;
-  for (const std::string& line : StrSplit(payload, '\n')) {
+  for (const std::string& line : StrSplit(*payload, '\n')) {
     if (line.empty()) continue;
     StatusOr<core::ItemRecommendations> recs =
         core::ItemRecommendations::Deserialize(line);

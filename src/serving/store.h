@@ -92,13 +92,12 @@ class RecommendationStore : public ServingReader {
                         int64_t version = 0);
 
   // Batch-loads a retailer from the inference job's SFS output file
-  // (newline-separated serialized ItemRecommendations, optionally wrapped
-  // in a CRC frame — unframed legacy files still load). Transient read
-  // errors are retried per `policy`. A corrupt batch (bad CRC or an
-  // undecodable record) is rejected with kDataLoss and the retailer's
-  // previously loaded recommendations stay live — a bad refresh must
-  // never take down serving. `io`, if given, accumulates retry and
-  // corruption counters. Stages + activates in one step.
+  // (newline-separated serialized ItemRecommendations in a CRC frame).
+  // Transient read errors are retried per `policy`. A corrupt batch (no
+  // frame, bad CRC or an undecodable record) is rejected with kDataLoss
+  // and the retailer's previously loaded recommendations stay live — a
+  // bad refresh must never take down serving. `io`, if given, accumulates
+  // retry and corruption counters. Stages + activates in one step.
   Status LoadRetailerFromFile(data::RetailerId retailer,
                               const sfs::SharedFileSystem& fs,
                               const std::string& path,

@@ -7,6 +7,7 @@
 
 #include "common/binary_io.h"
 #include "common/clock.h"
+#include "common/crash_point.h"
 #include "common/crc32.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -552,10 +553,37 @@ TEST(HashTest, HashSplitIsMonotoneAndRoughlyProportional) {
     in_06 += at_06;
     // Monotone ramp-up: raising the fraction only moves keys INTO the
     // treatment arm, never out of it.
-    if (at_03) EXPECT_TRUE(at_06) << key;
+    if (at_03) {
+      EXPECT_TRUE(at_06) << key;
+    }
   }
   EXPECT_NEAR(in_03 / 2000.0, 0.3, 0.05);
   EXPECT_NEAR(in_06 / 2000.0, 0.6, 0.05);
+}
+
+TEST(CrashInjectorTest, SeededHitsArePinned) {
+  // The seeded schedule is a pure function of (seed, point, nth); pin it
+  // so the hash that derives it can never drift silently.
+  CrashInjector injector;
+  injector.ArmSeeded(12345, 0.3);
+  std::vector<std::pair<std::string, int64_t>> fired;
+  for (int round = 0; round < 4; ++round) {
+    for (const char* point : {"day.start", "train.done", "batch.intent",
+                              "batch.staged", "day.complete"}) {
+      try {
+        injector.Hit(point);
+      } catch (const CrashException& crash) {
+        fired.emplace_back(crash.point, crash.global_hit);
+        injector.ArmSeeded(12345, 0.3);  // firing is one-shot
+      }
+    }
+  }
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      {"batch.intent", 3}, {"batch.intent", 8}, {"batch.staged", 9},
+      {"day.complete", 10}, {"day.start", 11}, {"train.done", 17},
+      {"day.complete", 20}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(injector.hits(), 20);
 }
 
 }  // namespace

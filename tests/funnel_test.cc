@@ -82,11 +82,10 @@ TEST(LateFunnelServingTest, SerializationCarriesLateList) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->view_based_late.size(), 1u);
   EXPECT_EQ(parsed->view_based_late[0].item, 3);
-  // Legacy 3-part records still parse (empty late list).
-  StatusOr<ItemRecommendations> legacy =
-      ItemRecommendations::Deserialize("5|1:0.9|2:0.8");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_TRUE(legacy->view_based_late.empty());
+  // Records without the late list are malformed: there is no 3-part
+  // legacy form.
+  EXPECT_EQ(ItemRecommendations::Deserialize("5|1:0.9|2:0.8").status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(LateFunnelServingTest, MaterializedLateListsRespectFacets) {

@@ -153,8 +153,9 @@ struct Outcome {
 // Runs the whole scenario, crashing at the `crash_at`-th kill-point hit
 // (1-based; 0 = never). The crash abandons the service object mid-stage
 // — in-memory state dies, the shared filesystem survives — and a fresh
-// service recovers and resumes.
-Outcome RunScenario(int64_t crash_at) {
+// service recovers and resumes. `placement` turns on data placement
+// across two cells, so the placement stage runs every day.
+Outcome RunScenario(int64_t crash_at, bool placement = false) {
   Outcome outcome;
   data::WorldConfig config;
   config.seed = 29;
@@ -221,6 +222,7 @@ Outcome RunScenario(int64_t crash_at) {
             for (float& v : artifact->context_vectors) v = -v;
           }
         };
+    if (placement) options.placement.cells = {"cell-a", "cell-b"};
     options.clock = &clock;
     options.crash = &injector;
     return options;
@@ -335,13 +337,60 @@ void ExpectSameFiles(const Outcome& clean, const Outcome& crashed,
   }
 }
 
-TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
-  const Outcome clean = RunScenario(/*crash_at=*/0);
+// Replays the scenario killed at the `i`-th kill-point hit of the clean
+// run and checks that it converges to the clean run.
+void ExpectKillConverges(const Outcome& clean, size_t i, bool placement) {
+  const std::string label =
+      StrFormat("kill %zu/%zu at %s", i, clean.sequence.size(),
+                clean.sequence[i - 1].c_str());
+  SCOPED_TRACE(label);
+  const Outcome crashed = RunScenario(static_cast<int64_t>(i), placement);
+  ASSERT_EQ(crashed.crashes, 1);
+  EXPECT_EQ(crashed.failed_serves, 0);
+  ExpectSameFiles(clean, crashed, label);
+  EXPECT_EQ(crashed.store_versions, clean.store_versions);
+  EXPECT_EQ(crashed.index_versions, clean.index_versions);
+  ASSERT_EQ(crashed.reports.size(), static_cast<size_t>(kDays));
+  for (int day = 0; day < kDays; ++day) {
+    if (day == crashed.crash_day) continue;  // recovered=1 / lost report
+    EXPECT_EQ(crashed.reports[day], clean.reports[day])
+        << "day " << day << " report diverged";
+  }
+}
+
+// Checks the clean run the sweeps replay. Every committed stage it ran
+// must have hit its "<tag>.ran" and "<tag>.done" kill-points once per
+// run, and `daily_stages` committed stages must have run on every day.
+void ExpectCleanRun(const Outcome& clean, int daily_stages) {
   ASSERT_EQ(clean.crashes, 0);
   ASSERT_EQ(clean.reports.size(), static_cast<size_t>(kDays));
   ASSERT_EQ(clean.failed_serves, 0);
   ASSERT_FALSE(clean.files.empty());
   ASSERT_FALSE(clean.sequence.empty());
+  int ran_daily = 0;
+  for (const DailyStage& stage : kDailyStages) {
+    if (stage.tag == nullptr) continue;
+    int64_t runs = 0;
+    for (const DailyReport& report : clean.report_structs) {
+      for (const auto& [name, micros] : report.stage_wall_micros) {
+        runs += name == stage.name ? 1 : 0;
+      }
+    }
+    if (runs == kDays) ++ran_daily;
+    for (const char* seam : {"ran", "done"}) {
+      const std::string point = StrFormat("%s.%s", stage.tag, seam);
+      EXPECT_EQ(std::count(clean.sequence.begin(), clean.sequence.end(),
+                           point),
+                runs)
+          << point;
+    }
+  }
+  EXPECT_EQ(ran_daily, daily_stages);
+}
+
+TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
+  const Outcome clean = RunScenario(/*crash_at=*/0);
+  ExpectCleanRun(clean, /*daily_stages=*/7);  // all but placement
   std::printf("[chaos] kill sweep: %zu scenarios\n", clean.sequence.size());
 
   // The scenario must actually exercise both rollback planes, or the
@@ -353,7 +402,8 @@ TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
                       std::string(point));
   };
   EXPECT_GT(hit("day.start"), 0);
-  EXPECT_GT(hit("train.done"), 0);
+  EXPECT_EQ(hit("train.undo_logged"), kDays);
+  EXPECT_EQ(hit("train.undo_cleared"), kDays);
   // Every seam of the shared rollout unit, on both planes.
   for (const char* plane : {"batch", "index"}) {
     for (const char* seam : {"intent", "tmp_written", "staged",
@@ -367,23 +417,25 @@ TEST(RecoveryChaosTest, KillAnywhereConvergesToCleanRunBytes) {
 
   // Kill the run at every instrumented point, once per point.
   for (size_t i = 1; i <= clean.sequence.size(); ++i) {
-    const std::string label = StrFormat(
-        "kill %zu/%zu at %s", i, clean.sequence.size(),
-        clean.sequence[i - 1].c_str());
-    SCOPED_TRACE(label);
-    const Outcome crashed = RunScenario(static_cast<int64_t>(i));
-    ASSERT_EQ(crashed.crashes, 1);
-    EXPECT_EQ(crashed.failed_serves, 0);
-    ExpectSameFiles(clean, crashed, label);
-    EXPECT_EQ(crashed.store_versions, clean.store_versions);
-    EXPECT_EQ(crashed.index_versions, clean.index_versions);
-    ASSERT_EQ(crashed.reports.size(), static_cast<size_t>(kDays));
-    for (int day = 0; day < kDays; ++day) {
-      if (day == crashed.crash_day) continue;  // recovered=1 / lost report
-      EXPECT_EQ(crashed.reports[day], clean.reports[day])
-          << "day " << day << " report diverged";
-    }
+    ExpectKillConverges(clean, i, /*placement=*/false);
   }
+}
+
+// The same scenario with data placement on: killing at each placement
+// seam exercises its skip-and-restore-shard-homes replay, and killing
+// after the train commit exercises multi-cell training's restore.
+TEST(RecoveryChaosTest, PlacementKillPointsConverge) {
+  const Outcome clean = RunScenario(/*crash_at=*/0, /*placement=*/true);
+  ExpectCleanRun(clean, /*daily_stages=*/8);
+  EXPECT_GT(clean.report_structs[0].shard_bytes_moved, 0);
+  int scenarios = 0;
+  for (size_t i = 1; i <= clean.sequence.size(); ++i) {
+    const std::string& point = clean.sequence[i - 1];
+    if (point.rfind("placement.", 0) != 0 && point != "train.done") continue;
+    ExpectKillConverges(clean, i, /*placement=*/true);
+    ++scenarios;
+  }
+  EXPECT_EQ(scenarios, 3 * kDays);  // placement.{ran,done}, train.done
 }
 
 // A cold start sweeps `*.tmp` partials and leaves committed files alone.

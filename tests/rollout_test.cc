@@ -9,10 +9,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/metrics.h"
 #include "serving/replicated_store.h"
 #include "serving/store.h"
 #include "sfs/mem_filesystem.h"
+#include "sfs/reliable_io.h"
 
 namespace sigmund {
 namespace {
@@ -39,6 +41,7 @@ std::vector<core::ItemRecommendations> MakeBatch(int num_items,
   return batch;
 }
 
+// A CRC-framed batch file, as the inference job writes it.
 std::string SerializeBatch(
     const std::vector<core::ItemRecommendations>& batch) {
   std::string blob;
@@ -46,7 +49,7 @@ std::string SerializeBatch(
     blob += recs.Serialize();
     blob += '\n';
   }
-  return blob;
+  return WriteChecksummedFrame(blob);
 }
 
 // SFS decorator counting every operation — proves rollback is a pure
@@ -220,6 +223,36 @@ TEST(VersionedStoreTest, StageFromFileKeepsPreviousVersionServing) {
             StatusCode::kDataLoss);
   EXPECT_EQ(store.RetailerVersion(1), 2);
   EXPECT_EQ(store.LatestVersion(1), 2);
+}
+
+// Batch files carry a CRC frame, with no unframed fallback: a batch whose
+// records all decode but which lacks the frame is rejected as corrupt,
+// and the live version keeps serving.
+TEST(VersionedStoreTest, UnframedBatchIsRejected) {
+  sfs::MemFileSystem fs;
+  std::string unframed;
+  for (const core::ItemRecommendations& recs : MakeBatch(5, 2.0)) {
+    unframed += recs.Serialize() + "\n";
+  }
+  ASSERT_TRUE(fs.Write("unframed", unframed).ok());
+  obs::MetricRegistry metrics;
+  sfs::ReliableIoCounters io;
+  io.SetMetrics(&metrics, nullptr);
+  RecommendationStore store;
+  store.LoadRetailer(1, MakeBatch(5, 1.0));
+
+  EXPECT_EQ(store.StageRetailerFromFile(1, fs, "unframed", {}, &io)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(store.RetailerVersion(1), 1);
+  EXPECT_EQ(store.LatestVersion(1), 1);
+  auto list = store.Lookup(1, 0, RecommendationKind::kViewBased);
+  ASSERT_TRUE(list.ok());
+  EXPECT_DOUBLE_EQ((*list)[0].score, 1.0);
+  EXPECT_EQ(metrics.Snapshot().CounterValue("serving_batch_loads_total",
+                                            {{"outcome", "rejected"}}),
+            1);
 }
 
 // --- Shared-lock swap invariant (TSan-covered) --------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "data/world_generator.h"
 #include "data/serialization.h"
 #include "pipeline/data_placement.h"
@@ -270,6 +271,146 @@ TEST(RecommendationStoreTest, ServeContextPicksListByFunnelStage) {
             StatusCode::kInvalidArgument);
 }
 
+// --- DailyReport::ToString is a byte-stable format -----------------------
+
+// Every field set to a distinct value, so a row printing the wrong field
+// (or one field twice) shows up in the golden string.
+DailyReport GoldenReport() {
+  DailyReport r;
+  r.full_sweep = true;
+  r.retailers = 3;
+  r.new_retailers = 2;
+  r.models_trained = 17;
+  r.mean_best_map = 0.123456;
+  r.checkpoints_written = 101;
+  r.preemptions = 102;
+  r.restored_from_checkpoint = 103;
+  r.model_loads = 104;
+  r.items_scored = 105;
+  r.map_attempts = 106;
+  r.map_failures = 107;
+  r.reduce_attempts = 108;
+  r.reduce_failures = 109;
+  r.quality_regressions = 4;
+  r.degraded_retailers = 5;
+  r.evictions = 110;
+  r.eviction_grace_checkpoints = 111;
+  r.hard_evictions = 112;
+  r.priority_escalations = 113;
+  r.preemption_budget_exhausted = 114;
+  r.deadline_exceeded = 115;
+  r.map_backup_attempts = 116;
+  r.map_backups_won = 117;
+  r.breaker_trips = 118;
+  r.fallbacks_served = 119;
+  r.replica_failovers = 120;
+  r.hedged_reads = 121;
+  r.requests_shed = 122;
+  r.brownout_serves = 123;
+  r.hedges_suppressed = 124;
+  r.retry_budget_exhausted = 125;
+  r.canary_samples_ignored = 126;
+  r.retrieval_indexes_built = 6;
+  r.retrieval_promotions = 127;
+  r.retrieval_rollbacks = 128;
+  r.corrupt_indexes_rejected = 129;
+  r.requests_materialized = 130;
+  r.requests_online_retrieval = 131;
+  r.requests_fallback = 132;
+  r.canary_promotions = 133;
+  r.canary_rollbacks = 134;
+  r.replica_cutovers = 135;
+  r.replica_cutovers_skipped = 136;
+  r.shard_bytes_moved = 137;
+  r.feed_quarantines = 138;
+  r.feed_warns = 139;
+  r.quarantine_releases = 140;
+  r.quarantined_retailers = 7;
+  r.sfs_retries = 141;
+  r.corruptions_detected = 142;
+  r.corruptions_healed = 143;
+  r.corrupt_checkpoints_skipped = 144;
+  r.corrupt_batches_rejected = 145;
+  r.faults_injected = 146;
+  r.recovered_day = true;
+  r.ledger_appends = 147;
+  r.replay_units_skipped = 148;
+  r.orphans_gc = 149;  // never printed
+  r.stage_wall_micros = {{"train", 2500}, {"inference", 1234567}};
+  r.total_wall_micros = 3210987;
+  r.simulated_train_micros = 4500000;
+  r.slo_alerts_fired = 150;
+  r.slo_alerts_resolved = 151;
+  r.slo_objectives_firing = 8;
+  r.slo_json = "{}";
+  r.profile_json = "{}";
+  return r;
+}
+
+TEST(DailyReportTest, ToStringMatchesGolden) {
+  EXPECT_EQ(
+      GoldenReport().ToString(),
+      "full sweep: retailers=3 (new=2) models=17 mean_best_map=0.1235 "
+      "checkpoints=101 preemptions=102 restores=103 model_loads=104 "
+      "items=105 map_attempts=106 map_failures=107 reduce_attempts=108 "
+      "reduce_failures=109 quality_regressions=4 shard_bytes_moved=137 "
+      "sfs_retries=141 corruptions_detected=142 corruptions_healed=143 "
+      "corrupt_checkpoints_skipped=144 corrupt_batches_rejected=145 "
+      "faults_injected=146\n"
+      "  wall: total=3211.0ms train=2.5ms inference=1234.6ms "
+      "(simulated_train=4.5s)\n"
+      "  churn: evictions=110 grace_checkpoints=111 hard=112 "
+      "escalations=113 budget_exhausted=114 deadline_exceeded=115 "
+      "degraded_retailers=5 backups=116 backups_won=117 breaker_trips=118 "
+      "fallbacks_served=119\n"
+      "  rollout: canary_promotions=133 canary_rollbacks=134 "
+      "replica_cutovers=135 cutovers_skipped=136 failovers=120 "
+      "hedged_reads=121\n"
+      "  retrieval: indexes_built=6 promotions=127 rollbacks=128 "
+      "corrupt_rejected=129 requests(materialized=130 online_retrieval=131 "
+      "fallback=132)\n"
+      "  overload: shed=122 brownouts=123 hedges_suppressed=124 "
+      "retry_budget_exhausted=125 canary_ignored=126\n"
+      "  dataqual: quarantined=7 feed_quarantines=138 feed_warns=139 "
+      "releases=140\n"
+      "  ledger: appends=147 units_skipped=148 recovered=1\n"
+      "  slo: firing=8 fired=150 resolved=151");
+
+  // The wall, ledger and slo lines only print when they carry data.
+  const std::string zero_body =
+      "checkpoints=0 preemptions=0 restores=0 model_loads=0 items=0 "
+      "map_attempts=0 map_failures=0 reduce_attempts=0 reduce_failures=0 "
+      "quality_regressions=0 shard_bytes_moved=0 sfs_retries=0 "
+      "corruptions_detected=0 corruptions_healed=0 "
+      "corrupt_checkpoints_skipped=0 corrupt_batches_rejected=0 "
+      "faults_injected=0\n"
+      "  churn: evictions=0 grace_checkpoints=0 hard=0 escalations=0 "
+      "budget_exhausted=0 deadline_exceeded=0 degraded_retailers=0 "
+      "backups=0 backups_won=0 breaker_trips=0 fallbacks_served=0\n"
+      "  rollout: canary_promotions=0 canary_rollbacks=0 replica_cutovers=0 "
+      "cutovers_skipped=0 failovers=0 hedged_reads=0\n"
+      "  retrieval: indexes_built=0 promotions=0 rollbacks=0 "
+      "corrupt_rejected=0 requests(materialized=0 online_retrieval=0 "
+      "fallback=0)\n"
+      "  overload: shed=0 brownouts=0 hedges_suppressed=0 "
+      "retry_budget_exhausted=0 canary_ignored=0\n"
+      "  dataqual: quarantined=0 feed_quarantines=0 feed_warns=0 "
+      "releases=0";
+  DailyReport empty;
+  EXPECT_EQ(empty.ToString(),
+            "incremental sweep: retailers=0 (new=0) models=0 "
+            "mean_best_map=0.0000 " +
+                zero_body);
+  DailyReport recovered;
+  recovered.recovered_day = true;
+  recovered.mean_best_map = 0.5;
+  EXPECT_EQ(recovered.ToString(),
+            "incremental sweep: retailers=0 (new=0) models=0 "
+            "mean_best_map=0.5000 " +
+                zero_body +
+                "\n  ledger: appends=0 units_skipped=0 recovered=1");
+}
+
 TEST(RecommendationStoreTest, BatchLoadBumpsVersionAndSwapsAtomically) {
   serving::RecommendationStore store;
   EXPECT_EQ(store.RetailerVersion(1), 0);
@@ -285,7 +426,8 @@ TEST(RecommendationStoreTest, LoadFromFileRoundTrip) {
   sfs::MemFileSystem fs;
   std::string blob = MakeRecs(0).Serialize() + "\n" +
                      MakeRecs(1).Serialize() + "\n";
-  ASSERT_TRUE(fs.Write("recommendations/r1", blob).ok());
+  ASSERT_TRUE(
+      fs.Write("recommendations/r1", WriteChecksummedFrame(blob)).ok());
   ASSERT_TRUE(store.LoadRetailerFromFile(1, fs, "recommendations/r1").ok());
   auto recs = store.Lookup(1, 1, serving::RecommendationKind::kViewBased);
   ASSERT_TRUE(recs.ok());
