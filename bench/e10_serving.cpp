@@ -7,8 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "core/inference.h"
+#include "core/recommendation_batch.h"
 #include "serving/store.h"
 #include "serving/tiered_store.h"
 #include "sfs/mem_filesystem.h"
@@ -84,14 +86,43 @@ void BM_BatchLoadRetailer(benchmark::State& state) {
   const int items = static_cast<int>(state.range(0));
   auto recs = MakeRetailerRecs(items, 9);
   for (auto _ : state) {
-    auto copy = recs;
-    store.LoadRetailer(0, std::move(copy));
+    store.LoadRetailer(0, recs);
   }
   state.counters["items/s"] = benchmark::Counter(
       static_cast<double>(items) * state.iterations(),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchLoadRetailer)->Arg(1000)->Arg(10000)->Unit(
+    benchmark::kMillisecond);
+
+// The store side of a daily refresh: read a CRC-framed batch file, check
+// the frame, decode and validate the columns, and stage them as a new
+// version. The batch is what the inference job writes.
+void BM_StageRetailerFromFile(benchmark::State& state) {
+  const int items = static_cast<int>(state.range(0));
+  sfs::MemFileSystem fs;
+  if (!fs.Write("batch", WriteChecksummedFrame(
+                             core::RecommendationBatch::FromLists(
+                                 MakeRetailerRecs(items, 9))
+                                 .Encode()))
+           .ok()) {
+    state.SkipWithError("setup write failed");
+    return;
+  }
+  serving::RecommendationStore store;
+  for (auto _ : state) {
+    StatusOr<int64_t> version = store.StageRetailerFromFile(0, fs, "batch");
+    if (!version.ok()) {
+      state.SkipWithError("stage failed");
+      return;
+    }
+    benchmark::DoNotOptimize(version);
+  }
+  state.counters["items/s"] = benchmark::Counter(
+      static_cast<double>(items) * state.iterations(),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_StageRetailerFromFile)->Arg(1000)->Arg(10000)->Unit(
     benchmark::kMillisecond);
 
 // Two-tier store (§II-A "main-memory and flash"): lookup latency under a

@@ -12,6 +12,7 @@
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "core/inference.h"
+#include "core/recommendation_batch.h"
 #include "serving/replicated_store.h"
 #include "serving/store.h"
 #include "sfs/mem_filesystem.h"
@@ -38,17 +39,6 @@ std::vector<core::ItemRecommendations> MakeRetailerRecs(int items,
   return recs;
 }
 
-// A CRC-framed batch file, as the inference job writes it.
-std::string SerializeBatch(
-    const std::vector<core::ItemRecommendations>& batch) {
-  std::string blob;
-  for (const core::ItemRecommendations& recs : batch) {
-    blob += recs.Serialize();
-    blob += '\n';
-  }
-  return WriteChecksummedFrame(blob);
-}
-
 // Pointer-flip rollback: alternate the active version between the two
 // retained snapshots. Catalog size is the arg — the flat line across
 // 1k/10k/100k items is the point of the versioned store.
@@ -66,13 +56,18 @@ void BM_RollbackPointerFlip(benchmark::State& state) {
 }
 BENCHMARK(BM_RollbackPointerFlip)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// What rollback costs without retained versions: re-read + re-parse the
+// What rollback costs without retained versions: re-read + re-decode the
 // previous batch from the (in-memory!) shared filesystem. Real flash or
 // network storage only widens the gap.
 void BM_RollbackViaReload(benchmark::State& state) {
   const int items = static_cast<int>(state.range(0));
   sfs::MemFileSystem fs;
-  if (!fs.Write("v1", SerializeBatch(MakeRetailerRecs(items, 1))).ok()) {
+  // A CRC-framed batch file, as the inference job writes it.
+  if (!fs.Write("v1", WriteChecksummedFrame(
+                          core::RecommendationBatch::FromLists(
+                              MakeRetailerRecs(items, 1))
+                              .Encode()))
+           .ok()) {
     state.SkipWithError("setup write failed");
     return;
   }

@@ -29,7 +29,9 @@ struct ItemRecommendations {
   // inference job materialized them.
   std::vector<ScoredItem> view_based_late;
 
-  // Compact text encoding for MapReduce records / serving store values.
+  // Human-readable debug encoding ("query|id:score,...|...|..."; %.6g
+  // scores). No pipeline or serving path uses it: batches, mapper records
+  // and flash records are binary (core/recommendation_batch.h).
   std::string Serialize() const;
   static StatusOr<ItemRecommendations> Deserialize(const std::string& text);
 };

@@ -1256,12 +1256,10 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
          inference.metrics = metrics_;
          inference.tracer = tracer_;
          inference.clock = clock_;
-         auto recommendations =
+         StatusOr<std::vector<data::RetailerId>> written =
              InferenceJob(fs_, &registry_, inference).Run(serve_ids);
-         if (!recommendations.ok()) return recommendations.status();
-         for (const auto& [retailer, recs] : *recommendations) {
-           materialized_ids.push_back(retailer);
-         }
+         if (!written.ok()) return written.status();
+         materialized_ids = std::move(written).value();
          return JoinIds(materialized_ids);
        },
        .restore =

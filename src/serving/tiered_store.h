@@ -49,7 +49,8 @@ class TieredStore {
       : fs_(fs), options_(options) {}
 
   // Batch-loads one retailer: writes every item's recommendations to the
-  // flash tier (under a fresh per-retailer version directory) and pins
+  // flash tier as a per-item binary record (core::EncodeItemRecord),
+  // under a fresh per-retailer version directory, and pins
   // the top hot_fraction items by `popularity` (same length as the
   // catalog) in memory. Replaces any previous version and garbage-
   // collects the previous version's flash files, so repeated reloads keep

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/metrics.h"
+#include "core/recommendation_batch.h"
 #include "serving/replicated_store.h"
 #include "serving/store.h"
 #include "sfs/mem_filesystem.h"
@@ -44,12 +48,8 @@ std::vector<core::ItemRecommendations> MakeBatch(int num_items,
 // A CRC-framed batch file, as the inference job writes it.
 std::string SerializeBatch(
     const std::vector<core::ItemRecommendations>& batch) {
-  std::string blob;
-  for (const core::ItemRecommendations& recs : batch) {
-    blob += recs.Serialize();
-    blob += '\n';
-  }
-  return WriteChecksummedFrame(blob);
+  return WriteChecksummedFrame(
+      core::RecommendationBatch::FromLists(batch).Encode());
 }
 
 // SFS decorator counting every operation — proves rollback is a pure
@@ -230,10 +230,8 @@ TEST(VersionedStoreTest, StageFromFileKeepsPreviousVersionServing) {
 // and the live version keeps serving.
 TEST(VersionedStoreTest, UnframedBatchIsRejected) {
   sfs::MemFileSystem fs;
-  std::string unframed;
-  for (const core::ItemRecommendations& recs : MakeBatch(5, 2.0)) {
-    unframed += recs.Serialize() + "\n";
-  }
+  const std::string unframed =
+      core::RecommendationBatch::FromLists(MakeBatch(5, 2.0)).Encode();
   ASSERT_TRUE(fs.Write("unframed", unframed).ok());
   obs::MetricRegistry metrics;
   sfs::ReliableIoCounters io;
@@ -253,6 +251,97 @@ TEST(VersionedStoreTest, UnframedBatchIsRejected) {
   EXPECT_EQ(metrics.Snapshot().CounterValue("serving_batch_loads_total",
                                             {{"outcome", "rejected"}}),
             1);
+}
+
+// A CRC-valid batch whose payload breaks one rule of the batch format
+// must be rejected as kDataLoss, count one corruption, and leave the
+// previous version serving. `mutate` edits the payload of a good 5-item
+// batch (MakeBatch: 4 entries per item, 20 in all) before it is framed.
+void ExpectHostileBatchRejected(
+    const std::function<void(std::string*)>& mutate) {
+  std::string payload =
+      core::RecommendationBatch::FromLists(MakeBatch(5, 2.0)).Encode();
+  mutate(&payload);
+  sfs::MemFileSystem fs;
+  ASSERT_TRUE(fs.Write("hostile", WriteChecksummedFrame(payload)).ok());
+  sfs::ReliableIoCounters io;
+  RecommendationStore store;
+  store.LoadRetailer(1, MakeBatch(5, 1.0));
+
+  EXPECT_EQ(store.StageRetailerFromFile(1, fs, "hostile", {}, &io)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(io.corruptions_detected.load(), 1);
+  EXPECT_EQ(store.RetailerVersion(1), 1);
+  EXPECT_EQ(store.LatestVersion(1), 1);
+  auto list = store.Lookup(1, 0, RecommendationKind::kViewBased);
+  ASSERT_TRUE(list.ok());
+  EXPECT_DOUBLE_EQ((*list)[0].score, 1.0);
+}
+
+// Byte positions in a 5-item batch payload (DESIGN.md §7.1 layout).
+constexpr size_t kItemCountAt = 8;
+constexpr size_t kOffsetsAt = 16;
+constexpr size_t kIdsAt = kOffsetsAt + 4 * (3 * 5 + 1);
+constexpr size_t kScoresAt = kIdsAt + 4 * 20;
+
+template <typename T>
+void Poke(std::string* payload, size_t at, T value) {
+  std::memcpy(payload->data() + at, &value, sizeof(T));
+}
+
+TEST(VersionedStoreTest, HostileBatchItemCountDisagreeingWithSizeIsRejected) {
+  for (uint32_t n : {4u, 6u, 1000u, std::numeric_limits<uint32_t>::max()}) {
+    SCOPED_TRACE(n);
+    ExpectHostileBatchRejected(
+        [n](std::string* p) { Poke(p, kItemCountAt, n); });
+  }
+}
+
+TEST(VersionedStoreTest, HostileBatchBadOffsetsAreRejected) {
+  // Non-monotone: item 0's late-funnel list would end before it starts.
+  ExpectHostileBatchRejected(
+      [](std::string* p) { Poke<uint32_t>(p, kOffsetsAt + 4 * 3, 1); });
+  // Out of range: an offset past the entry count, then a huge one.
+  ExpectHostileBatchRejected(
+      [](std::string* p) { Poke<uint32_t>(p, kOffsetsAt + 4 * 15, 21); });
+  ExpectHostileBatchRejected([](std::string* p) {
+    Poke<uint32_t>(p, kOffsetsAt + 4 * 2,
+                   std::numeric_limits<uint32_t>::max());
+  });
+  // The table must start at zero.
+  ExpectHostileBatchRejected(
+      [](std::string* p) { Poke<uint32_t>(p, kOffsetsAt, 1); });
+}
+
+TEST(VersionedStoreTest, HostileBatchItemIdOutsideCatalogIsRejected) {
+  // Negative ids and ids near 2^31 included: none may reach a shard.
+  for (int32_t id : {-3, 5, std::numeric_limits<int32_t>::max(),
+                     std::numeric_limits<int32_t>::min()}) {
+    SCOPED_TRACE(id);
+    ExpectHostileBatchRejected(
+        [id](std::string* p) { Poke(p, kIdsAt + 4 * 7, id); });
+  }
+}
+
+TEST(VersionedStoreTest, HostileBatchNonFiniteScoreIsRejected) {
+  for (float score : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity(),
+                      -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(score);
+    ExpectHostileBatchRejected(
+        [score](std::string* p) { Poke(p, kScoresAt + 4 * 19, score); });
+  }
+}
+
+// The in-memory path indexes rows by query item, so a negative query is
+// a programming error, not data to serve.
+TEST(VersionedStoreDeathTest, NegativeQueryInMemoryBatchIsFatal) {
+  std::vector<core::ItemRecommendations> batch = MakeBatch(5, 1.0);
+  batch[2].query = -3;
+  RecommendationStore store;
+  EXPECT_DEATH(store.LoadRetailer(1, batch), "negative query item");
 }
 
 // --- Shared-lock swap invariant (TSan-covered) --------------------------------
