@@ -17,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "mapreduce/mapreduce.h"
+#include "tests/counter_total.h"
 
 using namespace sigmund;
 using mapreduce::Emitter;
@@ -71,12 +73,14 @@ struct RunResult {
 };
 
 RunResult RunOnce(bool speculate, double skew) {
+  obs::MetricRegistry metrics;
   MapReduceSpec spec;
   spec.num_map_tasks = kNumTasks;
   spec.num_reduce_tasks = 0;  // map-only: isolate the map-phase makespan
   spec.max_parallel_tasks = kNumTasks;
   spec.speculative_backups = speculate;
   spec.speculation_commit_fraction = 0.75;
+  spec.metrics = &metrics;
   std::atomic<int> task0_attempts{0};
   MapReduceJob job(
       spec,
@@ -98,9 +102,12 @@ RunResult RunOnce(bool speculate, double skew) {
   RunResult result;
   result.makespan_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
-  result.backup_attempts = job.stats().map_backup_attempts;
-  result.backups_won = job.stats().map_backups_won;
-  result.attempts_cancelled = job.stats().map_attempts_cancelled;
+  result.backup_attempts = testutil::CounterTotal(
+      metrics, "mapreduce_backup_attempts_total");
+  result.backups_won =
+      testutil::CounterTotal(metrics, "mapreduce_backups_won_total");
+  result.attempts_cancelled =
+      testutil::CounterTotal(metrics, "mapreduce_attempts_cancelled_total");
   return result;
 }
 

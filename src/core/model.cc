@@ -40,7 +40,8 @@ bool ReadFloats(const std::string& in, size_t* offset,
                 std::vector<float>* values) {
   uint64_t count = 0;
   if (!ReadValue(in, offset, &count)) return false;
-  if (*offset + count * sizeof(float) > in.size()) return false;
+  // Bounded by the bytes left, so a hostile count cannot wrap the sum.
+  if (count > (in.size() - *offset) / sizeof(float)) return false;
   values->resize(count);
   if (count > 0) {
     std::memcpy(values->data(), in.data() + *offset, count * sizeof(float));
@@ -266,7 +267,10 @@ StatusOr<BprModel> BprModel::Deserialize(const std::string& bytes,
         adagrad.size() != static_cast<size_t>(rows)) {
       return DataLossError("model table size mismatch");
     }
-    if (dim != 0 && dim != model.dim()) {
+    // A table is either absent (no rows, dim 0) or has the model's
+    // dimension; rows without a dimension carry no values to score with.
+    if (rows < 0 || (dim == 0 && rows != 0) ||
+        (dim != 0 && dim != model.dim())) {
       return DataLossError("model factor-dimension mismatch");
     }
     m->Resize(rows, dim == 0 ? model.dim() : dim);

@@ -32,33 +32,6 @@ std::unique_ptr<Reducer> IdentityReducer() {
   return std::make_unique<IdentityReducerImpl>();
 }
 
-void MapReduceJob::MirrorStatsToRegistry() {
-  if (spec_.metrics == nullptr) return;
-  const obs::Labels map_labels = {{"job", spec_.label}, {"phase", "map"}};
-  const obs::Labels reduce_labels = {{"job", spec_.label},
-                                     {"phase", "reduce"}};
-  spec_.metrics->GetCounter("mapreduce_task_attempts_total", map_labels)
-      ->Add(stats_.map_attempts);
-  spec_.metrics->GetCounter("mapreduce_task_failures_total", map_labels)
-      ->Add(stats_.map_failures);
-  spec_.metrics->GetCounter("mapreduce_backup_attempts_total", map_labels)
-      ->Add(stats_.map_backup_attempts);
-  spec_.metrics->GetCounter("mapreduce_backups_won_total", map_labels)
-      ->Add(stats_.map_backups_won);
-  spec_.metrics->GetCounter("mapreduce_attempts_cancelled_total", map_labels)
-      ->Add(stats_.map_attempts_cancelled);
-  spec_.metrics->GetCounter("mapreduce_task_attempts_total", reduce_labels)
-      ->Add(stats_.reduce_attempts);
-  spec_.metrics->GetCounter("mapreduce_task_failures_total", reduce_labels)
-      ->Add(stats_.reduce_failures);
-  spec_.metrics->GetCounter("mapreduce_records_total", {{"job", spec_.label},
-                                                        {"kind", "input"}})
-      ->Add(stats_.input_records);
-  spec_.metrics->GetCounter("mapreduce_records_total", {{"job", spec_.label},
-                                                        {"kind", "output"}})
-      ->Add(stats_.output_records);
-}
-
 std::vector<std::pair<int64_t, int64_t>> ComputeSplits(int64_t n, int pieces) {
   std::vector<std::pair<int64_t, int64_t>> splits;
   if (n <= 0 || pieces <= 0) return splits;
@@ -79,7 +52,9 @@ MapReduceJob::MapReduceJob(const MapReduceSpec& spec,
                            ReducerFactory reducer_factory)
     : spec_(spec),
       mapper_factory_(std::move(mapper_factory)),
-      reducer_factory_(std::move(reducer_factory)) {}
+      reducer_factory_(std::move(reducer_factory)) {
+  SIGCHECK(spec_.metrics != nullptr) << "MapReduceSpec::metrics is required";
+}
 
 StatusOr<std::vector<Record>> MapReduceJob::Run(
     const std::vector<Record>& input) {
@@ -89,33 +64,42 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   if (spec_.max_parallel_tasks <= 0) {
     return InvalidArgumentError("max_parallel_tasks must be positive");
   }
-  stats_ = MapReduceStats{};
-  stats_.input_records = static_cast<int64_t>(input.size());
-
-  // Observability hooks (no-ops when unset). Task latency is sampled on
-  // the worker threads; phase spans open/close on the calling thread.
-  obs::Histogram* map_task_micros = nullptr;
-  obs::Histogram* reduce_task_micros = nullptr;
-  const Clock* clock = nullptr;
-  if (spec_.metrics != nullptr) {
-    const obs::Labels map_labels = {{"job", spec_.label}, {"phase", "map"}};
-    const obs::Labels reduce_labels = {{"job", spec_.label},
-                                       {"phase", "reduce"}};
-    map_task_micros =
-        spec_.metrics->GetHistogram("mapreduce_task_micros", map_labels);
-    reduce_task_micros =
-        spec_.metrics->GetHistogram("mapreduce_task_micros", reduce_labels);
-    clock = spec_.clock != nullptr ? spec_.clock : RealClock::Get();
-  }
+  // The job's counters and latency histograms (see MapReduceSpec),
+  // looked up once and bumped where each event happens: on the worker
+  // threads for task attempts, here for record totals.
+  obs::MetricRegistry& metrics = *spec_.metrics;
+  const obs::Labels map_labels = {{"job", spec_.label}, {"phase", "map"}};
+  const obs::Labels reduce_labels = {{"job", spec_.label},
+                                     {"phase", "reduce"}};
+  obs::Counter* map_attempts =
+      metrics.GetCounter("mapreduce_task_attempts_total", map_labels);
+  obs::Counter* map_failures =
+      metrics.GetCounter("mapreduce_task_failures_total", map_labels);
+  obs::Counter* backup_attempts =
+      metrics.GetCounter("mapreduce_backup_attempts_total", map_labels);
+  obs::Counter* backups_won =
+      metrics.GetCounter("mapreduce_backups_won_total", map_labels);
+  obs::Counter* attempts_cancelled =
+      metrics.GetCounter("mapreduce_attempts_cancelled_total", map_labels);
+  obs::Counter* reduce_attempts =
+      metrics.GetCounter("mapreduce_task_attempts_total", reduce_labels);
+  obs::Counter* reduce_failures =
+      metrics.GetCounter("mapreduce_task_failures_total", reduce_labels);
+  auto records = [&](const char* kind) {
+    return metrics.GetCounter("mapreduce_records_total",
+                              {{"job", spec_.label}, {"kind", kind}});
+  };
+  obs::Counter* input_records = records("input");
+  obs::Counter* mapped_records = records("mapped");
+  obs::Counter* output_records = records("output");
+  obs::Histogram* map_task_micros =
+      metrics.GetHistogram("mapreduce_task_micros", map_labels);
+  obs::Histogram* reduce_task_micros =
+      metrics.GetHistogram("mapreduce_task_micros", reduce_labels);
+  const Clock* clock = spec_.clock != nullptr ? spec_.clock : RealClock::Get();
   const std::string span_prefix =
       "mapreduce" + (spec_.label.empty() ? "" : "/" + spec_.label);
-
-  // Mirror the final task counters into the registry exactly once per
-  // Run, on every exit path (including errors).
-  struct MirrorOnExit {
-    MapReduceJob* job;
-    ~MirrorOnExit() { job->MirrorStatsToRegistry(); }
-  } mirror_on_exit{this};
+  input_records->Add(static_cast<int64_t>(input.size()));
 
   const auto splits =
       ComputeSplits(static_cast<int64_t>(input.size()), spec_.num_map_tasks);
@@ -129,11 +113,6 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   std::vector<std::vector<Record>> map_outputs(num_tasks);
   std::mutex mu;
   Status first_error;
-  std::atomic<int64_t> attempts{0};
-  std::atomic<int64_t> failures{0};
-  std::atomic<int64_t> backup_attempts{0};
-  std::atomic<int64_t> backups_won{0};
-  std::atomic<int64_t> attempts_cancelled{0};
   // committed[t] is written under `mu` but read lock-free on the record
   // loop's cancellation fast path.
   std::unique_ptr<std::atomic<char>[]> committed(
@@ -167,9 +146,9 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
       if (speculate && committed[t].load(std::memory_order_acquire) != 0) {
         return;  // the other chain already won
       }
-      attempts.fetch_add(1);
-      if (is_backup) backup_attempts.fetch_add(1);
-      const int64_t attempt_start = clock != nullptr ? clock->NowMicros() : 0;
+      map_attempts->Add(1);
+      if (is_backup) backup_attempts->Add(1);
+      const int64_t attempt_start = clock->NowMicros();
       // Decide upfront whether this attempt gets "preempted"; if so, at
       // which fraction of its split (output up to there is discarded).
       const bool fail = rng.Bernoulli(spec_.map_task_failure_prob);
@@ -198,16 +177,14 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
       }
       if (s.ok() && !killed && !cancelled) s = mapper->Finish(emit);
 
-      if (map_task_micros != nullptr && clock != nullptr) {
-        map_task_micros->Observe(
-            static_cast<double>(clock->NowMicros() - attempt_start));
-      }
+      map_task_micros->Observe(
+          static_cast<double>(clock->NowMicros() - attempt_start));
       if (cancelled) {
-        attempts_cancelled.fetch_add(1);
+        attempts_cancelled->Add(1);
         return;  // buffer dropped; the winner's output stands
       }
       if (killed) {
-        failures.fetch_add(1);
+        map_failures->Add(1);
         continue;  // retry; buffer dropped
       }
       if (!s.ok()) {
@@ -224,7 +201,7 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
         committed[t].store(1, std::memory_order_release);
       }
       committed_count.fetch_add(1);
-      if (is_backup) backups_won.fetch_add(1);
+      if (is_backup) backups_won->Add(1);
       // Straggler detection: once enough of the phase has committed,
       // clone every still-uncommitted task (once).
       if (speculate && committed_count.load() >= speculation_trigger) {
@@ -257,16 +234,11 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   }
   pool.Wait();
   map_span.End();
-  stats_.map_attempts = attempts.load();
-  stats_.map_failures = failures.load();
-  stats_.map_backup_attempts = backup_attempts.load();
-  stats_.map_backups_won = backups_won.load();
-  stats_.map_attempts_cancelled = attempts_cancelled.load();
   if (!first_error.ok()) return first_error;
 
   int64_t mapped = 0;
   for (const auto& out : map_outputs) mapped += out.size();
-  stats_.mapped_records = mapped;
+  mapped_records->Add(mapped);
 
   // --- Map-only job: concatenate split outputs in order.
   if (spec_.num_reduce_tasks <= 0) {
@@ -275,7 +247,7 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
     for (auto& out : map_outputs) {
       for (Record& r : out) result.push_back(std::move(r));
     }
-    stats_.output_records = static_cast<int64_t>(result.size());
+    output_records->Add(static_cast<int64_t>(result.size()));
     return result;
   }
 
@@ -305,16 +277,13 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
     reduce_span = spec_.tracer->StartSpan(span_prefix + "/reduce");
   }
   std::vector<std::vector<Record>> reduce_outputs(r_tasks);
-  std::atomic<int64_t> reduce_attempts{0};
-  std::atomic<int64_t> reduce_failures{0};
   for (int p = 0; p < r_tasks; ++p) {
     pool.Schedule([&, p] {
       Rng rng(SplitMix64(spec_.seed) ^ (0x7ecau * static_cast<uint64_t>(p + 1)));
       const int64_t num_keys = static_cast<int64_t>(partitions[p].size());
       for (int attempt = 0; attempt < spec_.max_attempts_per_task; ++attempt) {
-        reduce_attempts.fetch_add(1);
-        const int64_t attempt_start =
-            clock != nullptr ? clock->NowMicros() : 0;
+        reduce_attempts->Add(1);
+        const int64_t attempt_start = clock->NowMicros();
         const bool fail = rng.Bernoulli(spec_.reduce_task_failure_prob);
         const double fail_frac = rng.UniformDouble();
         const int64_t kill_at = static_cast<int64_t>(num_keys * fail_frac);
@@ -336,12 +305,10 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
           ++key_index;
         }
 
-        if (reduce_task_micros != nullptr && clock != nullptr) {
-          reduce_task_micros->Observe(
-              static_cast<double>(clock->NowMicros() - attempt_start));
-        }
+        reduce_task_micros->Observe(
+            static_cast<double>(clock->NowMicros() - attempt_start));
         if (killed) {
-          reduce_failures.fetch_add(1);
+          reduce_failures->Add(1);
           continue;  // retry; buffer dropped
         }
         if (!s.ok()) {
@@ -365,8 +332,6 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   }
   pool.Wait();
   reduce_span.End();
-  stats_.reduce_attempts = reduce_attempts.load();
-  stats_.reduce_failures = reduce_failures.load();
   if (!first_error.ok()) return first_error;
 
   std::vector<Record> result;
@@ -375,7 +340,7 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   }
   std::stable_sort(result.begin(), result.end(),
                    [](const Record& a, const Record& b) { return a.key < b.key; });
-  stats_.output_records = static_cast<int64_t>(result.size());
+  output_records->Add(static_cast<int64_t>(result.size()));
   return result;
 }
 

@@ -104,11 +104,18 @@ struct MapReduceSpec {
 
   uint64_t seed = 42;
 
-  // --- Observability (all borrowed; null = off; never affects results).
-  // When `metrics` is set, Run() records per-task-attempt latency into
-  // mapreduce_task_micros{phase=map|reduce,job=<label>} and mirrors the
-  // attempt/failure counters into mapreduce_task_*_total{...}. When
-  // `tracer` is set, Run() wraps the map / shuffle / reduce phases in
+  // --- Observability (borrowed; never affects results). `metrics` is
+  // required: it is the only home of the job's counters, which Run() bumps
+  // as each event happens (DESIGN.md §5). Per {job=<label>, phase}:
+  //   mapreduce_task_attempts_total, mapreduce_task_failures_total, and
+  //   the mapreduce_task_micros latency histogram (phase=map|reduce);
+  //   mapreduce_backup_attempts_total (backups launched for stragglers),
+  //   mapreduce_backups_won_total (backups that committed first) and
+  //   mapreduce_attempts_cancelled_total (attempts that found their task
+  //   already committed and stopped mid-split), phase=map only.
+  // Per {job=<label>, kind}: mapreduce_records_total, kind=input (records
+  // fed in), mapped (emitted by committed map tasks) and output (returned).
+  // When `tracer` is set, Run() wraps the map / shuffle / reduce phases in
   // spans (children of whatever span is open on the calling thread).
   obs::MetricRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
@@ -116,24 +123,6 @@ struct MapReduceSpec {
   const Clock* clock = nullptr;
   // Job label for metric dimensions, e.g. "training" or "inference/cell0".
   std::string label;
-};
-
-// Execution statistics for a completed job.
-struct MapReduceStats {
-  int64_t map_attempts = 0;
-  int64_t map_failures = 0;
-  // Speculative-execution accounting: backup attempts launched for
-  // straggling map tasks, how many of those committed first, and attempts
-  // (primary or backup) that noticed the task was already committed and
-  // cancelled themselves mid-split.
-  int64_t map_backup_attempts = 0;
-  int64_t map_backups_won = 0;
-  int64_t map_attempts_cancelled = 0;
-  int64_t reduce_attempts = 0;
-  int64_t reduce_failures = 0;
-  int64_t input_records = 0;
-  int64_t mapped_records = 0;   // records emitted by the map phase
-  int64_t output_records = 0;   // records emitted by the reduce phase
 };
 
 // In-process MapReduce runtime. Deterministic given the spec seed.
@@ -144,6 +133,7 @@ struct MapReduceStats {
 //   StatusOr<std::vector<Record>> out = job.Run(input);
 class MapReduceJob {
  public:
+  // Aborts unless spec.metrics is set.
   MapReduceJob(const MapReduceSpec& spec, MapperFactory mapper_factory,
                ReducerFactory reducer_factory);
 
@@ -151,17 +141,10 @@ class MapReduceJob {
   // map-only job). Reduce output is sorted by key.
   StatusOr<std::vector<Record>> Run(const std::vector<Record>& input);
 
-  const MapReduceStats& stats() const { return stats_; }
-
  private:
-  // Adds this run's task counters to the spec's registry (no-op when
-  // observability is off). Called once per Run on every exit path.
-  void MirrorStatsToRegistry();
-
   MapReduceSpec spec_;
   MapperFactory mapper_factory_;
   ReducerFactory reducer_factory_;
-  MapReduceStats stats_;
 };
 
 // Splits [0, n) into `pieces` contiguous ranges as evenly as possible.

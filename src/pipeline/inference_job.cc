@@ -11,6 +11,7 @@
 #include "core/recommendation_batch.h"
 #include "pipeline/binpack.h"
 #include "pipeline/config_record.h"
+#include "sfs/reliable_io.h"
 
 namespace sigmund::pipeline {
 
@@ -28,19 +29,32 @@ struct LoadedRetailer {
   std::unique_ptr<core::InferenceEngine> engine;
 };
 
+// The job's counters (see InferenceJob::Options), looked up once per Run
+// and bumped by the mappers where each event happens.
+struct InferenceCounters {
+  explicit InferenceCounters(obs::MetricRegistry* metrics)
+      : model_loads(metrics->GetCounter("inference_model_loads_total")),
+        items_scored(metrics->GetCounter("inference_items_scored_total")),
+        model_load_micros(
+            metrics->GetHistogram("inference_model_load_micros")) {}
+
+  obs::Counter* model_loads;
+  obs::Counter* items_scored;
+  obs::Histogram* model_load_micros;
+};
+
 class InferenceMapper : public mapreduce::Mapper {
  public:
-  // `model_load_micros` is the optional model-load latency histogram
-  // (null = observability off).
+  // `counters` and `io` are shared by every map task of the run.
   InferenceMapper(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
                   const InferenceJob::Options* options,
-                  InferenceJob::Stats* stats,
-                  obs::Histogram* model_load_micros)
+                  const InferenceCounters* counters,
+                  sfs::ReliableIoCounters* io)
       : fs_(fs),
         registry_(registry),
         options_(options),
-        stats_(stats),
-        model_load_micros_(model_load_micros) {}
+        counters_(counters),
+        io_(io) {}
 
   Status Map(const mapreduce::Record& input,
              const mapreduce::Emitter& emit) override {
@@ -61,7 +75,7 @@ class InferenceMapper : public mapreduce::Mapper {
     // Encoded once, here: the job only concatenates these records.
     const core::ItemRecommendations recs =
         loaded_.engine->RecommendForItem(item, options_->inference);
-    stats_->items_scored.fetch_add(1);
+    counters_->items_scored->Add(1);
     emit(mapreduce::Record{input.key, core::EncodeItemRecord(recs)});
     return OkStatus();
   }
@@ -82,19 +96,15 @@ class InferenceMapper : public mapreduce::Mapper {
 
   Status LoadRetailer(data::RetailerId retailer) {
     // The configured clock keeps load-latency samples deterministic under
-    // SimClock; only consulted when the histogram is wired.
+    // SimClock.
     const Clock* clock =
-        model_load_micros_ != nullptr
-            ? (options_->clock != nullptr ? options_->clock
-                                          : RealClock::Get())
-            : nullptr;
-    const int64_t load_start =
-        clock != nullptr ? clock->NowMicros() : 0;
+        options_->clock != nullptr ? options_->clock : RealClock::Get();
+    const int64_t load_start = clock->NowMicros();
     StatusOr<const data::RetailerData*> data = registry_->Get(retailer);
     if (!data.ok()) return data.status();
 
     StatusOr<std::string> bytes = sfs::ReadChecksummedFile(
-        fs_, BestModelPath(retailer), options_->sfs_retry, &stats_->io);
+        fs_, BestModelPath(retailer), options_->sfs_retry, io_);
     if (!bytes.ok()) return bytes.status();
     StatusOr<core::BprModel> model =
         core::BprModel::Deserialize(*bytes, &(*data)->catalog);
@@ -117,23 +127,29 @@ class InferenceMapper : public mapreduce::Mapper {
         loaded_.repurchase.get());
     loaded_.engine = std::make_unique<core::InferenceEngine>(
         loaded_.model.get(), loaded_.selector.get());
-    stats_->model_loads.fetch_add(1);
-    if (model_load_micros_ != nullptr) {
-      model_load_micros_->Observe(
-          static_cast<double>(clock->NowMicros() - load_start));
-    }
+    counters_->model_loads->Add(1);
+    counters_->model_load_micros->Observe(
+        static_cast<double>(clock->NowMicros() - load_start));
     return OkStatus();
   }
 
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   const InferenceJob::Options* options_;
-  InferenceJob::Stats* stats_;
-  obs::Histogram* model_load_micros_;
+  const InferenceCounters* counters_;
+  sfs::ReliableIoCounters* io_;
   LoadedRetailer loaded_;
 };
 
 }  // namespace
+
+InferenceJob::InferenceJob(sfs::SharedFileSystem* fs,
+                           const RetailerRegistry* registry,
+                           const Options& options)
+    : fs_(fs), registry_(registry), options_(options) {
+  SIGCHECK(options_.metrics != nullptr)
+      << "InferenceJob::Options::metrics is required";
+}
 
 StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
     const std::vector<data::RetailerId>& retailers) {
@@ -141,18 +157,9 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
   if (options_.tracer != nullptr) {
     job_span = options_.tracer->StartSpan(options_.job_label);
   }
-  obs::Histogram* model_load_micros =
-      options_.metrics != nullptr
-          ? options_.metrics->GetHistogram("inference_model_load_micros")
-          : nullptr;
-  stats_.io.SetMetrics(options_.metrics, options_.clock);
-
-  // Mirror the final counters into the registry exactly once per Run, on
-  // every exit path (including errors).
-  struct MirrorOnExit {
-    InferenceJob* job;
-    ~MirrorOnExit() { job->MirrorStatsToRegistry(); }
-  } mirror_on_exit{this};
+  const InferenceCounters counters(options_.metrics);
+  sfs::ReliableIoCounters io;
+  io.SetMetrics(options_.metrics, options_.clock);
 
   // --- Partition retailers across cells, weighted by inventory size.
   std::vector<PackItem> items;
@@ -165,8 +172,6 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
       options_.use_first_fit_decreasing
           ? FirstFitDecreasing(items, options_.num_cells)
           : RoundRobinPack(items, options_.num_cells);
-  stats_.cell_weights.clear();
-  for (const auto& cell : cells) stats_.cell_weights.push_back(BinWeight(cell));
 
   // --- One MapReduce per cell; input contiguous per retailer. The
   // outputs stay alive until the batches are written: `records` views
@@ -207,20 +212,13 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
 
     mapreduce::MapReduceJob job(
         spec,
-        [this, model_load_micros] {
+        [this, &counters, &io] {
           return std::make_unique<InferenceMapper>(fs_, registry_, &options_,
-                                                   &stats_, model_load_micros);
+                                                   &counters, &io);
         },
         [] { return mapreduce::IdentityReducer(); });
     StatusOr<std::vector<mapreduce::Record>> output = job.Run(input);
     if (!output.ok()) return output.status();
-    stats_.mapreduce.map_attempts += job.stats().map_attempts;
-    stats_.mapreduce.map_failures += job.stats().map_failures;
-    stats_.mapreduce.reduce_attempts += job.stats().reduce_attempts;
-    stats_.mapreduce.reduce_failures += job.stats().reduce_failures;
-    stats_.mapreduce.input_records += job.stats().input_records;
-    stats_.mapreduce.mapped_records += job.stats().mapped_records;
-    stats_.mapreduce.output_records += job.stats().output_records;
 
     outputs.push_back(std::move(output).value());
     for (const mapreduce::Record& record : outputs.back()) {
@@ -247,18 +245,10 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
     // a torn recommendation batch.
     SIGMUND_RETURN_IF_ERROR(sfs::WriteChecksummedFile(
         fs_, RecommendationPath(retailer), batch->Encode(),
-        options_.sfs_retry, &stats_.io));
+        options_.sfs_retry, &io));
     materialized.push_back(retailer);
   }
   return materialized;
-}
-
-void InferenceJob::MirrorStatsToRegistry() {
-  if (options_.metrics == nullptr) return;
-  options_.metrics->GetCounter("inference_model_loads_total")
-      ->Add(stats_.model_loads.load());
-  options_.metrics->GetCounter("inference_items_scored_total")
-      ->Add(stats_.items_scored.load());
 }
 
 }  // namespace sigmund::pipeline

@@ -1,7 +1,6 @@
 #ifndef SIGMUND_PIPELINE_INFERENCE_JOB_H_
 #define SIGMUND_PIPELINE_INFERENCE_JOB_H_
 
-#include <atomic>
 #include <vector>
 
 #include "common/clock.h"
@@ -10,7 +9,6 @@
 #include "core/inference.h"
 #include "mapreduce/mapreduce.h"
 #include "pipeline/registry.h"
-#include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
 namespace sigmund::pipeline {
@@ -57,32 +55,26 @@ class InferenceJob {
     core::InferenceEngine::Options inference;
     uint64_t seed = 42;
 
-    // --- Observability (all borrowed; null = off; never affects
-    // results). When wired, Run() opens an "inference" span with one
-    // "inference/cell<i>" MapReduce per cell, records model-load latency
-    // into inference_model_load_micros, and mirrors the run's counters
-    // into inference_* totals. `clock` drives the latency samples
-    // (model loads, sfs_op_micros) so they are deterministic under
-    // SimClock; null = RealClock.
+    // --- Observability (all borrowed; never affects results). `metrics`
+    // is required: it is the only home of the job's counters. Mappers
+    // bump inference_model_loads_total and inference_items_scored_total
+    // as each model loads and each item is scored, and record model-load
+    // latency into inference_model_load_micros. Each cell runs one
+    // MapReduce labelled job=`job_label`/cell<i>, so its
+    // mapreduce_records_total{kind="input"} is the cell's item count.
+    // When `tracer` is set, Run() opens a `job_label` span. `clock`
+    // drives the latency samples (model loads, sfs_op_micros) so they
+    // are deterministic under SimClock; null = RealClock.
     obs::MetricRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
     const Clock* clock = nullptr;
     std::string job_label = "inference";
   };
 
-  struct Stats {
-    std::atomic<int64_t> model_loads{0};
-    std::atomic<int64_t> items_scored{0};
-    // Simulated per-cell work (sum of item counts) for makespan analysis.
-    std::vector<double> cell_weights;
-    // Retry + corruption counters for all SFS I/O done by the mappers.
-    sfs::ReliableIoCounters io;
-    mapreduce::MapReduceStats mapreduce;  // summed across cells
-  };
-
+  // `fs` and `registry` are borrowed. Aborts unless options.metrics is
+  // set.
   InferenceJob(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
-               const Options& options)
-      : fs_(fs), registry_(registry), options_(options) {}
+               const Options& options);
 
   // Materializes recommendations for all items of `retailers`, reading
   // each retailer's best model from BestModelPath(retailer), and writes
@@ -93,17 +85,10 @@ class InferenceJob {
   StatusOr<std::vector<data::RetailerId>> Run(
       const std::vector<data::RetailerId>& retailers);
 
-  const Stats& stats() const { return stats_; }
-
  private:
-  // Adds this run's counters to options_.metrics (no-op when
-  // observability is off). Called once per Run, success or failure.
-  void MirrorStatsToRegistry();
-
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   Options options_;
-  Stats stats_;
 };
 
 }  // namespace sigmund::pipeline

@@ -11,32 +11,87 @@
 #include "core/negative_sampler.h"
 #include "core/trainer.h"
 #include "pipeline/checkpoint.h"
+#include "sfs/reliable_io.h"
 
 namespace sigmund::pipeline {
 
 namespace {
 
+// The job's counters (see TrainingJob::Options), looked up once per Run
+// and bumped by the mappers where each event happens.
+struct TrainingCounters {
+  explicit TrainingCounters(obs::MetricRegistry* metrics)
+      : models_trained(metrics->GetCounter("training_models_trained_total")),
+        checkpoints_written(
+            metrics->GetCounter("training_checkpoints_written_total")),
+        preemptions(metrics->GetCounter("training_preemptions_total")),
+        restores(metrics->GetCounter("training_restores_total")),
+        epochs_recovered(
+            metrics->GetCounter("training_epochs_recovered_total")),
+        corrupt_checkpoints_skipped(metrics->GetCounter(
+            "training_corrupt_checkpoints_skipped_total")),
+        simulated_micros(
+            metrics->GetCounter("training_simulated_micros_total")),
+        evictions(metrics->GetCounter("training_evictions_total")),
+        eviction_grace_checkpoints(metrics->GetCounter(
+            "training_eviction_grace_checkpoints_total")),
+        hard_evictions(metrics->GetCounter("training_hard_evictions_total")),
+        priority_escalations(
+            metrics->GetCounter("training_priority_escalations_total")),
+        preemption_budget_exhausted(metrics->GetCounter(
+            "training_preemption_budget_exhausted_total")),
+        deadline_exceeded(
+            metrics->GetCounter("training_deadline_exceeded_total")),
+        degraded_records(
+            metrics->GetCounter("training_degraded_records_total")),
+        model_micros(
+            metrics->GetHistogram("training_model_simulated_micros")) {}
+
+  obs::Counter* models_trained;
+  obs::Counter* checkpoints_written;
+  obs::Counter* preemptions;
+  obs::Counter* restores;
+  // Epochs a resumed model did not redo thanks to its checkpoint.
+  obs::Counter* epochs_recovered;
+  obs::Counter* corrupt_checkpoints_skipped;
+  // Simulated training time summed over every model-training attempt
+  // (each map task runs its own SimClock).
+  obs::Counter* simulated_micros;
+  // Lease churn: revocations suffered, final checkpoints flushed inside
+  // the eviction-grace window, revocations that missed the window, and
+  // tasks escalated from preemptible to regular priority.
+  obs::Counter* evictions;
+  obs::Counter* eviction_grace_checkpoints;
+  obs::Counter* hard_evictions;
+  obs::Counter* priority_escalations;
+  // Degradation ladder: models whose preemption budget ran out, whose
+  // deadline passed, and output records marked degraded for any reason.
+  obs::Counter* preemption_budget_exhausted;
+  obs::Counter* deadline_exceeded;
+  obs::Counter* degraded_records;
+  obs::Histogram* model_micros;
+};
+
 // The Train() function of §IV-B, as a Mapper: one config record in, one
 // trained model in SFS + one output config record out.
 class TrainMapper : public mapreduce::Mapper {
  public:
-  // `model_micros` (simulated per-model training latency histogram) and
-  // `parent_span_id` wire observability; both are optional. Map tasks run
-  // on pool threads, so per-model spans attach to the job span by
-  // explicit parent id rather than the tracer's thread-local stack.
-  // `executor` (shared by every map task of the run) hands out the
-  // revocable machine leases each model trains under; never null, but
-  // inert unless churn is configured.
+  // `counters` and `io` are shared by every map task of the run. Map
+  // tasks run on pool threads, so per-model spans attach to the job span
+  // by explicit `parent_span_id` rather than the tracer's thread-local
+  // stack. `executor` (also shared) hands out the revocable machine
+  // leases each model trains under; never null, but inert unless churn
+  // is configured.
   TrainMapper(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
-              const TrainingJob::Options* options, TrainingJob::Stats* stats,
-              cluster::PreemptibleExecutor* executor,
-              obs::Histogram* model_micros, int64_t parent_span_id)
+              const TrainingJob::Options* options,
+              const TrainingCounters* counters, sfs::ReliableIoCounters* io,
+              cluster::PreemptibleExecutor* executor, int64_t parent_span_id)
       : fs_(fs),
         registry_(registry),
         options_(options),
-        stats_(stats),
+        counters_(counters),
+        io_(io),
         executor_(executor),
-        model_micros_(model_micros),
         parent_span_id_(parent_span_id) {}
 
   Status Map(const mapreduce::Record& input,
@@ -78,7 +133,7 @@ class TrainMapper : public mapreduce::Mapper {
     CheckpointManager checkpoints(
         fs_, &clock, CheckpointDir(record.retailer, record.model_number),
         options_->checkpoint_interval_seconds, options_->sfs_retry,
-        &stats_->io);
+        io_);
 
     core::BprModel model(catalog, record.params);
     int start_epoch = 0;
@@ -93,8 +148,8 @@ class TrainMapper : public mapreduce::Mapper {
         model = std::move(restored->model);
         model.ResizeForCatalog(&rng);
         start_epoch = restored->epoch + 1;
-        stats_->restored_from_checkpoint.fetch_add(1);
-        stats_->epochs_recovered.fetch_add(start_epoch);
+        counters_->restores->Add(1);
+        counters_->epochs_recovered->Add(start_epoch);
       } else {
         if (!restored.ok() &&
             restored.status().code() != StatusCode::kNotFound) {
@@ -105,7 +160,7 @@ class TrainMapper : public mapreduce::Mapper {
     } else if (record.warm_start && fs_->Exists(record.model_path)) {
       // Incremental run: warm-start from yesterday's model (§III-C3).
       StatusOr<std::string> bytes = sfs::ReadChecksummedFile(
-          fs_, record.model_path, options_->sfs_retry, &stats_->io);
+          fs_, record.model_path, options_->sfs_retry, io_);
       if (!bytes.ok() &&
           bytes.status().code() != StatusCode::kDataLoss) {
         return bytes.status();  // transient; task attempt retried
@@ -161,7 +216,7 @@ class TrainMapper : public mapreduce::Mapper {
       if (!budget_exhausted) {
         budget_exhausted = true;
         injection_disabled = true;
-        stats_->preemption_budget_exhausted.fetch_add(1);
+        counters_->preemption_budget_exhausted->Add(1);
       }
     };
     while (start_epoch < record.params.num_epochs) {
@@ -179,7 +234,7 @@ class TrainMapper : public mapreduce::Mapper {
               checkpoint_error = wrote.status();
               return false;
             }
-            if (*wrote) stats_->checkpoints_written.fetch_add(1);
+            if (*wrote) counters_->checkpoints_written->Add(1);
             // Deadline budget: a model that overruns its share of the
             // daily window stops here; the partial model is still
             // committed (availability) but the record is marked degraded
@@ -187,7 +242,7 @@ class TrainMapper : public mapreduce::Mapper {
             if (options_->per_model_deadline_seconds > 0.0 &&
                 clock.NowSeconds() >= options_->per_model_deadline_seconds) {
               deadline_hit = true;
-              stats_->deadline_exceeded.fetch_add(1);
+              counters_->deadline_exceeded->Add(1);
               return false;
             }
             // Lease revocation: the machine is going away. Caught inside
@@ -212,11 +267,15 @@ class TrainMapper : public mapreduce::Mapper {
                     Status flushed =
                         checkpoints.ForceCheckpoint(model, epoch);
                     if (flushed.ok()) {
-                      stats_->checkpoints_written.fetch_add(1);
-                      stats_->eviction_grace_checkpoints.fetch_add(1);
+                      counters_->checkpoints_written->Add(1);
+                      counters_->eviction_grace_checkpoints->Add(1);
                     }
                   }
-                  executor_->OnEviction(task_key, within_grace);
+                  counters_->evictions->Add(1);
+                  if (!within_grace) counters_->hard_evictions->Add(1);
+                  if (executor_->OnEviction(task_key, within_grace)) {
+                    counters_->priority_escalations->Add(1);
+                  }
                   evicted = true;
                   return false;
                 }
@@ -228,7 +287,7 @@ class TrainMapper : public mapreduce::Mapper {
               if (preemption_budget > 0) {
                 --preemption_budget;
                 preempted = true;
-                stats_->preemptions.fetch_add(1);
+                counters_->preemptions->Add(1);
                 return false;
               }
               note_budget_exhausted();
@@ -257,7 +316,7 @@ class TrainMapper : public mapreduce::Mapper {
       if (restored.ok()) {
         model = std::move(restored->model);
         start_epoch = restored->epoch + 1;
-        stats_->restored_from_checkpoint.fetch_add(1);
+        counters_->restores->Add(1);
       } else if (restored.status().code() == StatusCode::kNotFound) {
         model.InitRandom(&rng);
         start_epoch = 0;
@@ -288,14 +347,14 @@ class TrainMapper : public mapreduce::Mapper {
     // them visible, so a torn write can never publish a corrupt model.
     const std::string tmp = record.model_path + ".tmp";
     SIGMUND_RETURN_IF_ERROR(sfs::WriteChecksummedFile(
-        fs_, tmp, model.Serialize(), options_->sfs_retry, &stats_->io));
+        fs_, tmp, model.Serialize(), options_->sfs_retry, io_));
     SIGMUND_RETURN_IF_ERROR(
-        RetryWithPolicy(options_->sfs_retry, &stats_->io.retry, [&] {
+        RetryWithPolicy(options_->sfs_retry, &io_->retry, [&] {
           return fs_->Rename(tmp, record.model_path);
         }));
     SIGMUND_RETURN_IF_ERROR(checkpoints.Clear());
 
-    stats_->corrupt_checkpoints_skipped.fetch_add(
+    counters_->corrupt_checkpoints_skipped->Add(
         checkpoints.corrupt_checkpoints_detected());
     record.trained = true;
     // Degradation ladder, rung 1: the model shipped, but the training run
@@ -304,17 +363,15 @@ class TrainMapper : public mapreduce::Mapper {
     // when one exists.
     if (deadline_hit || budget_exhausted) {
       record.degraded = true;
-      stats_->degraded_records.fetch_add(1);
+      counters_->degraded_records->Add(1);
     }
     record.map_at_10 = metrics.map_at_k;
     record.auc = metrics.auc;
     record.epochs_run = start_epoch;
     record.sgd_steps = total_steps;
-    stats_->models_trained.fetch_add(1);
-    stats_->simulated_train_micros.fetch_add(clock.NowMicros());
-    if (model_micros_ != nullptr) {
-      model_micros_->Observe(static_cast<double>(clock.NowMicros()));
-    }
+    counters_->models_trained->Add(1);
+    counters_->simulated_micros->Add(clock.NowMicros());
+    counters_->model_micros->Observe(static_cast<double>(clock.NowMicros()));
     emit(mapreduce::Record{record.Key(), record.Serialize()});
     return OkStatus();
   }
@@ -323,13 +380,21 @@ class TrainMapper : public mapreduce::Mapper {
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   const TrainingJob::Options* options_;
-  TrainingJob::Stats* stats_;
+  const TrainingCounters* counters_;
+  sfs::ReliableIoCounters* io_;
   cluster::PreemptibleExecutor* executor_;
-  obs::Histogram* model_micros_;
   int64_t parent_span_id_;
 };
 
 }  // namespace
+
+TrainingJob::TrainingJob(sfs::SharedFileSystem* fs,
+                         const RetailerRegistry* registry,
+                         const Options& options)
+    : fs_(fs), registry_(registry), options_(options) {
+  SIGCHECK(options_.metrics != nullptr)
+      << "TrainingJob::Options::metrics is required";
+}
 
 StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
     const std::vector<ConfigRecord>& plan) {
@@ -337,11 +402,9 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   if (options_.tracer != nullptr) {
     job_span = options_.tracer->StartSpan(options_.job_label);
   }
-  obs::Histogram* model_micros =
-      options_.metrics != nullptr
-          ? options_.metrics->GetHistogram("training_model_simulated_micros")
-          : nullptr;
-  stats_.io.SetMetrics(options_.metrics, options_.clock);
+  const TrainingCounters counters(options_.metrics);
+  sfs::ReliableIoCounters io;
+  io.SetMetrics(options_.metrics, options_.clock);
 
   std::vector<mapreduce::Record> input;
   input.reserve(plan.size());
@@ -375,19 +438,13 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   const int64_t parent_span_id = job_span.id();
   mapreduce::MapReduceJob job(
       spec,
-      [this, &executor, model_micros, parent_span_id] {
+      [this, &counters, &io, &executor, parent_span_id] {
         return std::make_unique<TrainMapper>(fs_, registry_, &options_,
-                                             &stats_, &executor,
-                                             model_micros, parent_span_id);
+                                             &counters, &io, &executor,
+                                             parent_span_id);
       },
       [] { return mapreduce::IdentityReducer(); });
   StatusOr<std::vector<mapreduce::Record>> output = job.Run(input);
-  stats_.mapreduce = job.stats();  // populated even when the job failed
-  stats_.evictions.fetch_add(executor.stats().evictions.load());
-  stats_.hard_evictions.fetch_add(executor.stats().hard_evictions.load());
-  stats_.priority_escalations.fetch_add(
-      executor.stats().escalations.load());
-  MirrorStatsToRegistry();
   if (!output.ok()) return output.status();
 
   std::vector<ConfigRecord> results;
@@ -400,45 +457,12 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   return results;
 }
 
-void TrainingJob::MirrorStatsToRegistry() {
-  if (options_.metrics == nullptr) return;
-  obs::MetricRegistry* m = options_.metrics;
-  m->GetCounter("training_models_trained_total")
-      ->Add(stats_.models_trained.load());
-  m->GetCounter("training_checkpoints_written_total")
-      ->Add(stats_.checkpoints_written.load());
-  m->GetCounter("training_preemptions_total")
-      ->Add(stats_.preemptions.load());
-  m->GetCounter("training_restores_total")
-      ->Add(stats_.restored_from_checkpoint.load());
-  m->GetCounter("training_epochs_recovered_total")
-      ->Add(stats_.epochs_recovered.load());
-  m->GetCounter("training_corrupt_checkpoints_skipped_total")
-      ->Add(stats_.corrupt_checkpoints_skipped.load());
-  m->GetCounter("training_simulated_micros_total")
-      ->Add(stats_.simulated_train_micros.load());
-  m->GetCounter("training_evictions_total")->Add(stats_.evictions.load());
-  m->GetCounter("training_eviction_grace_checkpoints_total")
-      ->Add(stats_.eviction_grace_checkpoints.load());
-  m->GetCounter("training_hard_evictions_total")
-      ->Add(stats_.hard_evictions.load());
-  m->GetCounter("training_priority_escalations_total")
-      ->Add(stats_.priority_escalations.load());
-  m->GetCounter("training_preemption_budget_exhausted_total")
-      ->Add(stats_.preemption_budget_exhausted.load());
-  m->GetCounter("training_deadline_exceeded_total")
-      ->Add(stats_.deadline_exceeded.load());
-  m->GetCounter("training_degraded_records_total")
-      ->Add(stats_.degraded_records.load());
-}
-
 StatusOr<std::vector<ConfigRecord>> MultiCellTrainingJob::Run(
     const std::vector<ConfigRecord>& plan,
     const std::map<data::RetailerId, std::string>& data_homes) {
   if (options_.cells.empty()) {
     return InvalidArgumentError("MultiCellTrainingJob needs >= 1 cell");
   }
-  cell_reports_.clear();
 
   // Route each record to its retailer's data cell, preserving the plan's
   // (shuffled) order within each cell.
@@ -463,19 +487,6 @@ StatusOr<std::vector<ConfigRecord>> MultiCellTrainingJob::Run(
     StatusOr<std::vector<ConfigRecord>> results = job.Run(it->second);
     if (!results.ok()) return results.status();
     merged.insert(merged.end(), results->begin(), results->end());
-    const TrainingJob::Stats& stats = job.stats();
-    cell_reports_.push_back(CellReport{
-        cell, static_cast<int>(results->size()),
-        stats.checkpoints_written.load(),
-        stats.preemptions.load(),
-        stats.mapreduce.map_attempts,
-        stats.mapreduce.map_failures,
-        stats.mapreduce.reduce_attempts,
-        stats.mapreduce.reduce_failures,
-        stats.io.retry.retries.load(),
-        stats.io.corruptions_detected.load(),
-        stats.evictions.load(),
-        stats.priority_escalations.load()});
   }
   std::sort(merged.begin(), merged.end(),
             [](const ConfigRecord& a, const ConfigRecord& b) {

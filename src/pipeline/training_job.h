@@ -1,7 +1,6 @@
 #ifndef SIGMUND_PIPELINE_TRAINING_JOB_H_
 #define SIGMUND_PIPELINE_TRAINING_JOB_H_
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "mapreduce/mapreduce.h"
 #include "pipeline/config_record.h"
 #include "pipeline/registry.h"
-#include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
 namespace sigmund::pipeline {
@@ -90,52 +88,26 @@ class TrainingJob {
 
     uint64_t seed = 42;
 
-    // --- Observability (all borrowed; null = off; never affects
-    // training results). When wired, the job registers training_* counters
-    // and latency histograms in `metrics`, opens a `job_label` span with
-    // per-model child spans in `tracer`, and labels its MapReduce metrics
-    // with `job_label`. `clock` drives the sfs_op_micros latency samples
-    // so they are deterministic under SimClock; null = RealClock.
+    // --- Observability (all borrowed; never affects training results).
+    // `metrics` is required: it is the only home of the job's counters.
+    // Each event bumps its training_* counter as it happens (models
+    // trained, checkpoints written, preemptions, restores, evictions, the
+    // degradation-ladder rungs, ...), the job records per-model simulated
+    // latency into training_model_simulated_micros, its sfs I/O into the
+    // sfs_* series, and its MapReduce series carry job=`job_label`. When
+    // `tracer` is set, the job opens a `job_label` span with per-model
+    // child spans. `clock` drives the sfs_op_micros latency samples so
+    // they are deterministic under SimClock; null = RealClock.
     obs::MetricRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
     const Clock* clock = nullptr;
     std::string job_label = "training";
   };
 
-  // Counters aggregated across all map tasks and attempts.
-  struct Stats {
-    std::atomic<int64_t> models_trained{0};
-    std::atomic<int64_t> checkpoints_written{0};
-    std::atomic<int64_t> preemptions{0};
-    std::atomic<int64_t> restored_from_checkpoint{0};
-    std::atomic<int64_t> epochs_recovered{0};  // epochs NOT redone thanks
-                                               // to checkpoints
-    std::atomic<int64_t> corrupt_checkpoints_skipped{0};
-    // Lease churn: revocations suffered, final checkpoints flushed inside
-    // the eviction-grace window, revocations that missed the window, and
-    // tasks escalated from preemptible to regular priority.
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> eviction_grace_checkpoints{0};
-    std::atomic<int64_t> hard_evictions{0};
-    std::atomic<int64_t> priority_escalations{0};
-    // Degradation ladder: models whose preemption budget ran out, whose
-    // deadline passed, and output records marked degraded for any reason.
-    std::atomic<int64_t> preemption_budget_exhausted{0};
-    std::atomic<int64_t> deadline_exceeded{0};
-    std::atomic<int64_t> degraded_records{0};
-    // Total simulated training time across all model-training attempts
-    // (each map task runs its own SimClock; see
-    // Options::simulated_seconds_per_step).
-    std::atomic<int64_t> simulated_train_micros{0};
-    mapreduce::MapReduceStats mapreduce;
-    // Retry + corruption counters for all SFS I/O done by the mappers.
-    sfs::ReliableIoCounters io;
-  };
-
-  // `fs` and `registry` are borrowed.
+  // `fs` and `registry` are borrowed. Aborts unless options.metrics is
+  // set.
   TrainingJob(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
-              const Options& options)
-      : fs_(fs), registry_(registry), options_(options) {}
+              const Options& options);
 
   // Trains every record in `plan`; returns the output config records with
   // metrics filled, sorted by key. Models are written to each record's
@@ -143,17 +115,10 @@ class TrainingJob {
   StatusOr<std::vector<ConfigRecord>> Run(
       const std::vector<ConfigRecord>& plan);
 
-  const Stats& stats() const { return stats_; }
-
  private:
-  // Adds this run's counters to options_.metrics (no-op when
-  // observability is off). Called once per Run, success or failure.
-  void MirrorStatsToRegistry();
-
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   Options options_;
-  Stats stats_;
 };
 
 // Splits the training plan into one independent MapReduce per cell
@@ -162,27 +127,14 @@ class TrainingJob {
 // one for each data center"). Each config record runs in the cell that
 // holds its retailer's data shard (`data_homes`, from the
 // DataPlacementPlanner); records for unplaced retailers go to the first
-// cell.
+// cell. Each cell's job labels its series `per_cell.job_label + "/" +
+// cell`, so mapreduce_records_total{job="training/<cell>",kind="output"}
+// is the number of models the cell trained.
 class MultiCellTrainingJob {
  public:
   struct Options {
     std::vector<std::string> cells;  // must be non-empty
     TrainingJob::Options per_cell;
-  };
-
-  struct CellReport {
-    std::string cell;
-    int models_trained = 0;
-    int64_t checkpoints_written = 0;
-    int64_t preemptions = 0;
-    int64_t map_attempts = 0;
-    int64_t map_failures = 0;
-    int64_t reduce_attempts = 0;
-    int64_t reduce_failures = 0;
-    int64_t sfs_retries = 0;
-    int64_t corruptions_detected = 0;
-    int64_t evictions = 0;
-    int64_t priority_escalations = 0;
   };
 
   MultiCellTrainingJob(sfs::SharedFileSystem* fs,
@@ -196,15 +148,10 @@ class MultiCellTrainingJob {
       const std::vector<ConfigRecord>& plan,
       const std::map<data::RetailerId, std::string>& data_homes);
 
-  const std::vector<CellReport>& cell_reports() const {
-    return cell_reports_;
-  }
-
  private:
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   Options options_;
-  std::vector<CellReport> cell_reports_;
 };
 
 }  // namespace sigmund::pipeline

@@ -5,10 +5,12 @@
 
 #include "common/binary_io.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 
 #include "core/candidate_selector.h"
 #include "core/cooccurrence.h"
 #include "core/recommendation_batch.h"
+#include "counter_total.h"
 #include "data/world_generator.h"
 #include "pipeline/inference_job.h"
 #include "pipeline/sweep.h"
@@ -30,6 +32,8 @@ struct JobFixture {
   data::RetailerWorld r1 = generator.GenerateRetailer(1, 120);
   RetailerRegistry registry;
   sfs::MemFileSystem fs;
+  // Every job of a test counts into this registry (the jobs require one).
+  obs::MetricRegistry metrics;
 
   JobFixture() {
     registry.Upsert(&r0.data);
@@ -49,19 +53,30 @@ struct JobFixture {
     return planner.PlanFullSweep(registry);
   }
 
-  static TrainingJob::Options FastTraining() {
+  TrainingJob::Options FastTraining() {
     TrainingJob::Options options;
     options.num_map_tasks = 4;
     options.max_parallel_tasks = 2;
     options.checkpoint_interval_seconds = 0.0;  // off unless a test enables
+    options.metrics = &metrics;
     return options;
+  }
+
+  InferenceJob::Options Inference() {
+    InferenceJob::Options options;
+    options.metrics = &metrics;
+    return options;
+  }
+
+  int64_t Counter(std::string_view name, const obs::Labels& labels = {}) {
+    return testutil::CounterTotal(metrics, name, labels);
   }
 };
 
 TEST(TrainingJobTest, TrainsEveryRecordAndWritesModels) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob job(&f.fs, &f.registry, JobFixture::FastTraining());
+  TrainingJob job(&f.fs, &f.registry, f.FastTraining());
   StatusOr<std::vector<ConfigRecord>> results = job.Run(plan);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), plan.size());
@@ -79,24 +94,45 @@ TEST(TrainingJobTest, TrainsEveryRecordAndWritesModels) {
     ASSERT_TRUE(bytes.ok());
     EXPECT_TRUE(core::BprModel::Deserialize(*bytes, catalog).ok());
   }
-  EXPECT_EQ(job.stats().models_trained.load(),
+  EXPECT_EQ(f.Counter("training_models_trained_total"),
             static_cast<int64_t>(plan.size()));
   // No checkpoints requested, none written.
-  EXPECT_EQ(job.stats().checkpoints_written.load(), 0);
+  EXPECT_EQ(f.Counter("training_checkpoints_written_total"), 0);
 }
 
 TEST(TrainingJobTest, CheckpointsWrittenOnSimulatedInterval) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.checkpoint_interval_seconds = 60.0;
   // Make one epoch take ~100 simulated seconds so every epoch checkpoints.
   options.simulated_seconds_per_step = 100.0 / 400.0;
   TrainingJob job(&f.fs, &f.registry, options);
   ASSERT_TRUE(job.Run(plan).ok());
-  EXPECT_GT(job.stats().checkpoints_written.load(), 0);
+  EXPECT_GT(f.Counter("training_checkpoints_written_total"), 0);
   // Checkpoints are GCed after each successful model commit.
   EXPECT_TRUE(f.fs.List("checkpoints/")->empty());
+}
+
+// A job's counters are bumped as events happen, so a second Run of the
+// same job against the same registry adds exactly its own work.
+TEST(TrainingJobTest, SecondRunCountsOnlyItsOwnWork) {
+  JobFixture f;
+  std::vector<ConfigRecord> plan = f.SmallPlan();
+  TrainingJob::Options options = f.FastTraining();
+  options.checkpoint_interval_seconds = 60.0;
+  options.simulated_seconds_per_step = 100.0 / 400.0;
+  TrainingJob job(&f.fs, &f.registry, options);
+  ASSERT_TRUE(job.Run(plan).ok());
+  const int64_t models = f.Counter("training_models_trained_total");
+  const int64_t checkpoints = f.Counter("training_checkpoints_written_total");
+  EXPECT_EQ(models, static_cast<int64_t>(plan.size()));
+  EXPECT_GT(checkpoints, 0);
+
+  ASSERT_TRUE(job.Run(plan).ok());
+  EXPECT_EQ(f.Counter("training_models_trained_total"), 2 * models);
+  EXPECT_EQ(f.Counter("training_checkpoints_written_total"),
+            2 * checkpoints);
 }
 
 TEST(TrainingJobTest, MidTrainingPreemptionRecoversViaCheckpoints) {
@@ -104,7 +140,7 @@ TEST(TrainingJobTest, MidTrainingPreemptionRecoversViaCheckpoints) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 6;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.preemption_prob_per_epoch = 0.3;
   options.checkpoint_interval_seconds = 1.0;
   options.simulated_seconds_per_step = 1.0;  // checkpoint every epoch
@@ -115,9 +151,9 @@ TEST(TrainingJobTest, MidTrainingPreemptionRecoversViaCheckpoints) {
     EXPECT_TRUE(record.trained);
     EXPECT_EQ(record.epochs_run, 6);
   }
-  EXPECT_GT(job.stats().preemptions.load(), 0);
-  EXPECT_EQ(job.stats().restored_from_checkpoint.load(),
-            job.stats().preemptions.load());
+  EXPECT_GT(f.Counter("training_preemptions_total"), 0);
+  EXPECT_EQ(f.Counter("training_restores_total"),
+            f.Counter("training_preemptions_total"));
 }
 
 // A preempted model resumes from its checkpoint on the sample streams of
@@ -127,21 +163,21 @@ TEST(TrainingJobTest, PreemptedModelsMatchUninterruptedRunBytes) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 6;
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.checkpoint_interval_seconds = 1.0;
   options.simulated_seconds_per_step = 1.0;  // checkpoint every epoch
 
   TrainingJob clean(&f.fs, &f.registry, options);
   StatusOr<std::vector<ConfigRecord>> clean_results = clean.Run(plan);
   ASSERT_TRUE(clean_results.ok());
-  EXPECT_EQ(clean.stats().preemptions.load(), 0);
+  EXPECT_EQ(f.Counter("training_preemptions_total"), 0);
 
   sfs::MemFileSystem preempted_fs;
   options.preemption_prob_per_epoch = 0.3;
   TrainingJob preempted(&preempted_fs, &f.registry, options);
   StatusOr<std::vector<ConfigRecord>> preempted_results = preempted.Run(plan);
   ASSERT_TRUE(preempted_results.ok());
-  EXPECT_GT(preempted.stats().preemptions.load(), 0);
+  EXPECT_GT(f.Counter("training_preemptions_total"), 0);
 
   ASSERT_EQ(clean_results->size(), preempted_results->size());
   for (const ConfigRecord& record : *clean_results) {
@@ -172,7 +208,7 @@ TEST(TrainingJobTest, ChurnEvictsWithGraceCheckpointsAndFinishes) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 6;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.simulated_seconds_per_step = 1.0;  // 1 epoch ~ data size seconds
   // Aggressive churn: mean inter-eviction well under a model's training
   // time. The grace window spans a whole epoch, so the boundary check
@@ -190,14 +226,14 @@ TEST(TrainingJobTest, ChurnEvictsWithGraceCheckpointsAndFinishes) {
     EXPECT_EQ(record.epochs_run, 6);
     EXPECT_TRUE(f.fs.Exists(record.model_path));
   }
-  EXPECT_GT(job.stats().evictions.load(), 0);
+  EXPECT_GT(f.Counter("training_evictions_total"), 0);
   // Every eviction was caught in the grace window -> flushed a final
   // checkpoint and resumed from it (no hard evictions).
-  EXPECT_EQ(job.stats().eviction_grace_checkpoints.load(),
-            job.stats().evictions.load());
-  EXPECT_EQ(job.stats().hard_evictions.load(), 0);
-  EXPECT_EQ(job.stats().restored_from_checkpoint.load(),
-            job.stats().evictions.load());
+  EXPECT_EQ(f.Counter("training_eviction_grace_checkpoints_total"),
+            f.Counter("training_evictions_total"));
+  EXPECT_EQ(f.Counter("training_hard_evictions_total"), 0);
+  EXPECT_EQ(f.Counter("training_restores_total"),
+            f.Counter("training_evictions_total"));
   // Checkpoint GC still ran after each successful commit.
   EXPECT_TRUE(f.fs.List("checkpoints/")->empty());
 }
@@ -207,7 +243,7 @@ TEST(TrainingJobTest, ZeroGraceMeansHardEvictionsButTrainingSurvives) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 4;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.simulated_seconds_per_step = 1.0;
   options.checkpoint_interval_seconds = 1.0;  // periodic safety net
   options.churn.preemption_rate_per_hour = 30.0;
@@ -221,10 +257,10 @@ TEST(TrainingJobTest, ZeroGraceMeansHardEvictionsButTrainingSurvives) {
     EXPECT_TRUE(record.trained);
     EXPECT_EQ(record.epochs_run, 4);
   }
-  EXPECT_GT(job.stats().evictions.load(), 0);
-  EXPECT_EQ(job.stats().eviction_grace_checkpoints.load(), 0);
-  EXPECT_EQ(job.stats().hard_evictions.load(),
-            job.stats().evictions.load());
+  EXPECT_GT(f.Counter("training_evictions_total"), 0);
+  EXPECT_EQ(f.Counter("training_eviction_grace_checkpoints_total"), 0);
+  EXPECT_EQ(f.Counter("training_hard_evictions_total"),
+            f.Counter("training_evictions_total"));
 }
 
 TEST(TrainingJobTest, RelentlessChurnEscalatesTasksToRegularPriority) {
@@ -232,7 +268,7 @@ TEST(TrainingJobTest, RelentlessChurnEscalatesTasksToRegularPriority) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 4;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.simulated_seconds_per_step = 1.0;
   // Mean inter-eviction far below one epoch: every lease is revoked at
   // the first boundary check, so without escalation nothing would finish
@@ -250,8 +286,8 @@ TEST(TrainingJobTest, RelentlessChurnEscalatesTasksToRegularPriority) {
     // Escalation (not budget exhaustion) is what saved these models.
     EXPECT_FALSE(record.degraded);
   }
-  EXPECT_GT(job.stats().priority_escalations.load(), 0);
-  EXPECT_EQ(job.stats().preemption_budget_exhausted.load(), 0);
+  EXPECT_GT(f.Counter("training_priority_escalations_total"), 0);
+  EXPECT_EQ(f.Counter("training_preemption_budget_exhausted_total"), 0);
 }
 
 TEST(TrainingJobTest, ChurnTrainingIsDeterministic) {
@@ -259,7 +295,7 @@ TEST(TrainingJobTest, ChurnTrainingIsDeterministic) {
     JobFixture f;
     std::vector<ConfigRecord> plan = f.SmallPlan();
     for (ConfigRecord& record : plan) record.params.num_epochs = 5;
-    TrainingJob::Options options = JobFixture::FastTraining();
+    TrainingJob::Options options = f.FastTraining();
     options.simulated_seconds_per_step = 1.0;
     options.checkpoint_interval_seconds = 2.0;
     options.churn.preemption_rate_per_hour = 30.0;
@@ -270,7 +306,7 @@ TEST(TrainingJobTest, ChurnTrainingIsDeterministic) {
     StatusOr<std::vector<ConfigRecord>> results = job.Run(plan);
     EXPECT_TRUE(results.ok());
     return std::make_pair(Fingerprint(*results),
-                          job.stats().evictions.load());
+                          f.Counter("training_evictions_total"));
   };
   auto [first, first_evictions] = run();
   auto [second, second_evictions] = run();
@@ -287,7 +323,7 @@ TEST(TrainingJobTest, PreemptionBudgetExhaustionMarksRecordsDegraded) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 6;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.preemption_prob_per_epoch = 1.0;  // every epoch tries to kill
   options.preemption_budget = 2;
   options.checkpoint_interval_seconds = 1.0;
@@ -302,9 +338,9 @@ TEST(TrainingJobTest, PreemptionBudgetExhaustionMarksRecordsDegraded) {
     EXPECT_TRUE(record.degraded);
     EXPECT_EQ(record.epochs_run, 6);
   }
-  EXPECT_EQ(job.stats().preemption_budget_exhausted.load(),
+  EXPECT_EQ(f.Counter("training_preemption_budget_exhausted_total"),
             static_cast<int64_t>(plan.size()));
-  EXPECT_EQ(job.stats().degraded_records.load(),
+  EXPECT_EQ(f.Counter("training_degraded_records_total"),
             static_cast<int64_t>(plan.size()));
 }
 
@@ -313,7 +349,7 @@ TEST(TrainingJobTest, DeadlineStopsTrainingButCommitsPartialModel) {
   std::vector<ConfigRecord> plan = f.SmallPlan();
   for (ConfigRecord& record : plan) record.params.num_epochs = 8;
 
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.simulated_seconds_per_step = 1.0;  // 1 epoch ~ data size seconds
   // Deadline inside the training run: a few epochs fit, eight do not.
   options.per_model_deadline_seconds = 700.0;
@@ -331,34 +367,38 @@ TEST(TrainingJobTest, DeadlineStopsTrainingButCommitsPartialModel) {
     }
   }
   EXPECT_GT(degraded, 0);
-  EXPECT_GT(job.stats().deadline_exceeded.load(), 0);
-  EXPECT_EQ(job.stats().degraded_records.load(), degraded);
+  EXPECT_GT(f.Counter("training_deadline_exceeded_total"), 0);
+  EXPECT_EQ(f.Counter("training_degraded_records_total"), degraded);
 }
 
 TEST(TrainingJobTest, MapTaskFailuresRetrySuccessfully) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.map_task_failure_prob = 0.4;
   options.max_attempts_per_task = 30;
   TrainingJob job(&f.fs, &f.registry, options);
   StatusOr<std::vector<ConfigRecord>> results = job.Run(plan);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), plan.size());
-  EXPECT_GT(job.stats().mapreduce.map_failures, 0);
+  EXPECT_GT(f.Counter("mapreduce_task_failures_total",
+                      {{"job", "training"}, {"phase", "map"}}),
+            0);
 }
 
 TEST(TrainingJobTest, ReduceTaskFailuresRetrySuccessfully) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.reduce_task_failure_prob = 0.4;
   options.max_attempts_per_task = 30;
   TrainingJob job(&f.fs, &f.registry, options);
   StatusOr<std::vector<ConfigRecord>> results = job.Run(plan);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), plan.size());
-  EXPECT_GT(job.stats().mapreduce.reduce_failures, 0);
+  EXPECT_GT(f.Counter("mapreduce_task_failures_total",
+                      {{"job", "training"}, {"phase", "reduce"}}),
+            0);
   // Failed attempts discard their buffers: output is still exactly-once.
   std::set<std::string> keys;
   for (const ConfigRecord& record : *results) {
@@ -369,21 +409,25 @@ TEST(TrainingJobTest, ReduceTaskFailuresRetrySuccessfully) {
 TEST(TrainingJobTest, ReduceTaskAttemptExhaustionFailsJob) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob::Options options = JobFixture::FastTraining();
+  TrainingJob::Options options = f.FastTraining();
   options.reduce_task_failure_prob = 1.0;  // every attempt killed
   options.max_attempts_per_task = 3;
   TrainingJob job(&f.fs, &f.registry, options);
   StatusOr<std::vector<ConfigRecord>> results = job.Run(plan);
   ASSERT_FALSE(results.ok());
   EXPECT_EQ(results.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(job.stats().mapreduce.reduce_attempts, 3);
-  EXPECT_EQ(job.stats().mapreduce.reduce_failures, 3);
+  EXPECT_EQ(f.Counter("mapreduce_task_attempts_total",
+                      {{"job", "training"}, {"phase", "reduce"}}),
+            3);
+  EXPECT_EQ(f.Counter("mapreduce_task_failures_total",
+                      {{"job", "training"}, {"phase", "reduce"}}),
+            3);
 }
 
 TEST(TrainingJobTest, WarmStartRecordUsesStoredModel) {
   JobFixture f;
   std::vector<ConfigRecord> plan = f.SmallPlan();
-  TrainingJob job1(&f.fs, &f.registry, JobFixture::FastTraining());
+  TrainingJob job1(&f.fs, &f.registry, f.FastTraining());
   StatusOr<std::vector<ConfigRecord>> day1 = job1.Run(plan);
   ASSERT_TRUE(day1.ok());
 
@@ -394,7 +438,7 @@ TEST(TrainingJobTest, WarmStartRecordUsesStoredModel) {
     record.trained = false;
     record.params.num_epochs = 1;
   }
-  TrainingJob job2(&f.fs, &f.registry, JobFixture::FastTraining());
+  TrainingJob job2(&f.fs, &f.registry, f.FastTraining());
   StatusOr<std::vector<ConfigRecord>> day2 = job2.Run(incremental);
   ASSERT_TRUE(day2.ok());
 
@@ -417,8 +461,20 @@ TEST(TrainingJobTest, MissingRetailerFailsJob) {
   ConfigRecord record;
   record.retailer = 99;
   record.model_path = ModelPath(99, 0);
-  TrainingJob job(&f.fs, &f.registry, JobFixture::FastTraining());
+  TrainingJob job(&f.fs, &f.registry, f.FastTraining());
   EXPECT_EQ(job.Run({record}).status().code(), StatusCode::kNotFound);
+}
+
+// The registry is the only home of a job's counters, so a job cannot be
+// built without one.
+TEST(JobsDeathTest, JobsRequireAMetricsRegistry) {
+  JobFixture f;
+  EXPECT_DEATH(
+      { TrainingJob job(&f.fs, &f.registry, TrainingJob::Options{}); },
+      "metrics is required");
+  EXPECT_DEATH(
+      { InferenceJob job(&f.fs, &f.registry, InferenceJob::Options{}); },
+      "metrics is required");
 }
 
 // --- InferenceJob -----------------------------------------------------------
@@ -462,7 +518,7 @@ core::RecommendationBatch ReadBatch(const sfs::MemFileSystem& fs,
 
 TEST(InferenceJobTest, MaterializesEveryItemOfEveryRetailer) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.inference.top_k = 5;
   InferenceJob job(&f.fs, &f.registry, options);
   auto results = job.Run({0, 1});
@@ -477,47 +533,67 @@ TEST(InferenceJobTest, MaterializesEveryItemOfEveryRetailer) {
   // whose record went missing would show up as an unlisted row.
   EXPECT_EQ(ReadBatch(f.fs, 0).num_listed_items(), 60);
   EXPECT_EQ(ReadBatch(f.fs, 1).num_listed_items(), 120);
-  EXPECT_EQ(job.stats().mapreduce.output_records, 180);
-  EXPECT_EQ(job.stats().items_scored.load(), 180);
+  EXPECT_EQ(f.Counter("mapreduce_records_total",
+                      {{"job", "inference/cell0"}, {"kind", "output"}}),
+            180);
+  EXPECT_EQ(f.Counter("inference_items_scored_total"), 180);
 }
 
 TEST(InferenceJobTest, ModelLoadsBoundedBySplitBoundaries) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.map_tasks_per_cell = 3;
   InferenceJob job(&f.fs, &f.registry, options);
   ASSERT_TRUE(job.Run({0, 1}).ok());
   // Each map task loads a model at most (1 + #retailer boundaries in its
   // split) times: total <= retailers + map_tasks - 1... with contiguous
   // per-retailer input, loads <= retailers + tasks.
-  EXPECT_GE(job.stats().model_loads.load(), 2);
-  EXPECT_LE(job.stats().model_loads.load(), 2 + 3);
+  EXPECT_GE(f.Counter("inference_model_loads_total"), 2);
+  EXPECT_LE(f.Counter("inference_model_loads_total"), 2 + 3);
+}
+
+TEST(InferenceJobTest, SecondRunCountsOnlyItsOwnWork) {
+  InferenceFixture f;
+  InferenceJob job(&f.fs, &f.registry, f.Inference());
+  ASSERT_TRUE(job.Run({0, 1}).ok());
+  const int64_t loads = f.Counter("inference_model_loads_total");
+  const int64_t scored = f.Counter("inference_items_scored_total");
+  EXPECT_GE(loads, 2);
+  EXPECT_EQ(scored, 180);
+
+  ASSERT_TRUE(job.Run({0, 1}).ok());
+  EXPECT_EQ(f.Counter("inference_model_loads_total"), 2 * loads);
+  EXPECT_EQ(f.Counter("inference_items_scored_total"), 2 * scored);
 }
 
 TEST(InferenceJobTest, CellWeightsReflectBinPacking) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.num_cells = 2;
   InferenceJob job(&f.fs, &f.registry, options);
   ASSERT_TRUE(job.Run({0, 1}).ok());
-  ASSERT_EQ(job.stats().cell_weights.size(), 2u);
-  // FFD: big retailer (120) alone in one cell, small (60) in the other.
-  double a = job.stats().cell_weights[0];
-  double b = job.stats().cell_weights[1];
-  EXPECT_DOUBLE_EQ(std::max(a, b), 120.0);
-  EXPECT_DOUBLE_EQ(std::min(a, b), 60.0);
+  // FFD: big retailer (120) alone in one cell, small (60) in the other. A
+  // cell's MapReduce input is one record per item it materializes.
+  auto cell_items = [&f](const char* cell) {
+    return f.Counter("mapreduce_records_total",
+                     {{"job", cell}, {"kind", "input"}});
+  };
+  const int64_t a = cell_items("inference/cell0");
+  const int64_t b = cell_items("inference/cell1");
+  EXPECT_EQ(std::max(a, b), 120);
+  EXPECT_EQ(std::min(a, b), 60);
 }
 
 TEST(InferenceJobTest, MissingBestModelFails) {
   JobFixture f;  // no best models written
-  InferenceJob job(&f.fs, &f.registry, {});
+  InferenceJob job(&f.fs, &f.registry, f.Inference());
   EXPECT_FALSE(job.Run({0}).ok());
 }
 
 
 TEST(InferenceJobTest, MapFailuresRetriedWithExactlyOnceOutput) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.inference.top_k = 5;
   options.map_tasks_per_cell = 4;
   options.map_task_failure_prob = 0.4;
@@ -528,7 +604,9 @@ TEST(InferenceJobTest, MapFailuresRetriedWithExactlyOnceOutput) {
   // Exactly one recommendation record per item despite retries: the
   // committed map output holds one record per item, and the batch build
   // fails on a missing or duplicated query record.
-  EXPECT_EQ(job.stats().mapreduce.output_records, 180);
+  EXPECT_EQ(f.Counter("mapreduce_records_total",
+                      {{"job", "inference/cell0"}, {"kind", "output"}}),
+            180);
   EXPECT_EQ(ReadBatch(f.fs, 0).num_items(), 60);
   EXPECT_EQ(ReadBatch(f.fs, 1).num_items(), 120);
   EXPECT_EQ(ReadBatch(f.fs, 0).num_listed_items(), 60);
@@ -537,7 +615,7 @@ TEST(InferenceJobTest, MapFailuresRetriedWithExactlyOnceOutput) {
 
 TEST(InferenceJobTest, RecommendationsParseAndRespectTopK) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.inference.top_k = 4;
   InferenceJob job(&f.fs, &f.registry, options);
   auto results = job.Run({0});
@@ -562,7 +640,7 @@ TEST(InferenceJobTest, RecommendationsParseAndRespectTopK) {
 // the ranked double. The engine is built the way the mapper builds it.
 TEST(InferenceJobTest, ServedListsEqualRankedListsAtF32) {
   InferenceFixture f;
-  InferenceJob::Options options;
+  InferenceJob::Options options = f.Inference();
   options.inference.top_k = 5;
   options.inference.materialize_late_funnel = true;
   ASSERT_TRUE(InferenceJob(&f.fs, &f.registry, options).Run({0}).ok());

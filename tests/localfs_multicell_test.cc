@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "counter_total.h"
 #include "data/world_generator.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/sweep.h"
@@ -122,6 +124,7 @@ struct MultiCellFixture {
   data::RetailerWorld r2 = generator.GenerateRetailer(2, 60);
   pipeline::RetailerRegistry registry;
   sfs::MemFileSystem fs;
+  obs::MetricRegistry metrics;
 
   MultiCellFixture() {
     registry.Upsert(&r0.data);
@@ -149,6 +152,7 @@ TEST(MultiCellTrainingJobTest, RoutesByDataHomeAndMergesResults) {
   options.per_cell.num_map_tasks = 2;
   options.per_cell.max_parallel_tasks = 1;
   options.per_cell.checkpoint_interval_seconds = 0;
+  options.per_cell.metrics = &f.metrics;
   pipeline::MultiCellTrainingJob job(&f.fs, &f.registry, options);
 
   std::map<data::RetailerId, std::string> homes = {
@@ -166,13 +170,14 @@ TEST(MultiCellTrainingJobTest, RoutesByDataHomeAndMergesResults) {
   for (size_t i = 1; i < results->size(); ++i) {
     EXPECT_LT((*results)[i - 1].Key(), (*results)[i].Key());
   }
-  // Per-cell reports: cell-a trained retailers 0 and 2 (4 models),
-  // cell-b trained retailer 1 (2 models).
-  ASSERT_EQ(job.cell_reports().size(), 2u);
-  EXPECT_EQ(job.cell_reports()[0].cell, "cell-a");
-  EXPECT_EQ(job.cell_reports()[0].models_trained, 4);
-  EXPECT_EQ(job.cell_reports()[1].cell, "cell-b");
-  EXPECT_EQ(job.cell_reports()[1].models_trained, 2);
+  // Per-cell series: cell-a trained retailers 0 and 2 (4 models), cell-b
+  // trained retailer 1 (2 models); each model is one output record.
+  auto models_trained = [&f](const std::string& job_label) {
+    return testutil::CounterTotal(f.metrics, "mapreduce_records_total",
+                                  {{"job", job_label}, {"kind", "output"}});
+  };
+  EXPECT_EQ(models_trained("training/cell-a"), 4);
+  EXPECT_EQ(models_trained("training/cell-b"), 2);
 }
 
 TEST(MultiCellTrainingJobTest, MatchesSingleJobResults) {
@@ -183,6 +188,7 @@ TEST(MultiCellTrainingJobTest, MatchesSingleJobResults) {
   single_options.num_map_tasks = 2;
   single_options.max_parallel_tasks = 1;
   single_options.checkpoint_interval_seconds = 0;
+  single_options.metrics = &f.metrics;
   pipeline::TrainingJob single(&f.fs, &f.registry, single_options);
   auto single_results = single.Run(plan);
   ASSERT_TRUE(single_results.ok());

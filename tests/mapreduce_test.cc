@@ -11,6 +11,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "counter_total.h"
 #include "mapreduce/mapreduce.h"
 
 namespace sigmund::mapreduce {
@@ -69,6 +70,22 @@ std::vector<Record> WordInput() {
   return {{"1", "a b a"}, {"2", "b c"}, {"3", "a"}};
 }
 
+// Jobs count into a registry (MapReduceSpec::metrics is required); tests
+// read the counters back by series name.
+class MapReduceTest : public ::testing::Test {
+ protected:
+  MapReduceSpec Spec() {
+    MapReduceSpec spec;
+    spec.metrics = &metrics_;
+    return spec;
+  }
+  int64_t Counter(std::string_view name, const obs::Labels& labels) const {
+    return testutil::CounterTotal(metrics_, name, labels);
+  }
+
+  obs::MetricRegistry metrics_;
+};
+
 TEST(ComputeSplitsTest, EvenAndUneven) {
   auto splits = ComputeSplits(10, 2);
   ASSERT_EQ(splits.size(), 2u);
@@ -96,8 +113,8 @@ TEST(ComputeSplitsTest, EmptyInput) {
   EXPECT_TRUE(ComputeSplits(0, 4).empty());
 }
 
-TEST(MapReduceTest, WordCount) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, WordCount) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 2;
   spec.num_reduce_tasks = 2;
   spec.max_parallel_tasks = 2;
@@ -111,13 +128,13 @@ TEST(MapReduceTest, WordCount) {
   EXPECT_EQ(counts["a"], "3");
   EXPECT_EQ(counts["b"], "2");
   EXPECT_EQ(counts["c"], "1");
-  EXPECT_EQ(job.stats().input_records, 3);
-  EXPECT_EQ(job.stats().mapped_records, 6);
-  EXPECT_EQ(job.stats().output_records, 3);
+  EXPECT_EQ(Counter("mapreduce_records_total", {{"kind", "input"}}), 3);
+  EXPECT_EQ(Counter("mapreduce_records_total", {{"kind", "mapped"}}), 6);
+  EXPECT_EQ(Counter("mapreduce_records_total", {{"kind", "output"}}), 3);
 }
 
-TEST(MapReduceTest, OutputSortedByKey) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, OutputSortedByKey) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 3;
   spec.num_reduce_tasks = 4;
   spec.max_parallel_tasks = 2;
@@ -131,8 +148,8 @@ TEST(MapReduceTest, OutputSortedByKey) {
   }
 }
 
-TEST(MapReduceTest, MapOnlyJobPreservesSplitOrder) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, MapOnlyJobPreservesSplitOrder) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 3;
   spec.num_reduce_tasks = 0;  // map-only
   spec.max_parallel_tasks = 3;
@@ -155,8 +172,8 @@ TEST(MapReduceTest, MapOnlyJobPreservesSplitOrder) {
   }
 }
 
-TEST(MapReduceTest, LifecycleHooksRunPerTask) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, LifecycleHooksRunPerTask) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 4;
   spec.num_reduce_tasks = 0;
   spec.max_parallel_tasks = 1;
@@ -173,8 +190,8 @@ TEST(MapReduceTest, LifecycleHooksRunPerTask) {
   EXPECT_EQ(finishes, 4);
 }
 
-TEST(MapReduceTest, UserErrorFailsJob) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, UserErrorFailsJob) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 2;
   spec.num_reduce_tasks = 1;
   spec.max_parallel_tasks = 2;
@@ -186,8 +203,8 @@ TEST(MapReduceTest, UserErrorFailsJob) {
   EXPECT_EQ(out.status().code(), StatusCode::kInternal);
 }
 
-TEST(MapReduceTest, InjectedFailuresAreRetriedToSuccess) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, InjectedFailuresAreRetriedToSuccess) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 5;
   spec.num_reduce_tasks = 1;
   spec.max_parallel_tasks = 2;
@@ -205,13 +222,15 @@ TEST(MapReduceTest, InjectedFailuresAreRetriedToSuccess) {
   ASSERT_EQ(out->size(), 1u);
   EXPECT_EQ((*out)[0].key, "w");
   EXPECT_EQ((*out)[0].value, "50");
-  EXPECT_GT(job.stats().map_failures, 0);
-  EXPECT_EQ(job.stats().map_attempts,
-            job.stats().map_failures + spec.num_map_tasks);
+  const int64_t failures =
+      Counter("mapreduce_task_failures_total", {{"phase", "map"}});
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "map"}}),
+            failures + spec.num_map_tasks);
 }
 
-TEST(MapReduceTest, CertainFailureExhaustsAttempts) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, CertainFailureExhaustsAttempts) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 1;
   spec.num_reduce_tasks = 1;
   spec.max_parallel_tasks = 1;
@@ -223,11 +242,11 @@ TEST(MapReduceTest, CertainFailureExhaustsAttempts) {
   auto out = job.Run({{"1", "a"}});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(job.stats().map_attempts, 3);
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "map"}}), 3);
 }
 
-TEST(MapReduceTest, ReduceFailuresAreRetriedToSuccess) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, ReduceFailuresAreRetriedToSuccess) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 2;
   spec.num_reduce_tasks = 4;
   spec.max_parallel_tasks = 2;
@@ -250,13 +269,15 @@ TEST(MapReduceTest, ReduceFailuresAreRetriedToSuccess) {
   }
   ASSERT_EQ(counts.size(), 10u);
   for (const auto& [key, value] : counts) EXPECT_EQ(value, "4") << key;
-  EXPECT_GT(job.stats().reduce_failures, 0);
-  EXPECT_EQ(job.stats().reduce_attempts,
-            job.stats().reduce_failures + spec.num_reduce_tasks);
+  const int64_t failures =
+      Counter("mapreduce_task_failures_total", {{"phase", "reduce"}});
+  EXPECT_GT(failures, 0);
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "reduce"}}),
+            failures + spec.num_reduce_tasks);
 }
 
-TEST(MapReduceTest, CertainReduceFailureExhaustsAttempts) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, CertainReduceFailureExhaustsAttempts) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 1;
   spec.num_reduce_tasks = 1;
   spec.max_parallel_tasks = 1;
@@ -268,12 +289,14 @@ TEST(MapReduceTest, CertainReduceFailureExhaustsAttempts) {
   auto out = job.Run({{"1", "a"}});
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(job.stats().reduce_attempts, 3);
-  EXPECT_EQ(job.stats().reduce_failures, 3);
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "reduce"}}),
+            3);
+  EXPECT_EQ(Counter("mapreduce_task_failures_total", {{"phase", "reduce"}}),
+            3);
 }
 
-TEST(MapReduceTest, InvalidSpecRejected) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, InvalidSpecRejected) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 0;
   MapReduceJob job(
       spec, [] { return std::make_unique<TokenMapper>(); },
@@ -281,8 +304,18 @@ TEST(MapReduceTest, InvalidSpecRejected) {
   EXPECT_EQ(job.Run({}).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MapReduceTest, EmptyInputProducesEmptyOutput) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, RequiresAMetricsRegistry) {
+  EXPECT_DEATH(
+      {
+        MapReduceJob job(
+            MapReduceSpec{}, [] { return std::make_unique<TokenMapper>(); },
+            [] { return IdentityReducer(); });
+      },
+      "metrics is required");
+}
+
+TEST_F(MapReduceTest, EmptyInputProducesEmptyOutput) {
+  MapReduceSpec spec = Spec();
   MapReduceJob job(
       spec, [] { return std::make_unique<TokenMapper>(); },
       [] { return std::make_unique<SumReducer>(); });
@@ -292,10 +325,9 @@ TEST(MapReduceTest, EmptyInputProducesEmptyOutput) {
 }
 
 // Regression: task-latency observation must tolerate a null spec.clock on
-// both the map and the reduce path. With metrics on, the runtime falls
-// back to RealClock; the guard inside the attempt loops must mirror the
-// guard on attempt_start so a refactor can never null-deref mid-attempt.
-TEST(MapReduceTest, TaskLatencyObservedWithDefaultAndSimClock) {
+// both the map and the reduce path: the runtime falls back to RealClock,
+// so a refactor can never null-deref mid-attempt.
+TEST_F(MapReduceTest, TaskLatencyObservedWithDefaultAndSimClock) {
   for (const bool use_sim_clock : {false, true}) {
     SimClock sim;
     obs::MetricRegistry registry;
@@ -316,11 +348,15 @@ TEST(MapReduceTest, TaskLatencyObservedWithDefaultAndSimClock) {
     const obs::HistogramSnapshot* map_hist =
         snapshot.FindHistogram("mapreduce_task_micros", {{"phase", "map"}});
     ASSERT_NE(map_hist, nullptr);
-    EXPECT_EQ(map_hist->count, job.stats().map_attempts);
+    EXPECT_EQ(map_hist->count,
+              testutil::CounterTotal(registry, "mapreduce_task_attempts_total",
+                                     {{"phase", "map"}}));
     const obs::HistogramSnapshot* reduce_hist = snapshot.FindHistogram(
         "mapreduce_task_micros", {{"phase", "reduce"}});
     ASSERT_NE(reduce_hist, nullptr);
-    EXPECT_EQ(reduce_hist->count, job.stats().reduce_attempts);
+    EXPECT_EQ(reduce_hist->count,
+              testutil::CounterTotal(registry, "mapreduce_task_attempts_total",
+                                     {{"phase", "reduce"}}));
   }
 }
 
@@ -351,8 +387,8 @@ class StragglerMapper : public Mapper {
   bool straggle_ = false;
 };
 
-TEST(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 4;
   spec.num_reduce_tasks = 0;
   spec.max_parallel_tasks = 4;
@@ -371,15 +407,15 @@ TEST(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
   ASSERT_TRUE(out.ok());
   // Exactly-once output despite two attempt chains racing on task 0.
   EXPECT_EQ(out->size(), 32u);
-  EXPECT_GE(job.stats().map_backup_attempts, 1);
-  EXPECT_GE(job.stats().map_backups_won, 1);
+  EXPECT_GE(Counter("mapreduce_backup_attempts_total", {}), 1);
+  EXPECT_GE(Counter("mapreduce_backups_won_total", {}), 1);
   // The straggling primary noticed the backup's commit and cancelled.
-  EXPECT_GE(job.stats().map_attempts_cancelled, 1);
+  EXPECT_GE(Counter("mapreduce_attempts_cancelled_total", {}), 1);
 }
 
-TEST(MapReduceTest, SpeculationPreservesResultsAndExactlyOnce) {
-  auto run = [](bool speculate) {
-    MapReduceSpec spec;
+TEST_F(MapReduceTest, SpeculationPreservesResultsAndExactlyOnce) {
+  auto run = [this](bool speculate) {
+    MapReduceSpec spec = Spec();
     spec.num_map_tasks = 6;
     spec.num_reduce_tasks = 2;
     spec.max_parallel_tasks = 4;
@@ -404,8 +440,8 @@ TEST(MapReduceTest, SpeculationPreservesResultsAndExactlyOnce) {
   EXPECT_EQ(run(false), run(true));
 }
 
-TEST(MapReduceTest, SpeculationOffLaunchesNoBackups) {
-  MapReduceSpec spec;
+TEST_F(MapReduceTest, SpeculationOffLaunchesNoBackups) {
+  MapReduceSpec spec = Spec();
   spec.num_map_tasks = 4;
   spec.num_reduce_tasks = 0;
   spec.max_parallel_tasks = 4;
@@ -414,18 +450,22 @@ TEST(MapReduceTest, SpeculationOffLaunchesNoBackups) {
       [] { return IdentityReducer(); });
   std::vector<Record> input(16, Record{"k", "v"});
   ASSERT_TRUE(job.Run(input).ok());
-  EXPECT_EQ(job.stats().map_backup_attempts, 0);
-  EXPECT_EQ(job.stats().map_backups_won, 0);
-  EXPECT_EQ(job.stats().map_attempts_cancelled, 0);
+  EXPECT_EQ(Counter("mapreduce_backup_attempts_total", {}), 0);
+  EXPECT_EQ(Counter("mapreduce_backups_won_total", {}), 0);
+  EXPECT_EQ(Counter("mapreduce_attempts_cancelled_total", {}), 0);
 }
 
 // Property: results identical regardless of task/parallelism configuration.
 class MapReduceConfigTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {
+ protected:
+  obs::MetricRegistry metrics_;
+};
 
 TEST_P(MapReduceConfigTest, WordCountInvariantToPartitioning) {
   auto [map_tasks, reduce_tasks, parallel] = GetParam();
   MapReduceSpec spec;
+  spec.metrics = &metrics_;
   spec.num_map_tasks = map_tasks;
   spec.num_reduce_tasks = reduce_tasks;
   spec.max_parallel_tasks = parallel;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -249,6 +250,60 @@ TEST(BprModelTest, DeserializeRejectsGarbage) {
   std::string bytes = model.Serialize();
   bytes.resize(bytes.size() / 2);  // truncated
   EXPECT_FALSE(BprModel::Deserialize(bytes, &world.catalog).ok());
+}
+
+// Appends `value`'s bytes, as BprModel::Serialize lays them out.
+template <typename T>
+void PutRaw(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Byte offset of the first (item) table in a serialized model: after the
+// magic, the version, the params length and the params text.
+size_t ItemTableOffset(const std::string& bytes) {
+  uint64_t params_size = 0;
+  std::memcpy(&params_size, bytes.data() + 8, sizeof(params_size));
+  return 16 + params_size;
+}
+
+// The model codec sits inside a CRC frame, so these hostile tables model
+// a writer bug or a forged file, not bit rot.
+TEST(ModelTest, DeserializeRejectsRowsWithZeroDim) {
+  TestWorld world;
+  const std::string bytes =
+      BprModel(&world.catalog, SmallParams()).Serialize();
+  const size_t table = ItemTableOffset(bytes);
+  int32_t rows = 0, dim = 0;
+  std::memcpy(&rows, bytes.data() + table, sizeof(rows));
+  std::memcpy(&dim, bytes.data() + table + 4, sizeof(dim));
+  ASSERT_EQ(rows, 4);
+  ASSERT_EQ(dim, 4);
+  const size_t table_size = 8 + (8 + sizeof(float) * rows * dim) +
+                            (8 + sizeof(float) * rows);
+
+  // The same item rows and Adagrad accumulators, but no dimension and so
+  // no embedding values: every size check holds.
+  std::string hostile = bytes.substr(0, table);
+  PutRaw<int32_t>(&hostile, rows);
+  PutRaw<int32_t>(&hostile, 0);
+  PutRaw<uint64_t>(&hostile, 0);
+  PutRaw<uint64_t>(&hostile, rows);
+  for (int32_t r = 0; r < rows; ++r) PutRaw<float>(&hostile, 0.0f);
+  hostile += bytes.substr(table + table_size);
+
+  EXPECT_EQ(BprModel::Deserialize(hostile, &world.catalog).status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(ModelTest, DeserializeRejectsOverflowingFloatCount) {
+  TestWorld world;
+  std::string hostile = BprModel(&world.catalog, SmallParams()).Serialize();
+  // count * sizeof(float) wraps to 0, so an unguarded bounds check passes.
+  const uint64_t count = uint64_t{1} << 62;
+  std::memcpy(hostile.data() + ItemTableOffset(hostile) + 8, &count,
+              sizeof(count));
+  EXPECT_EQ(BprModel::Deserialize(hostile, &world.catalog).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(BprModelTest, ResizeForCatalogGrowsItemTables) {
