@@ -1,13 +1,14 @@
 // E10: Lightweight serving (§II-A, §V of the paper) — all computation
 // happens offline; serving is an in-memory lookup of materialized lists,
 // batch-updated per retailer. Measures lookup latency, context-serving
-// latency, and batch-load throughput.
+// latency, batch-load throughput, and the CRC-32 under every durable frame.
 //
 // google-benchmark binary.
 
 #include <benchmark/benchmark.h>
 
 #include "common/binary_io.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "core/inference.h"
 #include "core/recommendation_batch.h"
@@ -124,6 +125,21 @@ void BM_StageRetailerFromFile(benchmark::State& state) {
 }
 BENCHMARK(BM_StageRetailerFromFile)->Arg(1000)->Arg(10000)->Unit(
     benchmark::kMillisecond);
+
+// The checksum under every durable frame, alone: CRC-32 over a buffer of
+// the given size in bytes. 1.7 MB is the size of the 10000-item batch
+// frame BM_StageRetailerFromFile reads.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(11);
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (char& ch : data) ch = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(data.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1700 << 10);
 
 // Two-tier store (§II-A "main-memory and flash"): lookup latency under a
 // Zipf-ish access pattern, by pinned hot fraction (arg = hot percent).

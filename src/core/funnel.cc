@@ -1,6 +1,6 @@
 #include "core/funnel.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace sigmund::core {
 
@@ -20,8 +20,9 @@ FunnelStage ClassifyFunnelStage(const Context& context,
   const int n = static_cast<int>(context.size());
   const int start = std::max(0, n - options.window);
 
-  std::unordered_map<data::ItemIndex, int> item_views;
-  std::unordered_map<data::CategoryId, int> category_events;
+  // The window holds at most `window` entries (8 by default), so counting
+  // each entry's earlier repeats by a linear scan is cheaper than building
+  // maps, and allocates nothing on the serving path.
   for (int j = start; j < n; ++j) {
     const ContextEntry& entry = context[j];
     // A cart (or conversion) means the purchase decision is essentially
@@ -30,12 +31,22 @@ FunnelStage ClassifyFunnelStage(const Context& context,
         entry.action == data::ActionType::kConversion) {
       return FunnelStage::kLate;
     }
-    if (++item_views[entry.item] >= options.min_repeat_views) {
+    int item_views = 1;
+    for (int i = start; i < j; ++i) {
+      if (context[i].item == entry.item) ++item_views;
+    }
+    if (item_views >= options.min_repeat_views) {
       return FunnelStage::kLate;
     }
     if (catalog != nullptr) {
-      data::CategoryId category = catalog->item(entry.item).category;
-      if (++category_events[category] >= options.min_category_focus) {
+      const data::CategoryId category = catalog->item(entry.item).category;
+      int category_events = 1;
+      for (int i = start; i < j; ++i) {
+        if (catalog->item(context[i].item).category == category) {
+          ++category_events;
+        }
+      }
+      if (category_events >= options.min_category_focus) {
         return FunnelStage::kLate;
       }
     }

@@ -27,14 +27,20 @@ inline double SquaredL2(const float* a, const float* b, int dim) {
 
 // Keeps the best k (score desc, item asc) out of a candidate stream.
 // Candidates arrive in no particular item order (ANN probes lists), so
-// the final sort enforces the deterministic order the interface promises.
+// the partial sort enforces the deterministic order the interface
+// promises. The comparator is a total order over distinct items, so the
+// first k are exactly those of a full sort.
 void SortAndTruncate(std::vector<core::ScoredItem>* items, int k) {
-  std::sort(items->begin(), items->end(),
-            [](const core::ScoredItem& a, const core::ScoredItem& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
-  if (static_cast<int>(items->size()) > k) items->resize(k);
+  const size_t keep =
+      std::min(static_cast<size_t>(std::max(k, 0)), items->size());
+  std::partial_sort(items->begin(),
+                    items->begin() + static_cast<std::ptrdiff_t>(keep),
+                    items->end(),
+                    [](const core::ScoredItem& a, const core::ScoredItem& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.item < b.item;
+                    });
+  items->resize(keep);
 }
 
 }  // namespace
@@ -155,28 +161,32 @@ std::vector<core::ScoredItem> AnnIndex::Search(const float* query, int k,
         Dot(query, centroids_.data() + static_cast<size_t>(c) * dim_, dim_),
         c);
   }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<double, int>& a,
-               const std::pair<double, int>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
+  // Only the probed lists need ranking; the rest stay unordered.
   const int probes = std::max(1, std::min(nprobe, num_lists_));
+  std::partial_sort(ranked.begin(), ranked.begin() + probes, ranked.end(),
+                    [](const std::pair<double, int>& a,
+                       const std::pair<double, int>& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
 
-  std::vector<core::ScoredItem> items;
   int64_t scanned = 0;
   for (int p = 0; p < probes; ++p) {
     const int c = ranked[p].second;
-    const int32_t begin = list_offsets_[c];
-    const int32_t end = list_offsets_[c + 1];
-    for (int32_t slot = begin; slot < end; ++slot) {
+    scanned += list_offsets_[c + 1] - list_offsets_[c];
+  }
+  std::vector<core::ScoredItem> items;
+  items.reserve(static_cast<size_t>(scanned));
+  for (int p = 0; p < probes; ++p) {
+    const int c = ranked[p].second;
+    for (int32_t slot = list_offsets_[c]; slot < list_offsets_[c + 1];
+         ++slot) {
       items.push_back(
           {static_cast<data::ItemIndex>(list_ids_[slot]),
            Dot(query,
                list_vectors_.data() + static_cast<size_t>(slot) * dim_,
                dim_)});
     }
-    scanned += end - begin;
   }
   if (stats != nullptr) {
     stats->lists_probed = probes;

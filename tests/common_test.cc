@@ -1,3 +1,4 @@
+#include <array>
 #include <atomic>
 #include <set>
 #include <string>
@@ -312,6 +313,73 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   crc = Crc32Update(crc, data.substr(0, 10));
   crc = Crc32Update(crc, data.substr(10));
   EXPECT_EQ(Crc32Finalize(crc), Crc32(data));
+}
+
+// The byte-at-a-time table loop Crc32Update used before slicing-by-8: the
+// reference every fast-path result must match bit for bit.
+uint32_t ReferenceCrc32Update(uint32_t crc, std::string_view data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (char ch : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+uint32_t ReferenceCrc32(std::string_view data) {
+  return Crc32Finalize(ReferenceCrc32Update(kCrc32Init, data));
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string bytes(n, '\0');
+  for (char& ch : bytes) ch = static_cast<char>(rng->Uniform(256));
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesReferenceForEveryLengthAndAlignment) {
+  Rng rng(17);
+  const std::string buffer = RandomBytes(&rng, 1100 + 8);
+  // Every start offset 0..7 makes the 8-byte block loads unaligned, and
+  // every length 0..1100 exercises every tail length.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdatesAtRandomSplitsMatchReference) {
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string data = RandomBytes(&rng, rng.Uniform(4096));
+    const uint32_t want = ReferenceCrc32(data);
+    // Cut the buffer at random points and chain Crc32Update over the pieces.
+    uint32_t crc = kCrc32Init;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t piece = 1 + rng.Uniform(data.size() - pos);
+      crc = Crc32Update(crc, std::string_view(data).substr(pos, piece));
+      pos += piece;
+    }
+    ASSERT_EQ(Crc32Finalize(crc), want) << "trial " << trial;
+  }
+}
+
+TEST(Crc32Test, SixteenMegabyteBufferMatchesReference) {
+  Rng rng(29);
+  const std::string data = RandomBytes(&rng, 16u << 20);
+  EXPECT_EQ(Crc32(data), ReferenceCrc32(data));
 }
 
 // --- Checksummed frames -----------------------------------------------------

@@ -1,5 +1,10 @@
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/funnel.h"
 #include "core/inference.h"
 #include "data/world_generator.h"
@@ -62,6 +67,77 @@ TEST(FunnelTest, CategoryFocusRequiresCatalog) {
   Context context = Views({0, 1, 2, 3, 4, 5});
   EXPECT_EQ(ClassifyFunnelStage(context, nullptr, {}), FunnelStage::kEarly);
   EXPECT_EQ(ClassifyFunnelStage(context, &catalog, {}), FunnelStage::kLate);
+}
+
+// The hash-map classifier ClassifyFunnelStage used before its linear scan:
+// the reference the scan must agree with on every input.
+FunnelStage ReferenceFunnelStage(const Context& context,
+                                 const data::Catalog* catalog,
+                                 const FunnelOptions& options) {
+  const int n = static_cast<int>(context.size());
+  std::unordered_map<data::ItemIndex, int> item_views;
+  std::unordered_map<data::CategoryId, int> category_events;
+  for (int j = std::max(0, n - options.window); j < n; ++j) {
+    const ContextEntry& entry = context[j];
+    if (entry.action == ActionType::kCart ||
+        entry.action == ActionType::kConversion) {
+      return FunnelStage::kLate;
+    }
+    if (++item_views[entry.item] >= options.min_repeat_views) {
+      return FunnelStage::kLate;
+    }
+    if (catalog != nullptr &&
+        ++category_events[catalog->item(entry.item).category] >=
+            options.min_category_focus) {
+      return FunnelStage::kLate;
+    }
+  }
+  return FunnelStage::kEarly;
+}
+
+TEST(FunnelTest, LinearScanMatchesMapReferenceOnRandomContexts) {
+  // 12 items over 3 categories, so repeats and category focus both occur.
+  data::Taxonomy taxonomy;
+  std::vector<data::CategoryId> categories;
+  for (const char* name : {"a", "b", "c"}) {
+    categories.push_back(taxonomy.AddCategory(name, taxonomy.root()));
+  }
+  data::Catalog catalog(std::move(taxonomy));
+  for (int i = 0; i < 12; ++i) {
+    catalog.AddItem(data::Item{categories[i % 3], data::kUnknownBrand, 0, 0});
+  }
+  catalog.Finalize();
+
+  Rng rng(53);
+  int late = 0, cases = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    Context context(rng.Uniform(15));
+    for (ContextEntry& entry : context) {
+      entry.item = static_cast<data::ItemIndex>(rng.Uniform(12));
+      // Mostly views and searches, so the item and category signals decide.
+      entry.action = rng.Uniform(20) == 0
+                         ? ActionType::kCart
+                         : static_cast<ActionType>(rng.Uniform(2));
+    }
+    FunnelOptions options;
+    options.min_repeat_views = 2 + static_cast<int>(rng.Uniform(2));
+    options.min_category_focus = 2 + static_cast<int>(rng.Uniform(4));
+    for (int window = 1; window <= 10; ++window) {
+      options.window = window;
+      const data::Catalog* catalogs[] = {nullptr, &catalog};
+      for (const data::Catalog* with : catalogs) {
+        const FunnelStage want = ReferenceFunnelStage(context, with, options);
+        ASSERT_EQ(ClassifyFunnelStage(context, with, options), want)
+            << "trial " << trial << " window " << window
+            << (with != nullptr ? " with catalog" : " without catalog");
+        late += want == FunnelStage::kLate ? 1 : 0;
+        ++cases;
+      }
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(late, cases / 5);
+  EXPECT_LT(late, cases * 4 / 5);
 }
 
 TEST(FunnelTest, StageNames) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -129,6 +130,158 @@ TEST(AnnIndexTest, FullProbeMatchesExactSearchExactly) {
       EXPECT_DOUBLE_EQ(full[i].score, truth[i].score);
     }
   }
+}
+
+// --- Index: top-k equals a full sort of every scanned candidate ------------
+
+// The index's lists and centroids, read back through its own encoding so
+// the reference below sees exactly what Search scans.
+struct AnnLayout {
+  int32_t dim = 0, num_items = 0, num_lists = 0;
+  std::vector<float> centroids;
+  std::vector<int32_t> offsets, ids;
+  std::vector<float> vectors;
+};
+
+AnnLayout LayoutOf(const retrieval::AnnIndex& index) {
+  BinaryWriter writer;
+  index.SerializeTo(&writer);
+  BinaryReader reader(writer.buffer());
+  AnnLayout layout;
+  SIGCHECK(reader.Read(&layout.dim) && reader.Read(&layout.num_items) &&
+           reader.Read(&layout.num_lists) &&
+           reader.ReadVector(&layout.centroids) &&
+           reader.ReadVector(&layout.offsets) && reader.ReadVector(&layout.ids) &&
+           reader.ReadVector(&layout.vectors));
+  return layout;
+}
+
+double ReferenceDot(const float* a, const float* b, int dim) {
+  double sum = 0.0;
+  for (int k = 0; k < dim; ++k) {
+    sum += static_cast<double>(a[k]) * static_cast<double>(b[k]);
+  }
+  return sum;
+}
+
+// Full sort by (score desc, item asc), then the first k.
+std::vector<core::ScoredItem> FullSortTopK(std::vector<core::ScoredItem> all,
+                                           int k) {
+  std::sort(all.begin(), all.end(),
+            [](const core::ScoredItem& a, const core::ScoredItem& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.item < b.item;
+            });
+  if (static_cast<int>(all.size()) > k) all.resize(std::max(k, 0));
+  return all;
+}
+
+std::vector<core::ScoredItem> ReferenceAnnSearch(const AnnLayout& ann,
+                                                 const float* query, int k,
+                                                 int nprobe) {
+  std::vector<std::pair<double, int>> ranked;
+  for (int c = 0; c < ann.num_lists; ++c) {
+    ranked.emplace_back(
+        ReferenceDot(query, ann.centroids.data() + c * ann.dim, ann.dim), c);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const std::pair<double, int>& a,
+               const std::pair<double, int>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  std::vector<core::ScoredItem> scanned;
+  const int probes = std::max(1, std::min(nprobe, ann.num_lists));
+  for (int p = 0; p < probes; ++p) {
+    const int c = ranked[p].second;
+    for (int32_t slot = ann.offsets[c]; slot < ann.offsets[c + 1]; ++slot) {
+      scanned.push_back(
+          {ann.ids[slot],
+           ReferenceDot(query, ann.vectors.data() + slot * ann.dim, ann.dim)});
+    }
+  }
+  return FullSortTopK(std::move(scanned), k);
+}
+
+std::vector<core::ScoredItem> ReferenceExactSearch(
+    const std::vector<float>& vectors, int dim, const float* query, int k) {
+  std::vector<core::ScoredItem> scanned;
+  const int n = static_cast<int>(vectors.size()) / dim;
+  for (int i = 0; i < n; ++i) {
+    scanned.push_back({i, ReferenceDot(query, vectors.data() + i * dim, dim)});
+  }
+  return FullSortTopK(std::move(scanned), k);
+}
+
+void ExpectSameRanking(const std::vector<core::ScoredItem>& got,
+                       const std::vector<core::ScoredItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].item, want[i].item) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
+// Runs every (k, nprobe) case over `queries` against both indexes.
+void CheckTopKAgainstFullSort(const std::vector<float>& item_vectors, int dim,
+                              const std::vector<std::vector<float>>& queries) {
+  const int n = static_cast<int>(item_vectors.size()) / dim;
+  retrieval::ExactIndex exact(item_vectors, dim);
+  retrieval::AnnIndex::Options options;
+  options.num_lists = 8;
+  retrieval::AnnIndex ann =
+      retrieval::AnnIndex::Build(item_vectors, dim, options);
+  const AnnLayout layout = LayoutOf(ann);
+  const int lists = ann.num_lists();
+  for (const std::vector<float>& query : queries) {
+    for (int k : {0, 1, 10, n, n + 5}) {
+      SCOPED_TRACE(testing::Message() << "k " << k);
+      ExpectSameRanking(exact.Search(query.data(), k, 0, nullptr),
+                        ReferenceExactSearch(item_vectors, dim, query.data(),
+                                             k));
+      for (int nprobe : {1, lists / 2, lists}) {
+        SCOPED_TRACE(testing::Message() << "nprobe " << nprobe);
+        retrieval::SearchStats stats;
+        std::vector<core::ScoredItem> got =
+            ann.Search(query.data(), k, nprobe, &stats);
+        ExpectSameRanking(got,
+                          ReferenceAnnSearch(layout, query.data(), k, nprobe));
+        // k past the scanned count returns every scanned candidate.
+        if (k >= n) {
+          EXPECT_EQ(static_cast<int64_t>(got.size()),
+                    stats.candidates_scanned);
+        }
+      }
+    }
+  }
+}
+
+TEST(AnnIndexTest, TopKEqualsFullSortOfScannedCandidatesOnSeededWorld) {
+  data::WorldConfig config;
+  config.seed = 37;
+  data::WorldGenerator generator(config);
+  data::RetailerWorld world = generator.GenerateRetailer(0, 150);
+  std::vector<std::vector<float>> queries(world.truth.user_vecs.begin(),
+                                          world.truth.user_vecs.begin() + 10);
+  CheckTopKAgainstFullSort(Flatten(world.truth.item_vecs), world.truth.dim,
+                           queries);
+}
+
+TEST(AnnIndexTest, TopKBreaksTiedScoresByAscendingItem) {
+  // Every vector appears three times (items i, i + 40, i + 80), so every
+  // score is tied three ways and the item-asc tiebreak decides the order.
+  data::WorldConfig config;
+  config.seed = 41;
+  data::WorldGenerator generator(config);
+  data::RetailerWorld world = generator.GenerateRetailer(0, 40);
+  std::vector<std::vector<float>> rows;
+  for (int copy = 0; copy < 3; ++copy) {
+    rows.insert(rows.end(), world.truth.item_vecs.begin(),
+                world.truth.item_vecs.end());
+  }
+  std::vector<std::vector<float>> queries(world.truth.user_vecs.begin(),
+                                          world.truth.user_vecs.begin() + 10);
+  CheckTopKAgainstFullSort(Flatten(rows), world.truth.dim, queries);
 }
 
 TEST(AnnIndexTest, TinyCatalogClampsListsAndStillServes) {
