@@ -1,5 +1,6 @@
 #include "core/model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -48,6 +49,17 @@ bool ReadFloats(const std::string& in, size_t* offset,
   }
   *offset += count * sizeof(float);
   return true;
+}
+
+// Training only ever writes finite values and sums of squares, so a
+// non-finite value or a negative accumulator marks a forged or corrupt
+// table.
+bool ValidTableValues(const std::vector<float>& values,
+                      const std::vector<float>& adagrad) {
+  return std::all_of(values.begin(), values.end(),
+                     [](float v) { return std::isfinite(v); }) &&
+         std::all_of(adagrad.begin(), adagrad.end(),
+                     [](float a) { return std::isfinite(a) && a >= 0.0f; });
 }
 
 }  // namespace
@@ -164,11 +176,19 @@ void BprModel::UserEmbedding(const Context& context, float* out) const {
 }
 
 double BprModel::Score(const float* user_vec, data::ItemIndex i) const {
-  // Hot path for inference: reuse a per-thread scratch buffer.
-  thread_local std::vector<float> phi;
-  phi.resize(dim());
-  ItemRepresentation(i, phi.data());
-  return ScoreWithPhi(user_vec, phi.data());
+  // phi(i) lives on the stack up to kStackDim factors, so scoring (the
+  // adaptive sampler's inner loop) allocates nothing on any thread, the
+  // first call included; wider models reuse a per-thread buffer.
+  constexpr int kStackDim = 256;
+  float stack_phi[kStackDim];
+  float* phi = stack_phi;
+  if (dim() > kStackDim) {
+    thread_local std::vector<float> wide_phi;
+    wide_phi.resize(dim());
+    phi = wide_phi.data();
+  }
+  ItemRepresentation(i, phi);
+  return ScoreWithPhi(user_vec, phi);
 }
 
 std::vector<float> BprModel::BuildPhiTable() const {
@@ -273,6 +293,9 @@ StatusOr<BprModel> BprModel::Deserialize(const std::string& bytes,
         (dim != 0 && dim != model.dim())) {
       return DataLossError("model factor-dimension mismatch");
     }
+    if (!ValidTableValues(values, adagrad)) {
+      return DataLossError("model table holds a non-finite value");
+    }
     m->Resize(rows, dim == 0 ? model.dim() : dim);
     *m->mutable_values() = std::move(values);
     *m->mutable_adagrad() = std::move(adagrad);
@@ -282,6 +305,20 @@ StatusOr<BprModel> BprModel::Deserialize(const std::string& bytes,
   // never exceed it.
   if (model.item_emb_.rows() > catalog->num_items()) {
     return DataLossError("model has more items than catalog");
+  }
+  // Every table the scorer indexes must cover its ids: the context table
+  // every item row, and an enabled taxonomy or price table every category
+  // or bucket. (Brand rows are bounds-checked where they are read.)
+  if (model.context_emb_.rows() != model.item_emb_.rows()) {
+    return DataLossError("model context table does not match item table");
+  }
+  if (model.params_.use_taxonomy &&
+      model.taxonomy_emb_.rows() < catalog->taxonomy().num_categories()) {
+    return DataLossError("model taxonomy table misses categories");
+  }
+  if (model.params_.use_price &&
+      model.price_emb_.rows() < data::kDefaultPriceBuckets) {
+    return DataLossError("model price table misses buckets");
   }
   return model;
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -183,7 +184,11 @@ TrainStats BprTrainer::Train(const Options& options) {
   if (steps_per_epoch == 0) return stats;
 
   const int threads = std::max(1, options.num_threads);
-  ThreadPool pool(threads);
+  // A single-threaded run works through the chunks in order on the
+  // calling thread: the same chunks and seeds a one-worker pool would run,
+  // without spawning a thread per call.
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
   const int64_t chunks = static_cast<int64_t>(threads) * 4;
   const int first_epoch = std::max(0, options.first_epoch);
   const int end_epoch = options.num_epochs > 0
@@ -193,7 +198,7 @@ TrainStats BprTrainer::Train(const Options& options) {
   for (int epoch = first_epoch; epoch < end_epoch; ++epoch) {
     std::atomic<double> loss_sum{0.0};
     std::atomic<int64_t> done{0}, skipped{0};
-    pool.ParallelFor(chunks, [&](int64_t c) {
+    auto run_chunk = [&](int64_t c) {
       // Per-chunk RNG: deterministic in (seed, epoch, chunk) for
       // single-threaded runs; Hogwild interleaving is inherently
       // nondeterministic across threads.
@@ -217,7 +222,12 @@ TrainStats BprTrainer::Train(const Options& options) {
       loss_sum.fetch_add(local_loss);
       done.fetch_add(local_done);
       skipped.fetch_add(local_skipped);
-    });
+    };
+    if (pool.has_value()) {
+      pool->ParallelFor(chunks, run_chunk);
+    } else {
+      for (int64_t c = 0; c < chunks; ++c) run_chunk(c);
+    }
 
     stats.epochs_run = epoch - first_epoch + 1;
     stats.sgd_steps += done.load();

@@ -27,6 +27,7 @@ struct TrainStats {
 class BprTrainer {
  public:
   struct Options {
+    // Hogwild threads; 1 trains on the calling thread, deterministically.
     int num_threads = 1;
     // Absolute index of the first epoch to run. Epoch e always draws the
     // sample streams seeded by (params.seed, e), so a model restored from

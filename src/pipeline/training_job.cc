@@ -1,5 +1,6 @@
 #include "pipeline/training_job.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "cluster/executor.h"
@@ -81,14 +82,16 @@ class TrainMapper : public mapreduce::Mapper {
   // by explicit `parent_span_id` rather than the tracer's thread-local
   // stack. `executor` (also shared) hands out the revocable machine
   // leases each model trains under; never null, but inert unless churn
-  // is configured.
+  // is configured. Each model trains with `threads_per_model` Hogwild
+  // threads (PlanTrainingCores).
   TrainMapper(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
-              const TrainingJob::Options* options,
+              const TrainingJob::Options* options, int threads_per_model,
               const TrainingCounters* counters, sfs::ReliableIoCounters* io,
               cluster::PreemptibleExecutor* executor, int64_t parent_span_id)
       : fs_(fs),
         registry_(registry),
         options_(options),
+        threads_per_model_(threads_per_model),
         counters_(counters),
         io_(io),
         executor_(executor),
@@ -223,7 +226,7 @@ class TrainMapper : public mapreduce::Mapper {
       bool preempted = false;
       bool evicted = false;
       core::BprTrainer::Options train_options;
-      train_options.num_threads = options_->threads_per_model;
+      train_options.num_threads = threads_per_model_;
       train_options.first_epoch = start_epoch;
       train_options.epoch_callback =
           [&](int epoch, const core::TrainStats&) {
@@ -380,6 +383,7 @@ class TrainMapper : public mapreduce::Mapper {
   sfs::SharedFileSystem* fs_;
   const RetailerRegistry* registry_;
   const TrainingJob::Options* options_;
+  int threads_per_model_;
   const TrainingCounters* counters_;
   sfs::ReliableIoCounters* io_;
   cluster::PreemptibleExecutor* executor_;
@@ -387,6 +391,21 @@ class TrainMapper : public mapreduce::Mapper {
 };
 
 }  // namespace
+
+TrainingCores PlanTrainingCores(int max_parallel_tasks, int threads_per_model,
+                                int map_tasks) {
+  const int max_threads = std::max(1, threads_per_model);
+  const int64_t cores = static_cast<int64_t>(max_parallel_tasks) * max_threads;
+  TrainingCores plan;
+  plan.concurrent_tasks =
+      static_cast<int>(std::min<int64_t>(cores, map_tasks));
+  plan.threads_per_model =
+      plan.concurrent_tasks > 0
+          ? static_cast<int>(std::clamp<int64_t>(
+                cores / plan.concurrent_tasks, 1, max_threads))
+          : 1;
+  return plan;
+}
 
 TrainingJob::TrainingJob(sfs::SharedFileSystem* fs,
                          const RetailerRegistry* registry,
@@ -418,7 +437,10 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
                                 static_cast<int>(input.size())));
   spec.num_reduce_tasks = 1;  // "the reduce phase writes out the output
                               // config records" (§IV-B)
-  spec.max_parallel_tasks = options_.max_parallel_tasks;
+  const TrainingCores cores = PlanTrainingCores(
+      options_.max_parallel_tasks, options_.threads_per_model,
+      spec.num_map_tasks);
+  spec.max_parallel_tasks = cores.concurrent_tasks;
   spec.map_task_failure_prob = options_.map_task_failure_prob;
   spec.reduce_task_failure_prob = options_.reduce_task_failure_prob;
   spec.max_attempts_per_task = options_.max_attempts_per_task;
@@ -438,10 +460,10 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   const int64_t parent_span_id = job_span.id();
   mapreduce::MapReduceJob job(
       spec,
-      [this, &counters, &io, &executor, parent_span_id] {
-        return std::make_unique<TrainMapper>(fs_, registry_, &options_,
-                                             &counters, &io, &executor,
-                                             parent_span_id);
+      [this, &cores, &counters, &io, &executor, parent_span_id] {
+        return std::make_unique<TrainMapper>(
+            fs_, registry_, &options_, cores.threads_per_model, &counters,
+            &io, &executor, parent_span_id);
       },
       [] { return mapreduce::IdentityReducer(); });
   StatusOr<std::vector<mapreduce::Record>> output = job.Run(input);

@@ -16,24 +16,49 @@
 
 namespace sigmund::pipeline {
 
+// How a training job spends its cores: `concurrent_tasks` map tasks run at
+// once, each training its models with `threads_per_model` Hogwild threads.
+struct TrainingCores {
+  int concurrent_tasks = 1;
+  int threads_per_model = 1;
+};
+
+// The job's core budget is C = max_parallel_tasks * threads_per_model
+// (machines times the cores each one brings). Cores go to models first:
+// min(C, map_tasks) tasks run at once, and each model gets the cores left
+// over per task, clamped to [1, threads_per_model]. In small models one
+// embedding row is one cache line, so two Hogwild threads on one model
+// mostly trade lines, while a second model on the same cores does twice
+// the work. A non-positive max_parallel_tasks yields no concurrent tasks,
+// which the MapReduce rejects.
+TrainingCores PlanTrainingCores(int max_parallel_tasks, int threads_per_model,
+                                int map_tasks);
+
 // The training MapReduce (§IV-B): input is a randomly permuted collection
 // of config records; the map phase runs Train() on each — loading the
-// retailer's data, training one model on one "machine" with Hogwild
-// threads, checkpointing on a time interval to the shared filesystem, and
-// recovering from (injected) preemptions by restoring the latest
-// checkpoint. The reduce phase writes out the output config records, now
-// carrying hold-out metrics.
+// retailer's data, training one model on one "machine", checkpointing on a
+// time interval to the shared filesystem, and recovering from (injected)
+// preemptions by restoring the latest checkpoint. The reduce phase writes
+// out the output config records, now carrying hold-out metrics. Each Run
+// splits the job's cores with PlanTrainingCores.
 class TrainingJob {
  public:
   struct Options {
     // MapReduce shape. One map task models one machine working through a
     // chunk of config records ("workers assigned small retailers process
-    // more training tasks", §IV-B1).
+    // more training tasks", §IV-B1). `max_parallel_tasks` is the number of
+    // machines the job requests; with threads_per_model > 1 and more map
+    // tasks than machines, more tasks than this run at once (see
+    // PlanTrainingCores).
     int num_map_tasks = 8;
     int max_parallel_tasks = 2;
 
-    // Hogwild threads for each model (§IV-B2: one retailer per machine,
-    // multiple threads managed in user code).
+    // Cores each requested machine brings, and the most Hogwild threads
+    // one model may use (§IV-B2: one retailer per machine, multiple
+    // threads managed in user code). A model gets more than one thread
+    // only when there are at least two cores per map task, so cores would
+    // otherwise idle; with threads_per_model == 1 every model trains
+    // single-threaded and deterministically.
     int threads_per_model = 1;
 
     // Time-based checkpointing (§IV-B3). Time is simulated: each epoch
@@ -129,7 +154,8 @@ class TrainingJob {
 // DataPlacementPlanner); records for unplaced retailers go to the first
 // cell. Each cell's job labels its series `per_cell.job_label + "/" +
 // cell`, so mapreduce_records_total{job="training/<cell>",kind="output"}
-// is the number of models the cell trained.
+// is the number of models the cell trained. Every cell gets the whole
+// per-cell core budget and splits it over its own map tasks.
 class MultiCellTrainingJob {
  public:
   struct Options {

@@ -456,6 +456,70 @@ TEST(TrainingJobTest, WarmStartRecordUsesStoredModel) {
   EXPECT_GT(mean2, 0.5 * mean1);
 }
 
+// Cores go to models first; a model gets Hogwild threads only when there
+// are at least two cores per map task.
+TEST(TrainingJobTest, CoresGoToModelsBeforeHogwildThreads) {
+  struct Case {
+    int max_parallel_tasks, threads_per_model, map_tasks;
+    int concurrent_tasks, threads;
+  };
+  const Case cases[] = {
+      {2, 1, 8, 2, 1},  // one core per machine: today's shape
+      {2, 2, 8, 4, 1},  // more tasks than cores: one model per core
+      {2, 2, 3, 3, 1},  // the spare core idles rather than share a model
+      {2, 2, 2, 2, 2},  // one task per machine: it gets the machine
+      {2, 4, 1, 1, 4},  // a lone model takes its thread cap
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << c.max_parallel_tasks << " machines x "
+                 << c.threads_per_model << " cores, " << c.map_tasks
+                 << " map tasks");
+    const TrainingCores cores = PlanTrainingCores(
+        c.max_parallel_tasks, c.threads_per_model, c.map_tasks);
+    EXPECT_EQ(cores.concurrent_tasks, c.concurrent_tasks);
+    EXPECT_EQ(cores.threads_per_model, c.threads);
+  }
+}
+
+// Two two-core machines and eight map tasks run four single-threaded
+// models at once, so a full grid trains to the same bytes on every run:
+// Hogwild threads would make the models differ.
+TEST(TrainingJobTest, SpareCoresTrainMoreModelsNotMoreThreads) {
+  auto train = [] {
+    JobFixture f;
+    SweepPlanner::Options sweep;
+    sweep.grid.factors = {4, 8};
+    sweep.grid.lambdas_v = {0.1, 0.01};
+    sweep.grid.lambdas_vc = {0.01};
+    sweep.grid.num_epochs = 3;
+    sweep.shuffle = true;
+    const std::vector<ConfigRecord> plan =
+        SweepPlanner(sweep).PlanFullSweep(f.registry);
+    EXPECT_GE(plan.size(), 8u);
+
+    TrainingJob::Options options = f.FastTraining();
+    options.num_map_tasks = 8;
+    options.max_parallel_tasks = 2;
+    options.threads_per_model = 2;
+    StatusOr<std::vector<ConfigRecord>> results =
+        TrainingJob(&f.fs, &f.registry, options).Run(plan);
+    EXPECT_TRUE(results.ok());
+    if (!results.ok()) return std::string();
+    std::string out = Fingerprint(*results);
+    for (const ConfigRecord& record : *results) {
+      StatusOr<std::string> bytes =
+          sfs::ReadChecksummedFile(&f.fs, record.model_path);
+      EXPECT_TRUE(bytes.ok()) << record.Key();
+      if (bytes.ok()) out += *bytes;
+    }
+    return out;
+  };
+  const std::string first = train();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, train());
+}
+
 TEST(TrainingJobTest, MissingRetailerFailsJob) {
   JobFixture f;
   ConfigRecord record;

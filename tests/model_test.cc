@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -304,6 +305,93 @@ TEST(ModelTest, DeserializeRejectsOverflowingFloatCount) {
               sizeof(count));
   EXPECT_EQ(BprModel::Deserialize(hostile, &world.catalog).status().code(),
             StatusCode::kDataLoss);
+}
+
+// Byte offsets of the five tables in a serialized model, in write order
+// (item, context, taxonomy, brand, price), then the end of the last one.
+std::vector<size_t> TableOffsets(const std::string& bytes) {
+  std::vector<size_t> offsets = {ItemTableOffset(bytes)};
+  for (int t = 0; t < 5; ++t) {
+    size_t offset = offsets.back() + 8;  // rows, dim
+    for (int part = 0; part < 2; ++part) {  // values, then accumulators
+      uint64_t count = 0;
+      std::memcpy(&count, bytes.data() + offset, sizeof(count));
+      offset += 8 + count * sizeof(float);
+    }
+    offsets.push_back(offset);
+  }
+  return offsets;
+}
+
+// `bytes` with table `t` written as absent: no rows, no dimension, no
+// values.
+std::string WithTableAbsent(const std::string& bytes, int t) {
+  const std::vector<size_t> tables = TableOffsets(bytes);
+  std::string out = bytes.substr(0, tables[t]);
+  PutRaw<int32_t>(&out, 0);
+  PutRaw<int32_t>(&out, 0);
+  PutRaw<uint64_t>(&out, 0);
+  PutRaw<uint64_t>(&out, 0);
+  return out + bytes.substr(tables[t + 1]);
+}
+
+// Every user embedding reads the context table, so a model without one
+// would crash its first UserEmbedding.
+TEST(ModelTest, DeserializeRejectsMissingContextTable) {
+  TestWorld world;
+  const std::string bytes =
+      BprModel(&world.catalog, SmallParams()).Serialize();
+  EXPECT_EQ(BprModel::Deserialize(WithTableAbsent(bytes, 1), &world.catalog)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+// An enabled taxonomy or price feature indexes its table by every
+// category or bucket, so the table must have those rows.
+TEST(ModelTest, DeserializeRejectsMissingFeatureTables) {
+  TestWorld world;
+  const std::string bytes =
+      BprModel(&world.catalog, SmallParams()).Serialize();
+  for (int t : {2, 4}) {  // taxonomy, price
+    EXPECT_EQ(BprModel::Deserialize(WithTableAbsent(bytes, t), &world.catalog)
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss)
+        << "table " << t;
+  }
+  // Brand rows are bounds-checked at use: an absent brand table decodes.
+  EXPECT_TRUE(
+      BprModel::Deserialize(WithTableAbsent(bytes, 3), &world.catalog).ok());
+}
+
+// A NaN embedding scores its item NaN; a non-finite or negative Adagrad
+// accumulator turns the next update's step into NaN.
+TEST(ModelTest, DeserializeRejectsNonFiniteValues) {
+  TestWorld world;
+  const std::string bytes =
+      BprModel(&world.catalog, SmallParams()).Serialize();
+  const size_t first_value = ItemTableOffset(bytes) + 8 + 8;
+  const size_t first_adagrad =
+      first_value + 4 * 4 * sizeof(float) + 8;  // 4 rows x dim 4, count
+  const struct {
+    size_t offset;
+    float value;
+  } cases[] = {
+      {first_value, std::nanf("")},
+      {first_value, std::numeric_limits<float>::infinity()},
+      {first_adagrad, std::numeric_limits<float>::infinity()},
+      {first_adagrad, -1.0f},
+  };
+  for (const auto& c : cases) {
+    std::string hostile = bytes;
+    std::memcpy(hostile.data() + c.offset, &c.value, sizeof(float));
+    EXPECT_EQ(BprModel::Deserialize(hostile, &world.catalog).status().code(),
+              StatusCode::kDataLoss)
+        << "value " << c.value << " at " << c.offset;
+  }
+  // The untouched bytes still decode.
+  EXPECT_TRUE(BprModel::Deserialize(bytes, &world.catalog).ok());
 }
 
 TEST(BprModelTest, ResizeForCatalogGrowsItemTables) {

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -306,6 +309,59 @@ TEST(BprTrainerTest, SingleThreadedRunsAreByteIdentical) {
   };
   const std::string first = train();
   EXPECT_EQ(first, train());
+}
+
+// Records the thread of every Sample call, then samples uniformly.
+class ThreadRecordingSampler : public NegativeSampler {
+ public:
+  data::ItemIndex Sample(const TrainingData& data, data::UserIndex u,
+                         const float* user_vec, data::ItemIndex positive,
+                         Rng* rng) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+      ++calls_;
+    }
+    return uniform_.Sample(data, u, user_vec, positive, rng);
+  }
+
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  int64_t calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  UniformSampler uniform_;
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+  mutable int64_t calls_ = 0;
+};
+
+// A single-threaded run samples on the caller's thread, on the first call
+// and on a resume alike; a Hogwild run samples on its pool's threads.
+TEST(BprTrainerTest, SingleThreadedTrainingRunsOnTheCallingThread) {
+  Fixture f;
+  ThreadRecordingSampler sampler;
+  BprTrainer trainer(&f.model, &f.training_data, &sampler);
+  BprTrainer::Options options;
+  options.num_epochs = 1;
+  trainer.Train(options);
+  options.first_epoch = 1;  // a resume, as after a preemption
+  trainer.Train(options);
+  EXPECT_GT(sampler.calls(), 0);
+  EXPECT_EQ(sampler.threads(),
+            std::set<std::thread::id>{std::this_thread::get_id()});
+
+  ThreadRecordingSampler hogwild_sampler;
+  BprTrainer hogwild(&f.model, &f.training_data, &hogwild_sampler);
+  options.num_threads = 2;
+  hogwild.Train(options);
+  EXPECT_GT(hogwild_sampler.calls(), 0);
+  EXPECT_EQ(hogwild_sampler.threads().count(std::this_thread::get_id()), 0u);
 }
 
 // A model checkpointed after epoch k and resumed from that checkpoint with
