@@ -169,7 +169,7 @@ int main() {
 
   // --- Day 4: chaos storm. The shared filesystem starts failing too:
   // 5% of every operation returns a transient error and 5% of writes are
-  // torn (report success, persist garbage). Retry-with-backoff masks the
+  // torn (report success, persist garbage). Retrying the call masks the
   // former; checksummed frames with read-back verification catch and heal
   // the latter.
   sfs::FaultProfile chaos_profile;
@@ -188,11 +188,9 @@ int main() {
   chaos.sfs_retry = generous;
   chaos.training.sfs_retry = generous;
   chaos.inference.sfs_retry = generous;
-  chaos.injected_faults = &chaos_fs.counters();
   pipeline::SigmundService chaos_service(&chaos_fs, chaos);
   // Count each injected fault live, per operation, in the service's
-  // registry (the service's end-of-run mirror would catch them anyway;
-  // live wiring adds the per-op breakdown).
+  // registry: that is where the day's report reads faults_injected.
   chaos_fs.SetMetrics(chaos_service.metrics());
   chaos_service.UpsertRetailer(&small.data);
   chaos_service.UpsertRetailer(&medium.data);

@@ -39,22 +39,11 @@ MachineLease PreemptibleExecutor::Acquire(const std::string& task_key,
     lease.grace_deadline_seconds_ =
         lease.eviction_at_seconds_ +
         std::max(0.0, options_.churn.eviction_grace_seconds);
-    stats_.leases_preemptible.fetch_add(1);
-  } else {
-    stats_.leases_regular.fetch_add(1);
   }
   return lease;
 }
 
-bool PreemptibleExecutor::OnEviction(const std::string& task_key,
-                                     bool within_grace) {
-  stats_.evictions.fetch_add(1);
-  if (within_grace) {
-    stats_.grace_evictions.fetch_add(1);
-  } else {
-    stats_.hard_evictions.fetch_add(1);
-  }
-
+bool PreemptibleExecutor::OnEviction(const std::string& task_key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] =
       tasks_.emplace(task_key, TaskState{0, 0, options_.initial_priority});
@@ -64,7 +53,6 @@ bool PreemptibleExecutor::OnEviction(const std::string& task_key,
   if (threshold > 0 && task.evictions >= threshold &&
       task.priority == LeasePriority::kPreemptible) {
     task.priority = LeasePriority::kRegular;
-    stats_.escalations.fetch_add(1);
     return true;
   }
   return false;

@@ -3,7 +3,6 @@
 
 #include <stdint.h>
 
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -24,31 +23,22 @@ namespace sigmund::cluster {
 //   switch (lease.Check(clock.NowSeconds())) {
 //     case kHeld:            keep working
 //     case kEvictionNotice:  flush a final checkpoint, then
-//                            executor->OnEviction(key, /*within_grace=*/true)
-//     case kRevoked:         machine already gone:
-//                            executor->OnEviction(key, /*within_grace=*/false)
+//                            executor->OnEviction(key)
+//     case kRevoked:         machine already gone: executor->OnEviction(key)
 //   }
 //   lease = executor->Acquire(key, clock.NowSeconds());   // fresh machine
 //
 // Deterministic: eviction times depend only on (seed, task key,
 // incarnation), never on thread scheduling. Thread-safe: map tasks on
-// pool threads share one executor.
+// pool threads share one executor. The executor keeps no counters: the
+// holder counts evictions, grace checkpoints and escalations into its
+// metrics registry (training_evictions_total and siblings).
 class PreemptibleExecutor {
  public:
   struct Options {
     ChurnConfig churn;
     // Priority a task starts at (escalation can only raise it).
     LeasePriority initial_priority = LeasePriority::kPreemptible;
-  };
-
-  // Aggregate counters, readable while the executor is in use.
-  struct Stats {
-    std::atomic<int64_t> leases_preemptible{0};
-    std::atomic<int64_t> leases_regular{0};
-    std::atomic<int64_t> evictions{0};        // grace + hard
-    std::atomic<int64_t> grace_evictions{0};  // holder saw the notice window
-    std::atomic<int64_t> hard_evictions{0};   // holder missed the window
-    std::atomic<int64_t> escalations{0};
   };
 
   explicit PreemptibleExecutor(const Options& options) : options_(options) {}
@@ -65,11 +55,10 @@ class PreemptibleExecutor {
   // `now_seconds` on the holder's clock.
   MachineLease Acquire(const std::string& task_key, double now_seconds);
 
-  // The holder reports that its lease was revoked. `within_grace` records
-  // whether the holder caught the eviction notice inside the grace window
-  // (i.e. had the chance to write a final checkpoint). Returns true if
+  // The holder reports that its lease was revoked, whether or not it
+  // caught the eviction notice inside the grace window. Returns true if
   // this eviction escalated the task to regular priority.
-  bool OnEviction(const std::string& task_key, bool within_grace);
+  bool OnEviction(const std::string& task_key);
 
   // Current priority of `task_key` (initial priority if never seen).
   LeasePriority TaskPriority(const std::string& task_key) const;
@@ -77,7 +66,6 @@ class PreemptibleExecutor {
   // Evictions suffered by `task_key` so far.
   int EvictionCount(const std::string& task_key) const;
 
-  const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
 
  private:
@@ -88,7 +76,6 @@ class PreemptibleExecutor {
   };
 
   Options options_;
-  Stats stats_;
   mutable std::mutex mu_;
   std::map<std::string, TaskState> tasks_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/metrics.h"
-#include "common/random.h"
 
 namespace sigmund {
 
@@ -11,41 +10,16 @@ bool IsRetryableError(const Status& status) {
   return status.code() == StatusCode::kUnavailable;
 }
 
-double BackoffSeconds(const RetryPolicy& policy, int retry) {
-  double delay = policy.initial_backoff_seconds;
-  for (int i = 0; i < retry; ++i) delay *= policy.backoff_multiplier;
-  return std::min(delay, policy.max_backoff_seconds);
-}
-
-Status RetryWithPolicy(const RetryPolicy& policy, RetryStats* stats,
+Status RetryWithPolicy(const RetryPolicy& policy, const RetryStats* stats,
                        const std::function<Status()>& op) {
   const int max_attempts = std::max(1, policy.max_attempts);
-  Rng jitter_rng(SplitMix64(policy.seed));
   Status last;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (stats != nullptr) {
-      stats->attempts.fetch_add(1);
-      if (attempt > 0) {
-        stats->retries.fetch_add(1);
-        if (stats->retries_counter != nullptr) stats->retries_counter->Add(1);
-      }
-    }
+    if (attempt > 0 && stats != nullptr) stats->retries->Add(1);
     last = op();
     if (last.ok() || !IsRetryableError(last)) return last;
-    if (attempt + 1 >= max_attempts) break;
-    double delay = BackoffSeconds(policy, attempt);
-    const double jitter = std::clamp(policy.jitter_fraction, 0.0, 1.0);
-    delay *= jitter_rng.UniformDouble(1.0 - jitter, 1.0 + jitter);
-    if (stats != nullptr) {
-      stats->backoff_micros.fetch_add(static_cast<int64_t>(delay * 1e6));
-    }
   }
-  if (stats != nullptr) {
-    stats->exhaustions.fetch_add(1);
-    if (stats->exhaustions_counter != nullptr) {
-      stats->exhaustions_counter->Add(1);
-    }
-  }
+  if (stats != nullptr) stats->exhaustions->Add(1);
   return last;
 }
 

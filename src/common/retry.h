@@ -1,11 +1,7 @@
 #ifndef SIGMUND_COMMON_RETRY_H_
 #define SIGMUND_COMMON_RETRY_H_
 
-#include <stdint.h>
-
-#include <atomic>
 #include <functional>
-#include <string>
 
 #include "common/status.h"
 
@@ -18,60 +14,36 @@ class Counter;
 // Retry policy for operations against shared infrastructure (the SFS
 // stand-in for GFS). The paper's pipeline lives almost entirely on
 // pre-emptible resources (§IV-B3), so every layer must treat transient
-// kUnavailable errors as routine: retry with exponential backoff, give up
-// only after max_attempts, and never retry errors that won't heal
-// (kNotFound, kDataLoss, ...).
-//
-// Backoff is *simulated*: the pipeline runs against in-process fakes with
-// no real latency, so delays are computed (deterministically, including
-// jitter) and accounted in RetryStats rather than slept.
+// kUnavailable errors as routine: retry at once, give up only after
+// max_attempts, and never retry errors that won't heal (kNotFound,
+// kDataLoss, ...). The pipeline runs against in-process fakes with no
+// real latency, so there is no delay between attempts.
 struct RetryPolicy {
   int max_attempts = 5;
-  double initial_backoff_seconds = 0.05;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 2.0;
-  // Each delay is scaled by a factor drawn uniformly from
-  // [1 - jitter_fraction, 1 + jitter_fraction], deterministically per
-  // (seed, attempt) so runs are reproducible.
-  double jitter_fraction = 0.2;
-  uint64_t seed = 42;
 };
 
-// Counters shared across many retried call sites (thread-safe).
+// Where retry events are counted: two borrowed metrics-registry counters
+// (sfs::ReliableIoCounters points them at sfs_retries_total and
+// sfs_retry_exhaustions_total). Both must be non-null.
 struct RetryStats {
-  std::atomic<int64_t> attempts{0};
-  std::atomic<int64_t> retries{0};          // attempts beyond the first
-  std::atomic<int64_t> exhaustions{0};      // gave up after max_attempts
-  std::atomic<int64_t> backoff_micros{0};   // simulated backoff total
-
-  // Optional registry mirrors (borrowed, may be null): when set, every
-  // retry / exhaustion event is also counted into these obs instruments,
-  // so a MetricRegistry snapshot sees exactly the events these atomics
-  // see. Wired by sfs::ReliableIoCounters::SetMetrics().
-  obs::Counter* retries_counter = nullptr;
-  obs::Counter* exhaustions_counter = nullptr;
-
-  double backoff_seconds() const {
-    return static_cast<double>(backoff_micros.load()) * 1e-6;
-  }
+  obs::Counter* retries = nullptr;      // attempts beyond the first
+  obs::Counter* exhaustions = nullptr;  // gave up after max_attempts
 };
 
 // True for errors a retry can plausibly heal (transient unavailability,
 // e.g. an injected fault or a preempted storage server).
 bool IsRetryableError(const Status& status);
 
-// The (pre-jitter) delay before retry number `retry` (0-based).
-double BackoffSeconds(const RetryPolicy& policy, int retry);
-
 // Runs `op` until it returns OK, a non-retryable error, or max_attempts
-// is reached (the last error is returned, after recording an
-// exhaustion). `stats` may be nullptr.
-Status RetryWithPolicy(const RetryPolicy& policy, RetryStats* stats,
+// is reached (the last error is returned, after counting an exhaustion).
+// `stats` may be nullptr: nothing is counted.
+Status RetryWithPolicy(const RetryPolicy& policy, const RetryStats* stats,
                        const std::function<Status()>& op);
 
 // StatusOr flavor: same loop, returns the last attempt's result.
 template <typename T>
-StatusOr<T> RetryWithPolicy(const RetryPolicy& policy, RetryStats* stats,
+StatusOr<T> RetryWithPolicy(const RetryPolicy& policy,
+                            const RetryStats* stats,
                             const std::function<StatusOr<T>()>& op) {
   StatusOr<T> result = InternalError("retry loop never ran");
   (void)RetryWithPolicy(policy, stats, [&]() -> Status {

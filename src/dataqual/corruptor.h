@@ -61,7 +61,9 @@ class FeedCorruptor {
     double flip_fraction = 0.5;         // events flipped to conversions
   };
 
-  // Running totals of injections, mirroring sfs::FaultCounters.
+  // Running totals of injections: the test double's own ground truth,
+  // like sfs::FaultCounters, for tests to compare what the sentry
+  // detected against. Not a metrics series.
   struct Counters {
     int64_t total = 0;
     int64_t per_mode[kNumCorruptions] = {};

@@ -52,7 +52,7 @@ std::string CheckpointManager::VersionPath(int64_t version) const {
 
 StatusOr<std::vector<std::string>> CheckpointManager::ListRetrying(
     const std::string& prefix) const {
-  RetryStats* retry_stats = io_ != nullptr ? &io_->retry : nullptr;
+  const RetryStats* retry_stats = sfs::RetryStatsOf(io_);
   return RetryWithPolicy<std::vector<std::string>>(
       retry_policy_, retry_stats, [&] { return fs_->List(prefix); });
 }
@@ -71,7 +71,7 @@ Status CheckpointManager::ForceCheckpoint(const core::BprModel& model,
   const int64_t version = next_version_++;
   const std::string tmp = dir_ + "/tmp";
   const std::string committed = VersionPath(version);
-  RetryStats* retry_stats = io_ != nullptr ? &io_->retry : nullptr;
+  const RetryStats* retry_stats = sfs::RetryStatsOf(io_);
   // Checksummed write with read-back verify: a torn write of the temp file
   // is caught and rewritten *before* the rename commits it.
   SIGMUND_RETURN_IF_ERROR(sfs::WriteChecksummedFile(
@@ -139,7 +139,6 @@ StatusOr<CheckpointManager::Restored> CheckpointManager::Restore(
   }
   if (payload->size() < sizeof(int32_t)) {
     corrupt_checkpoints_detected_.fetch_add(1);
-    if (io_ != nullptr) io_->corruptions_detected.fetch_add(1);
     return NotFoundError("latest checkpoint truncated: " + latest);
   }
   int32_t epoch = 0;
@@ -150,7 +149,6 @@ StatusOr<CheckpointManager::Restored> CheckpointManager::Restore(
     // CRC passed but the model payload does not decode — e.g. written by
     // an incompatible version. Same recovery: restart from scratch.
     corrupt_checkpoints_detected_.fetch_add(1);
-    if (io_ != nullptr) io_->corruptions_detected.fetch_add(1);
     return NotFoundError("latest checkpoint undecodable: " + latest);
   }
   return Restored{std::move(model).value(), epoch};
@@ -159,7 +157,7 @@ StatusOr<CheckpointManager::Restored> CheckpointManager::Restore(
 Status CheckpointManager::Clear() {
   StatusOr<std::vector<std::string>> paths = ListRetrying(dir_ + "/");
   SIGMUND_RETURN_IF_ERROR(paths.status());
-  RetryStats* retry_stats = io_ != nullptr ? &io_->retry : nullptr;
+  const RetryStats* retry_stats = sfs::RetryStatsOf(io_);
   for (const std::string& path : *paths) {
     SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(retry_policy_, retry_stats, [&] {
       Status s = fs_->Delete(path);

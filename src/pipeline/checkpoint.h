@@ -35,8 +35,8 @@ namespace sigmund::pipeline {
 class CheckpointManager {
  public:
   // `fs`, `clock` and `io` are borrowed. `dir` is the SFS directory for
-  // this (retailer, model) pair's checkpoints. `io`, if given, accumulates
-  // retry and corruption counters.
+  // this (retailer, model) pair's checkpoints. `io`, if given, counts
+  // retries and failed CRC checks into its registry.
   CheckpointManager(sfs::SharedFileSystem* fs, const Clock* clock,
                     std::string dir, double interval_seconds,
                     RetryPolicy retry_policy = {},
@@ -54,9 +54,11 @@ class CheckpointManager {
 
   // Restores the latest committed checkpoint. Returns the model and the
   // epoch it was taken at (training resumes at epoch+1). A corrupt latest
-  // checkpoint (bad CRC, undecodable model) is counted and reported as
-  // kNotFound — to the caller it looks like no checkpoint exists, so the
-  // task restarts cleanly from scratch.
+  // checkpoint (bad CRC, truncated or undecodable payload) is counted in
+  // corrupt_checkpoints_detected() and reported as kNotFound — to the
+  // caller it looks like no checkpoint exists, so the task restarts
+  // cleanly from scratch. Only a bad CRC is also an SFS corruption
+  // (counted by ReadChecksummedFile through `io`).
   struct Restored {
     core::BprModel model;
     int epoch = -1;

@@ -42,7 +42,7 @@ Status DataPlacementPlanner::Materialize(
     const std::map<data::RetailerId, std::string>& previous,
     sfs::FileTransferLedger* ledger, const RetryPolicy& policy,
     sfs::ReliableIoCounters* io) const {
-  RetryStats* retry_stats = io != nullptr ? &io->retry : nullptr;
+  const RetryStats* retry_stats = sfs::RetryStatsOf(io);
   for (const auto& [retailer, cell] : plan.home_cell) {
     StatusOr<const data::RetailerData*> data = registry.Get(retailer);
     if (!data.ok()) return data.status();

@@ -58,8 +58,8 @@ class DataPlacementPlanner {
   // recording cross-cell transfers (a shard already present in the right
   // cell is not rewritten). `previous` maps retailer -> cell where its
   // shard currently lives ("" = not stored). Transient SFS errors are
-  // retried per `policy`; `io`, if given, accumulates retry/corruption
-  // counters.
+  // retried per `policy`; `io`, if given, counts retries and corruptions
+  // into its registry.
   Status Materialize(const RetailerRegistry& registry, const Plan& plan,
                      const std::map<data::RetailerId, std::string>& previous,
                      sfs::FileTransferLedger* ledger,

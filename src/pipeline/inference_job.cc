@@ -158,8 +158,7 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
     job_span = options_.tracer->StartSpan(options_.job_label);
   }
   const InferenceCounters counters(options_.metrics);
-  sfs::ReliableIoCounters io;
-  io.SetMetrics(options_.metrics, options_.clock);
+  sfs::ReliableIoCounters io(options_.metrics, options_.clock);
 
   // --- Partition retailers across cells, weighted by inventory size.
   std::vector<PackItem> items;

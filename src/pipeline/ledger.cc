@@ -63,7 +63,8 @@ bool ReadChainMap(BinaryReader* reader,
 RunLedger::RunLedger(sfs::SharedFileSystem* fs, const Options& options,
                      const RetryPolicy& retry, sfs::ReliableIoCounters* io,
                      obs::MetricRegistry* metrics)
-    : fs_(fs), options_(options), retry_(retry), io_(io) {
+    : fs_(fs), options_(options), retry_(retry), io_(io),
+      retry_stats_(sfs::RetryStatsOf(io)) {
   if (metrics != nullptr) {
     appends_counter_ = metrics->GetCounter("pipeline_ledger_appends_total");
   }
@@ -84,11 +85,8 @@ Status RunLedger::Append(const Entry& entry) {
   if (day_ < 0) return FailedPreconditionError("ledger day not started");
   buffer_ += EncodeEntry(entry);
   const std::string path = DayPath(day_);
-  RetryStats* stats = io_ != nullptr ? &io_->retry : nullptr;
-  RetryStats local;
-  SIGMUND_RETURN_IF_ERROR(
-      RetryWithPolicy(retry_, stats != nullptr ? stats : &local,
-                      [&] { return fs_->Write(path, buffer_); }));
+  SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(
+      retry_, retry_stats_, [&] { return fs_->Write(path, buffer_); }));
   bytes_written_ += static_cast<int64_t>(buffer_.size());
   if (appends_counter_ != nullptr) appends_counter_->Add(1);
   return OkStatus();
@@ -156,20 +154,17 @@ std::string RunLedger::DayPath(int day) const {
 }
 
 StatusOr<RunLedger::DecodeResult> RunLedger::ReadDay(int day) const {
-  RetryStats local;
-  RetryStats* stats = io_ != nullptr ? &io_->retry : &local;
   StatusOr<std::string> bytes = RetryWithPolicy<std::string>(
-      retry_, stats, [&] { return fs_->Read(DayPath(day)); });
+      retry_, retry_stats_, [&] { return fs_->Read(DayPath(day)); });
   if (!bytes.ok()) return bytes.status();
   return DecodeLog(*bytes);
 }
 
 Status RunLedger::RetireOldDays(int current_day, int64_t* deleted) {
-  RetryStats local;
-  RetryStats* stats = io_ != nullptr ? &io_->retry : &local;
-  StatusOr<std::vector<std::string>> names = RetryWithPolicy<
-      std::vector<std::string>>(
-      retry_, stats, [&] { return fs_->List(options_.dir + "/day"); });
+  StatusOr<std::vector<std::string>> names =
+      RetryWithPolicy<std::vector<std::string>>(retry_, retry_stats_, [&] {
+        return fs_->List(options_.dir + "/day");
+      });
   if (!names.ok()) return names.status();
   const int keep_from = current_day - std::max(1, options_.retain_days) + 1;
   for (const std::string& name : *names) {
@@ -178,8 +173,8 @@ Status RunLedger::RetireOldDays(int current_day, int64_t* deleted) {
     stem.remove_suffix(4);
     const int day = ParseDaySuffix(stem, options_.dir + "/day");
     if (day < 0 || day >= keep_from) continue;
-    SIGMUND_RETURN_IF_ERROR(
-        RetryWithPolicy(retry_, stats, [&] { return fs_->Delete(name); }));
+    SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(
+        retry_, retry_stats_, [&] { return fs_->Delete(name); }));
     if (deleted != nullptr) ++*deleted;
   }
   return OkStatus();
@@ -199,20 +194,16 @@ Status RunLedger::WriteSnapshotTmp(std::string_view payload) {
 }
 
 Status RunLedger::CommitSnapshot(int day) {
-  RetryStats local;
-  RetryStats* stats = io_ != nullptr ? &io_->retry : &local;
-  return RetryWithPolicy(retry_, stats, [&] {
+  return RetryWithPolicy(retry_, retry_stats_, [&] {
     return fs_->Rename(SnapshotTmpPath(), SnapshotPath(day));
   });
 }
 
 StatusOr<std::pair<int, std::string>> RunLedger::ReadLatestSnapshot() const {
-  RetryStats local;
-  RetryStats* stats = io_ != nullptr ? &io_->retry : &local;
   const std::string prefix = options_.state_dir + "/snapshot.v";
   StatusOr<std::vector<std::string>> names =
       RetryWithPolicy<std::vector<std::string>>(
-          retry_, stats, [&] { return fs_->List(prefix); });
+          retry_, retry_stats_, [&] { return fs_->List(prefix); });
   if (!names.ok()) return names.status();
   std::vector<int> days;
   for (const std::string& name : *names) {
@@ -235,20 +226,18 @@ StatusOr<std::pair<int, std::string>> RunLedger::ReadLatestSnapshot() const {
 }
 
 Status RunLedger::RetireOldSnapshots(int current_day, int64_t* deleted) {
-  RetryStats local;
-  RetryStats* stats = io_ != nullptr ? &io_->retry : &local;
   const std::string prefix = options_.state_dir + "/snapshot.v";
   StatusOr<std::vector<std::string>> names =
       RetryWithPolicy<std::vector<std::string>>(
-          retry_, stats, [&] { return fs_->List(prefix); });
+          retry_, retry_stats_, [&] { return fs_->List(prefix); });
   if (!names.ok()) return names.status();
   const int keep_from =
       current_day - std::max(1, options_.retain_snapshots) + 1;
   for (const std::string& name : *names) {
     const int day = ParseDaySuffix(name, prefix);
     if (day < 0 || day >= keep_from) continue;
-    SIGMUND_RETURN_IF_ERROR(
-        RetryWithPolicy(retry_, stats, [&] { return fs_->Delete(name); }));
+    SIGMUND_RETURN_IF_ERROR(RetryWithPolicy(
+        retry_, retry_stats_, [&] { return fs_->Delete(name); }));
     if (deleted != nullptr) ++*deleted;
   }
   return OkStatus();

@@ -151,6 +151,7 @@ class RunLedger {
   Options options_;
   RetryPolicy retry_;
   sfs::ReliableIoCounters* io_;
+  const RetryStats* retry_stats_;  // io_'s, or null with it
   obs::Counter* appends_counter_ = nullptr;
 
   int day_ = -1;

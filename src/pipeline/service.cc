@@ -437,21 +437,22 @@ std::string DailyReport::ToString() const {
 
 SigmundService::SigmundService(sfs::SharedFileSystem* fs,
                                const Options& options)
-    : fs_(fs), options_(options), monitor_(options.quality) {
-  clock_ = options_.clock != nullptr ? options_.clock : RealClock::Get();
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
+    : fs_(fs),
+      options_(options),
+      monitor_(options.quality),
+      owned_metrics_(options.metrics == nullptr
+                         ? std::make_unique<obs::MetricRegistry>()
+                         : nullptr),
+      metrics_(options.metrics != nullptr ? options.metrics
+                                          : owned_metrics_.get()),
+      clock_(options.clock != nullptr ? options.clock : RealClock::Get()),
+      io_(metrics_, clock_) {
   if (options_.tracer != nullptr) {
     tracer_ = options_.tracer;
   } else {
     owned_tracer_ = std::make_unique<obs::Tracer>(clock_);
     tracer_ = owned_tracer_.get();
   }
-  io_.SetMetrics(metrics_, clock_);
   monitor_.set_metrics(metrics_);
   if (options_.dataqual.enabled) {
     sentry_ = std::make_unique<dataqual::DataSentry>(
@@ -1384,16 +1385,6 @@ StatusOr<DailyReport> SigmundService::RunDaily() {
     SIGMUND_RETURN_IF_ERROR(RunStage(kDailyStages[i], stages[i], rec, &report));
   }
   report.degraded_retailers = static_cast<int64_t>(degraded.size());
-
-  // Mirror chaos-layer fault totals into the registry after the run's
-  // last SFS access. Only the part not already recorded (by an injector
-  // wired live via SetMetrics) is added, so the sums always agree.
-  if (options_.injected_faults != nullptr) {
-    const int64_t recorded =
-        metrics_->Snapshot().CounterValue("sfs_faults_injected_total");
-    metrics_->GetCounter("sfs_faults_injected_total")
-        ->Add(options_.injected_faults->total() - recorded);
-  }
 
   day_span.End();
   report.total_wall_micros = day_span.DurationMicros();

@@ -30,7 +30,6 @@
 #include "retrieval/reader.h"
 #include "serving/replicated_store.h"
 #include "serving/store.h"
-#include "sfs/fault_injection.h"
 #include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
@@ -129,9 +128,9 @@ struct DailyReport {
   // Robustness counters for this run. Transient SFS errors that a retry
   // absorbed, checksum failures caught (and healed on the write path),
   // corrupt checkpoints skipped over by training, corrupt recommendation
-  // batches the serving store refused to load, and — when the service is
-  // told about a FaultInjectingFileSystem — faults the chaos layer
-  // injected during this run.
+  // batches the serving store refused to load, and the faults a chaos
+  // layer injected during this run (a FaultInjectingFileSystem counts
+  // them live once SetMetrics points it at the service's registry).
   int64_t sfs_retries = 0;
   int64_t corruptions_detected = 0;
   int64_t corruptions_healed = 0;
@@ -313,12 +312,6 @@ class SigmundService {
     // inference jobs carry their own policies in `training.sfs_retry` /
     // `inference.sfs_retry`.
     RetryPolicy sfs_retry;
-
-    // When the SFS handed to the service is wrapped in a
-    // FaultInjectingFileSystem, point this at its counters so DailyReport
-    // can show how many faults were injected each run. Borrowed; may be
-    // null.
-    const sfs::FaultCounters* injected_faults = nullptr;
 
     // --- Observability. All borrowed; when null the service owns a
     // private registry/tracer driven by `clock` (null = RealClock).
@@ -560,16 +553,16 @@ class SigmundService {
   // Where each retailer's data shard currently lives (data placement).
   std::map<data::RetailerId, std::string> shard_homes_;
   sfs::FileTransferLedger transfer_ledger_;
-  // Retry/corruption counters for the service's own SFS access, mirrored
-  // live into the registry (DailyReport carries per-run registry deltas;
-  // the counters themselves accumulate for the service lifetime).
-  sfs::ReliableIoCounters io_;
   // Observability plumbing: borrowed from Options or service-owned.
   std::unique_ptr<obs::MetricRegistry> owned_metrics_;
   std::unique_ptr<obs::Tracer> owned_tracer_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   const Clock* clock_ = nullptr;
+  // Retry/corruption counters for the service's own SFS access, counted
+  // into metrics_ (DailyReport carries per-run registry deltas). Declared
+  // after metrics_ and clock_, which it is built from.
+  sfs::ReliableIoCounters io_;
   bool force_full_sweep_ = false;
   int days_run_ = 0;
 };

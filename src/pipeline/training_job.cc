@@ -276,7 +276,7 @@ class TrainMapper : public mapreduce::Mapper {
                   }
                   counters_->evictions->Add(1);
                   if (!within_grace) counters_->hard_evictions->Add(1);
-                  if (executor_->OnEviction(task_key, within_grace)) {
+                  if (executor_->OnEviction(task_key)) {
                     counters_->priority_escalations->Add(1);
                   }
                   evicted = true;
@@ -422,8 +422,7 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
     job_span = options_.tracer->StartSpan(options_.job_label);
   }
   const TrainingCounters counters(options_.metrics);
-  sfs::ReliableIoCounters io;
-  io.SetMetrics(options_.metrics, options_.clock);
+  sfs::ReliableIoCounters io(options_.metrics, options_.clock);
 
   std::vector<mapreduce::Record> input;
   input.reserve(plan.size());

@@ -102,8 +102,8 @@ class TrainingJob {
     int max_attempts_per_task = 10;
 
     // Retry policy for all SFS access (models, checkpoints): transient
-    // kUnavailable errors are retried with backoff before a task attempt
-    // is declared failed.
+    // kUnavailable errors are retried before a task attempt is declared
+    // failed.
     RetryPolicy sfs_retry;
 
     // Large-retailer MAP estimation (§III-C2): retailers with more items

@@ -42,7 +42,7 @@ StatusOr<int64_t> OnlineRetrievalReader::StageFromFile(
   if (!artifact.ok()) {
     // CRC passed but the payload is incoherent — count it with the same
     // severity as a torn frame: the artifact never becomes servable.
-    if (io != nullptr) io->CountCorruptionDetected();
+    if (io != nullptr) io->corruptions_detected->Add(1);
     return artifact.status();
   }
   return StageArtifact(retailer, std::move(artifact).value(), version);

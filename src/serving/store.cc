@@ -98,26 +98,22 @@ StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
     data::RetailerId retailer, const sfs::SharedFileSystem& fs,
     const std::string& path, const RetryPolicy& policy,
     sfs::ReliableIoCounters* io, int64_t version) {
-  // Batch-load latency + outcome counters when observability is wired in
-  // through the caller's ReliableIoCounters.
-  obs::MetricRegistry* metrics = io != nullptr ? io->metrics : nullptr;
-  const Clock* clock = nullptr;
-  int64_t start_micros = 0;
-  if (metrics != nullptr) {
-    clock = io->clock != nullptr ? io->clock : RealClock::Get();
-    start_micros = clock->NowMicros();
-  }
+  // Batch-load latency + outcome counters go to the registry behind the
+  // caller's ReliableIoCounters, if one is given.
+  const int64_t start_micros = io != nullptr ? io->clock->NowMicros() : 0;
   auto finish = [&](const char* outcome,
                     StatusOr<int64_t> result) -> StatusOr<int64_t> {
-    if (metrics != nullptr) {
-      metrics->GetHistogram("serving_batch_load_micros")
-          ->Observe(static_cast<double>(clock->NowMicros() - start_micros));
-      metrics->GetCounter("serving_batch_loads_total", {{"outcome", outcome}})
+    if (io != nullptr) {
+      io->metrics->GetHistogram("serving_batch_load_micros")
+          ->Observe(static_cast<double>(io->clock->NowMicros() -
+                                        start_micros));
+      io->metrics
+          ->GetCounter("serving_batch_loads_total", {{"outcome", outcome}})
           ->Add(1);
     }
     return result;
   };
-  RetryStats* retry_stats = io != nullptr ? &io->retry : nullptr;
+  const RetryStats* retry_stats = sfs::RetryStatsOf(io);
   StatusOr<std::string> blob =
       RetryWithPolicy<std::string>(policy, retry_stats, [&] {
         return fs.Read(path);
@@ -127,7 +123,7 @@ StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
   if (!payload.ok()) {
     // Torn, bit-rotted or unframed batch: refuse it and keep serving the
     // previous version of this retailer's recommendations.
-    if (io != nullptr) io->CountCorruptionDetected();
+    if (io != nullptr) io->corruptions_detected->Add(1);
     return finish("rejected", payload.status());
   }
   StatusOr<core::RecommendationBatch> batch =
@@ -136,7 +132,7 @@ StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
     // The frame checked out but its contents break the batch format's
     // rules: still a corrupt batch from serving's point of view. Previous
     // data stays.
-    if (io != nullptr) io->CountCorruptionDetected();
+    if (io != nullptr) io->corruptions_detected->Add(1);
     return finish("rejected",
                   DataLossError(StrFormat("corrupt recommendation batch %s: %s",
                                           path.c_str(),

@@ -100,8 +100,9 @@ class RecommendationStore : public ServingReader {
   // `policy`. A corrupt batch (no frame, bad CRC, or a payload that fails
   // RecommendationBatch::Decode's checks) is rejected with kDataLoss
   // and the retailer's previously loaded recommendations stay live — a
-  // bad refresh must never take down serving. `io`, if given, accumulates
-  // retry and corruption counters. Stages + activates in one step.
+  // bad refresh must never take down serving. `io`, if given, counts
+  // retries, corruptions and batch loads into its registry. Stages +
+  // activates in one step.
   Status LoadRetailerFromFile(data::RetailerId retailer,
                               const sfs::SharedFileSystem& fs,
                               const std::string& path,

@@ -37,8 +37,11 @@ struct FaultProfile {
   uint64_t seed = 1;
 };
 
-// Counters for each fault actually injected. Readable while the
-// filesystem is in use.
+// Counters for each fault actually injected: the test double's own
+// ground truth, which chaos tests compare the registry's
+// sfs_faults_injected_total{op=...} series against. Operators read the
+// registry (SetMetrics), not these. Readable while the filesystem is in
+// use.
 struct FaultCounters {
   std::atomic<int64_t> read_errors{0};
   std::atomic<int64_t> write_errors{0};
@@ -77,9 +80,10 @@ class FaultInjectingFileSystem : public SharedFileSystem {
 
   const FaultCounters& counters() const { return counters_; }
 
-  // Optional: also count every injected fault into
-  // sfs_faults_injected_total{op=...} of `registry` (borrowed; null
-  // disconnects). Purely additive — the fault schedule is unchanged.
+  // Also count every injected fault into sfs_faults_injected_total{op=...}
+  // of `registry` (borrowed; null disconnects), live as it is injected.
+  // This is the only way the faults reach a SigmundService's DailyReport.
+  // Purely additive — the fault schedule is unchanged.
   void SetMetrics(obs::MetricRegistry* registry);
 
   // Master switch; when disabled every call passes straight through.
@@ -97,7 +101,8 @@ class FaultInjectingFileSystem : public SharedFileSystem {
   // Produces the corrupted blob for a torn write of `data`.
   std::string TearBlob(const std::string& path, const std::string& data) const;
 
-  // Bumps the per-op counter and, when wired, the registry mirror.
+  // Bumps the per-op ground-truth counter and, when wired, the registry
+  // series.
   void CountFault(std::atomic<int64_t>* counter, const char* op) const;
 
   SharedFileSystem* const base_;

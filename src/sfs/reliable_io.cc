@@ -3,6 +3,7 @@
 #include <string_view>
 
 #include "common/binary_io.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace sigmund::sfs {
@@ -14,16 +15,19 @@ namespace {
 // rounds tearing is p^8 — negligible for any sane chaos profile.
 constexpr int kMaxVerifyRounds = 8;
 
+obs::MetricRegistry* Required(obs::MetricRegistry* registry) {
+  SIGCHECK(registry != nullptr) << "ReliableIoCounters needs a registry";
+  return registry;
+}
+
 // RAII latency sample: observes elapsed micros into `histogram` (if any)
 // when it goes out of scope.
 class ScopedLatency {
  public:
   ScopedLatency(obs::Histogram* histogram, const Clock* clock)
       : histogram_(histogram),
-        clock_(histogram != nullptr
-                   ? (clock != nullptr ? clock : RealClock::Get())
-                   : nullptr),
-        start_micros_(clock_ != nullptr ? clock_->NowMicros() : 0) {}
+        clock_(clock),
+        start_micros_(histogram != nullptr ? clock->NowMicros() : 0) {}
 
   ~ScopedLatency() {
     if (histogram_ != nullptr) {
@@ -40,43 +44,18 @@ class ScopedLatency {
 
 }  // namespace
 
-void ReliableIoCounters::SetMetrics(obs::MetricRegistry* registry,
-                                    const Clock* time_source) {
-  metrics = registry;
-  clock = time_source;
-  if (registry == nullptr) {
-    retry.retries_counter = nullptr;
-    retry.exhaustions_counter = nullptr;
-    corruptions_detected_counter = nullptr;
-    corruptions_healed_counter = nullptr;
-    read_micros = nullptr;
-    write_micros = nullptr;
-    return;
-  }
-  retry.retries_counter = registry->GetCounter("sfs_retries_total");
-  retry.exhaustions_counter =
-      registry->GetCounter("sfs_retry_exhaustions_total");
-  corruptions_detected_counter =
-      registry->GetCounter("sfs_corruptions_detected_total");
-  corruptions_healed_counter =
-      registry->GetCounter("sfs_corruptions_healed_total");
-  read_micros = registry->GetHistogram("sfs_op_micros", {{"op", "read"}});
-  write_micros = registry->GetHistogram("sfs_op_micros", {{"op", "write"}});
-}
-
-void ReliableIoCounters::CountCorruptionDetected() {
-  corruptions_detected.fetch_add(1);
-  if (corruptions_detected_counter != nullptr) {
-    corruptions_detected_counter->Add(1);
-  }
-}
-
-void ReliableIoCounters::CountCorruptionHealed() {
-  corruptions_healed.fetch_add(1);
-  if (corruptions_healed_counter != nullptr) {
-    corruptions_healed_counter->Add(1);
-  }
-}
+ReliableIoCounters::ReliableIoCounters(obs::MetricRegistry* registry,
+                                       const Clock* time_source)
+    : metrics(Required(registry)),
+      clock(time_source != nullptr ? time_source : RealClock::Get()),
+      retry{metrics->GetCounter("sfs_retries_total"),
+            metrics->GetCounter("sfs_retry_exhaustions_total")},
+      corruptions_detected(
+          metrics->GetCounter("sfs_corruptions_detected_total")),
+      corruptions_healed(metrics->GetCounter("sfs_corruptions_healed_total")),
+      read_micros(metrics->GetHistogram("sfs_op_micros", {{"op", "read"}})),
+      write_micros(
+          metrics->GetHistogram("sfs_op_micros", {{"op", "write"}})) {}
 
 Status WriteChecksummedFile(SharedFileSystem* fs, const std::string& path,
                             std::string_view payload,
@@ -85,7 +64,7 @@ Status WriteChecksummedFile(SharedFileSystem* fs, const std::string& path,
   ScopedLatency latency(io != nullptr ? io->write_micros : nullptr,
                         io != nullptr ? io->clock : nullptr);
   const std::string frame = WriteChecksummedFrame(payload);
-  RetryStats* retry_stats = io != nullptr ? &io->retry : nullptr;
+  const RetryStats* retry_stats = RetryStatsOf(io);
   bool healed_corruption = false;
   for (int round = 0; round < kMaxVerifyRounds; ++round) {
     Status write_status = RetryWithPolicy(policy, retry_stats, [&] {
@@ -101,10 +80,10 @@ Status WriteChecksummedFile(SharedFileSystem* fs, const std::string& path,
         });
     SIGMUND_RETURN_IF_ERROR(stored.status());
     if (*stored == frame) {
-      if (healed_corruption && io != nullptr) io->CountCorruptionHealed();
+      if (healed_corruption && io != nullptr) io->corruptions_healed->Add(1);
       return OkStatus();
     }
-    if (io != nullptr) io->CountCorruptionDetected();
+    if (io != nullptr) io->corruptions_detected->Add(1);
     healed_corruption = true;
   }
   return DataLossError(
@@ -118,14 +97,14 @@ StatusOr<std::string> ReadChecksummedFile(const SharedFileSystem* fs,
                                           ReliableIoCounters* io) {
   ScopedLatency latency(io != nullptr ? io->read_micros : nullptr,
                         io != nullptr ? io->clock : nullptr);
-  RetryStats* retry_stats = io != nullptr ? &io->retry : nullptr;
+  const RetryStats* retry_stats = RetryStatsOf(io);
   StatusOr<std::string> stored =
       RetryWithPolicy<std::string>(policy, retry_stats, [&] {
         return fs->Read(path);
       });
   SIGMUND_RETURN_IF_ERROR(stored.status());
   StatusOr<std::string> payload = ReadChecksummedFrame(*stored);
-  if (!payload.ok() && io != nullptr) io->CountCorruptionDetected();
+  if (!payload.ok() && io != nullptr) io->corruptions_detected->Add(1);
   return payload;
 }
 
@@ -133,7 +112,7 @@ StatusOr<int64_t> SweepPartialFiles(SharedFileSystem* fs,
                                     const std::string& prefix,
                                     const RetryPolicy& policy,
                                     ReliableIoCounters* io) {
-  RetryStats* retry_stats = io != nullptr ? &io->retry : nullptr;
+  const RetryStats* retry_stats = RetryStatsOf(io);
   StatusOr<std::vector<std::string>> paths =
       RetryWithPolicy<std::vector<std::string>>(policy, retry_stats, [&] {
         return fs->List(prefix);

@@ -3,7 +3,6 @@
 
 #include <stdint.h>
 
-#include <atomic>
 #include <string>
 
 #include "common/clock.h"
@@ -13,35 +12,36 @@
 
 namespace sigmund::sfs {
 
-// Counters shared by all reliable-I/O call sites of one job. Thread-safe.
+// Where the reliable-I/O call sites of one job (or of the service) count
+// their events: borrowed handles to the sfs_* instruments of a metrics
+// registry, looked up once at construction. The registry is the only home of these counts (DESIGN.md
+// §5); read them there by series name. Thread-safe, as the instruments
+// are. The I/O functions below take `io == nullptr` to count nothing.
 struct ReliableIoCounters {
-  // Transient-error retry bookkeeping (attempts, retries, exhaustions).
+  // `registry` (required) and `clock` are borrowed; clock == nullptr means
+  // RealClock. Registers sfs_retries_total, sfs_retry_exhaustions_total,
+  // sfs_corruptions_detected_total, sfs_corruptions_healed_total and
+  // sfs_op_micros{op=read|write}.
+  explicit ReliableIoCounters(obs::MetricRegistry* registry,
+                              const Clock* clock = nullptr);
+
+  obs::MetricRegistry* metrics;
+  const Clock* clock;
+  // Transient-error retries and exhaustions.
   RetryStats retry;
   // Frames whose CRC (or framing) check failed at read/verify time.
-  std::atomic<int64_t> corruptions_detected{0};
+  obs::Counter* corruptions_detected;
   // Corrupt frames healed by rewriting (write-side read-back verify).
-  std::atomic<int64_t> corruptions_healed{0};
-
-  // Optional observability wiring. SetMetrics registers the standard
-  // sfs_* instruments in `registry` and mirrors every retry / corruption
-  // event into them, and every checksummed read/write records an
-  // sfs_op_micros{op=...} latency sample. `registry` and `clock` are
-  // borrowed; clock == nullptr means RealClock.
-  void SetMetrics(obs::MetricRegistry* registry,
-                  const Clock* clock = nullptr);
-
-  // Bumps corruptions_detected and its registry mirror (if wired).
-  void CountCorruptionDetected();
-  // Bumps corruptions_healed and its registry mirror (if wired).
-  void CountCorruptionHealed();
-
-  obs::MetricRegistry* metrics = nullptr;  // null = not wired
-  const Clock* clock = nullptr;
-  obs::Counter* corruptions_detected_counter = nullptr;
-  obs::Counter* corruptions_healed_counter = nullptr;
-  obs::Histogram* read_micros = nullptr;
-  obs::Histogram* write_micros = nullptr;
+  obs::Counter* corruptions_healed;
+  // One latency sample per checksummed read / write call.
+  obs::Histogram* read_micros;
+  obs::Histogram* write_micros;
 };
+
+// `io`'s retry counters, or nullptr (count nothing) when `io` is.
+inline const RetryStats* RetryStatsOf(const ReliableIoCounters* io) {
+  return io != nullptr ? &io->retry : nullptr;
+}
 
 // Writes `payload` to `path` wrapped in a checksummed frame, then reads
 // it back and verifies the frame round-trips. A torn write (storage

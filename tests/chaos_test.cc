@@ -8,6 +8,7 @@
 // kUnavailable), healed (torn writes caught by write-side read-back
 // verification), or re-executed deterministically (killed tasks).
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/slo.h"
+#include "counter_total.h"
 #include "data/world_generator.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/service.h"
@@ -61,7 +64,10 @@ sfs::FaultProfile ChaosProfile() {
   return profile;
 }
 
-SigmundService::Options ChaosOptions(const sfs::FaultCounters* counters) {
+// The chaos filesystem counts its faults into the service's registry
+// (FaultInjectingFileSystem::SetMetrics), which is where DailyReport reads
+// faults_injected from.
+SigmundService::Options ChaosOptions() {
   SigmundService::Options options = BaseOptions();
   options.training.map_task_failure_prob = 0.15;
   options.training.reduce_task_failure_prob = 0.30;
@@ -73,7 +79,6 @@ SigmundService::Options ChaosOptions(const sfs::FaultCounters* counters) {
   options.sfs_retry = generous;
   options.training.sfs_retry = generous;
   options.inference.sfs_retry = generous;
-  options.injected_faults = counters;
   return options;
 }
 
@@ -103,8 +108,8 @@ TEST(ChaosTest, DailyRunSurvivesChaosAndMatchesFaultFreeRun) {
   // Chaos run: same seeds, same data, hostile filesystem.
   sfs::MemFileSystem base_fs;
   sfs::FaultInjectingFileSystem chaos_fs(&base_fs, ChaosProfile());
-  SigmundService chaos_service(&chaos_fs,
-                               ChaosOptions(&chaos_fs.counters()));
+  SigmundService chaos_service(&chaos_fs, ChaosOptions());
+  chaos_fs.SetMetrics(chaos_service.metrics());
   chaos_service.UpsertRetailer(&f.r0.data);
   chaos_service.UpsertRetailer(&f.r1.data);
   StatusOr<DailyReport> chaos_day1 = chaos_service.RunDaily();
@@ -179,7 +184,8 @@ TEST(ChaosTest, ExternalObservabilityNeverPerturbsResults) {
   // Run A: service-owned observability (the default).
   sfs::MemFileSystem base_a;
   sfs::FaultInjectingFileSystem fs_a(&base_a, ChaosProfile());
-  SigmundService service_a(&fs_a, ChaosOptions(&fs_a.counters()));
+  SigmundService service_a(&fs_a, ChaosOptions());
+  fs_a.SetMetrics(service_a.metrics());
   service_a.UpsertRetailer(&f.r0.data);
   service_a.UpsertRetailer(&f.r1.data);
   StatusOr<DailyReport> day_a = service_a.RunDaily();
@@ -191,7 +197,7 @@ TEST(ChaosTest, ExternalObservabilityNeverPerturbsResults) {
   obs::MetricRegistry registry;
   SimClock clock;
   obs::Tracer tracer(&clock);
-  SigmundService::Options options = ChaosOptions(&fs_b.counters());
+  SigmundService::Options options = ChaosOptions();
   options.metrics = &registry;
   options.tracer = &tracer;
   options.clock = &clock;
@@ -207,7 +213,7 @@ TEST(ChaosTest, ExternalObservabilityNeverPerturbsResults) {
   obs::SloEngine slo(slo_options, &registry);
   options.slo = &slo;
   SigmundService service_b(&fs_b, options);
-  fs_b.SetMetrics(&registry);  // live per-op fault counting
+  fs_b.SetMetrics(service_b.metrics());  // live per-op fault counting
   service_b.UpsertRetailer(&f.r0.data);
   service_b.UpsertRetailer(&f.r1.data);
   StatusOr<DailyReport> day_b = service_b.RunDaily();
@@ -226,10 +232,20 @@ TEST(ChaosTest, ExternalObservabilityNeverPerturbsResults) {
   EXPECT_EQ(day_b->models_trained, day_a->models_trained);
   EXPECT_DOUBLE_EQ(day_b->mean_best_map, day_a->mean_best_map);
 
-  // The registry tells the same story as the report, with no double
-  // counting between live per-op fault counters and the end-of-run
-  // mirror.
+  // The registry tells the same story as the report. Every fault is
+  // counted once, live, under its operation: no series without an `op`
+  // label (no end-of-run top-up) sits next to the per-op ones.
   obs::RegistrySnapshot snapshot = registry.Snapshot();
+  int fault_series = 0;
+  for (const obs::MetricSnapshot& metric : snapshot.metrics) {
+    if (metric.name != "sfs_faults_injected_total") continue;
+    ++fault_series;
+    EXPECT_TRUE(std::any_of(
+        metric.labels.begin(), metric.labels.end(),
+        [](const auto& label) { return label.first == "op"; }))
+        << "sfs_faults_injected_total" << obs::RenderLabels(metric.labels);
+  }
+  EXPECT_GT(fault_series, 0);
   EXPECT_EQ(snapshot.CounterValue("sfs_faults_injected_total"),
             fs_b.counters().total());
   EXPECT_EQ(day_b->faults_injected, fs_b.counters().total());
@@ -292,15 +308,20 @@ TEST(ChaosTest, TornCheckpointWritesNeverCorruptRestore) {
     profile.seed = 5;
     sfs::FaultInjectingFileSystem fs(&base, profile);
     SimClock clock;
-    sfs::ReliableIoCounters io;
+    obs::MetricRegistry registry;
+    sfs::ReliableIoCounters io(&registry);
     CheckpointManager manager(&fs, &clock, "ck/r0", 1.0, RetryPolicy{}, &io);
     for (int epoch = 1; epoch <= 4; ++epoch) {
       ASSERT_TRUE(manager.ForceCheckpoint(model, epoch).ok());
     }
+    const int64_t detected =
+        testutil::CounterTotal(registry, "sfs_corruptions_detected_total");
+    const int64_t healed =
+        testutil::CounterTotal(registry, "sfs_corruptions_healed_total");
     EXPECT_GT(fs.counters().torn_writes.load(), 0);
-    EXPECT_GT(io.corruptions_detected.load(), 0);
-    EXPECT_GT(io.corruptions_healed.load(), 0);
-    EXPECT_LE(io.corruptions_healed.load(), io.corruptions_detected.load());
+    EXPECT_GT(detected, 0);
+    EXPECT_GT(healed, 0);
+    EXPECT_LE(healed, detected);
     StatusOr<CheckpointManager::Restored> restored =
         manager.Restore(&world.data.catalog);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -321,8 +342,8 @@ TEST(ChaosTest, TornCheckpointWritesNeverCorruptRestore) {
 // window means every revocation is caught at an epoch boundary with time
 // to flush a final checkpoint, and the low escalation threshold forces
 // repeatedly-evicted tasks onto regular-priority machines.
-SigmundService::Options ChurnChaosOptions(const sfs::FaultCounters* counters) {
-  SigmundService::Options options = ChaosOptions(counters);
+SigmundService::Options ChurnChaosOptions() {
+  SigmundService::Options options = ChaosOptions();
   options.training.checkpoint_interval_seconds = 240.0;
   options.training.simulated_seconds_per_step = 1.0;
   options.training.churn.preemption_rate_per_hour = 30.0;
@@ -354,10 +375,10 @@ TEST(ChaosTest, ThreeDayChurnChaosKeepsFullCoverageAndIsDeterministic) {
     sfs::MemFileSystem base;
     sfs::FaultInjectingFileSystem chaos_fs(&base, ChaosProfile());
     SimClock clock;
-    SigmundService::Options options =
-        ChurnChaosOptions(&chaos_fs.counters());
+    SigmundService::Options options = ChurnChaosOptions();
     options.clock = &clock;  // deterministic wall timings in the report
     SigmundService service(&chaos_fs, options);
+    chaos_fs.SetMetrics(service.metrics());
     service.UpsertRetailer(&f.r0.data);
     service.UpsertRetailer(&f.r1.data);
     for (int day = 0; day < 3; ++day) {
@@ -509,9 +530,10 @@ TEST(ChaosTest, SpeculativeInferenceUnderChaosMatchesRetryOnly) {
     std::map<data::RetailerId, std::string> blobs;
     sfs::MemFileSystem base;
     sfs::FaultInjectingFileSystem chaos_fs(&base, ChaosProfile());
-    SigmundService::Options options = ChaosOptions(&chaos_fs.counters());
+    SigmundService::Options options = ChaosOptions();
     options.inference.speculative_backups = speculate;
     SigmundService service(&chaos_fs, options);
+    chaos_fs.SetMetrics(service.metrics());
     service.UpsertRetailer(&f.r0.data);
     service.UpsertRetailer(&f.r1.data);
     StatusOr<DailyReport> day = service.RunDaily();

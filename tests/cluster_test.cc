@@ -281,22 +281,16 @@ TEST(PreemptibleExecutorTest, EscalatesToRegularAfterThreshold) {
   PreemptibleExecutor executor(ChurnyOptions(5.0));
   const std::string key = "r3/m001";
   EXPECT_EQ(executor.TaskPriority(key), LeasePriority::kPreemptible);
-  EXPECT_FALSE(executor.OnEviction(key, /*within_grace=*/true));
-  EXPECT_FALSE(executor.OnEviction(key, /*within_grace=*/false));
+  EXPECT_FALSE(executor.OnEviction(key));
+  EXPECT_FALSE(executor.OnEviction(key));
   // Third eviction crosses escalate_after_evictions = 3.
-  EXPECT_TRUE(executor.OnEviction(key, /*within_grace=*/true));
+  EXPECT_TRUE(executor.OnEviction(key));
   EXPECT_EQ(executor.TaskPriority(key), LeasePriority::kRegular);
   EXPECT_EQ(executor.EvictionCount(key), 3);
   // Escalated tasks come back on stable machines.
   MachineLease lease = executor.Acquire(key, 123.0);
   EXPECT_FALSE(lease.preemptible());
   EXPECT_EQ(lease.Check(1e12), MachineLease::State::kHeld);
-  // Stats reflect the history.
-  EXPECT_EQ(executor.stats().evictions.load(), 3);
-  EXPECT_EQ(executor.stats().grace_evictions.load(), 2);
-  EXPECT_EQ(executor.stats().hard_evictions.load(), 1);
-  EXPECT_EQ(executor.stats().escalations.load(), 1);
-  EXPECT_EQ(executor.stats().leases_regular.load(), 1);
   // Other tasks are unaffected by this task's escalation.
   EXPECT_EQ(executor.TaskPriority("r3/m002"), LeasePriority::kPreemptible);
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "counter_total.h"
 #include "data/world_generator.h"
 #include "pipeline/binpack.h"
 #include "pipeline/checkpoint.h"
@@ -180,7 +182,8 @@ TEST(CheckpointManagerTest, VersionNumberingSurvivesNewManager) {
 
 TEST(CheckpointManagerTest, CorruptLatestCheckpointReportsNotFound) {
   CheckpointFixture f;
-  sfs::ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  sfs::ReliableIoCounters io(&registry);
   CheckpointManager manager(&f.fs, &f.clock, "ck/r0", 1.0, RetryPolicy{},
                             &io);
   ASSERT_TRUE(manager.ForceCheckpoint(f.model, 4).ok());
@@ -197,7 +200,30 @@ TEST(CheckpointManagerTest, CorruptLatestCheckpointReportsNotFound) {
       manager.Restore(&f.world.data.catalog);
   EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(manager.corrupt_checkpoints_detected(), 1);
-  EXPECT_GE(io.corruptions_detected.load(), 1);
+  EXPECT_GE(testutil::CounterTotal(registry, "sfs_corruptions_detected_total"),
+            1);
+}
+
+TEST(CheckpointManagerTest,
+     UndecodableCheckpointCountsAsSkippedNotAsSfsCorruption) {
+  CheckpointFixture f;
+  obs::MetricRegistry registry;
+  sfs::ReliableIoCounters io(&registry);
+  // A frame whose CRC checks out, holding an epoch and bytes that are no
+  // model: the SFS delivered exactly what was written.
+  std::string payload(sizeof(int32_t), '\0');
+  payload[0] = 7;
+  payload += "definitely not a serialized model";
+  ASSERT_TRUE(
+      sfs::WriteChecksummedFile(&f.fs, "ck/r0/ckpt.000000000", payload).ok());
+  CheckpointManager manager(&f.fs, &f.clock, "ck/r0", 1.0, RetryPolicy{},
+                            &io);
+  StatusOr<CheckpointManager::Restored> restored =
+      manager.Restore(&f.world.data.catalog);
+  EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager.corrupt_checkpoints_detected(), 1);
+  EXPECT_EQ(testutil::CounterTotal(registry, "sfs_corruptions_detected_total"),
+            0);
 }
 
 TEST(CheckpointManagerTest, GcSurvivesTransientDeleteFailures) {
@@ -208,13 +234,14 @@ TEST(CheckpointManagerTest, GcSurvivesTransientDeleteFailures) {
   sfs::FaultInjectingFileSystem faulty(&f.fs, profile);
   RetryPolicy policy;
   policy.max_attempts = 10;
-  sfs::ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  sfs::ReliableIoCounters io(&registry);
   CheckpointManager manager(&faulty, &f.clock, "ck/r0", 1.0, policy, &io);
   for (int epoch = 1; epoch <= 5; ++epoch) {
     ASSERT_TRUE(manager.ForceCheckpoint(f.model, epoch).ok());
   }
   EXPECT_GT(faulty.counters().delete_errors.load(), 0);
-  EXPECT_GT(io.retry.retries.load(), 0);
+  EXPECT_GT(testutil::CounterTotal(registry, "sfs_retries_total"), 0);
   // Retried GC still converged to keep-only-latest.
   EXPECT_EQ(f.fs.List("ck/r0/ckpt.")->size(), 1u);
   StatusOr<CheckpointManager::Restored> restored =

@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "counter_total.h"
 #include "data/world_generator.h"
 #include "pipeline/service.h"
 #include "retrieval/artifact.h"
@@ -510,8 +511,12 @@ TEST(OnlineRetrievalReaderTest, VersionChainStageActivateRollbackDiscard) {
 
 TEST(OnlineRetrievalReaderTest, CorruptArtifactRejectedPreviousKeepsServing) {
   sfs::MemFileSystem fs;
-  sfs::ReliableIoCounters io;
+  obs::MetricRegistry metrics;
+  sfs::ReliableIoCounters io(&metrics);
   retrieval::OnlineRetrievalReader reader({});
+  auto detected = [&] {
+    return testutil::CounterTotal(metrics, "sfs_corruptions_detected_total");
+  };
   const std::string path = "retrieval/r3";
 
   ASSERT_TRUE(sfs::WriteChecksummedFile(&fs, path,
@@ -528,12 +533,12 @@ TEST(OnlineRetrievalReaderTest, CorruptArtifactRejectedPreviousKeepsServing) {
 
   // A well-framed blob whose payload is not an artifact passes the CRC
   // but fails artifact validation — and is counted as a corruption.
-  const int64_t detected_before = io.corruptions_detected.load();
+  const int64_t detected_before = detected();
   ASSERT_TRUE(
       sfs::WriteChecksummedFile(&fs, path, "CRC-clean but meaningless").ok());
   EXPECT_EQ(reader.StageFromFile(3, fs, path, {}, &io).status().code(),
             StatusCode::kDataLoss);
-  EXPECT_GT(io.corruptions_detected.load(), detected_before);
+  EXPECT_GT(detected(), detected_before);
 
   // Through it all, v1 never stopped serving.
   EXPECT_EQ(reader.RetailerVersion(3), *v1);

@@ -14,6 +14,7 @@
 
 #include "common/binary_io.h"
 #include "common/metrics.h"
+#include "counter_total.h"
 #include "core/recommendation_batch.h"
 #include "serving/replicated_store.h"
 #include "serving/store.h"
@@ -234,8 +235,7 @@ TEST(VersionedStoreTest, UnframedBatchIsRejected) {
       core::RecommendationBatch::FromLists(MakeBatch(5, 2.0)).Encode();
   ASSERT_TRUE(fs.Write("unframed", unframed).ok());
   obs::MetricRegistry metrics;
-  sfs::ReliableIoCounters io;
-  io.SetMetrics(&metrics, nullptr);
+  sfs::ReliableIoCounters io(&metrics);
   RecommendationStore store;
   store.LoadRetailer(1, MakeBatch(5, 1.0));
 
@@ -264,7 +264,8 @@ void ExpectHostileBatchRejected(
   mutate(&payload);
   sfs::MemFileSystem fs;
   ASSERT_TRUE(fs.Write("hostile", WriteChecksummedFrame(payload)).ok());
-  sfs::ReliableIoCounters io;
+  obs::MetricRegistry metrics;
+  sfs::ReliableIoCounters io(&metrics);
   RecommendationStore store;
   store.LoadRetailer(1, MakeBatch(5, 1.0));
 
@@ -272,7 +273,8 @@ void ExpectHostileBatchRejected(
                 .status()
                 .code(),
             StatusCode::kDataLoss);
-  EXPECT_EQ(io.corruptions_detected.load(), 1);
+  EXPECT_EQ(
+      testutil::CounterTotal(metrics, "sfs_corruptions_detected_total"), 1);
   EXPECT_EQ(store.RetailerVersion(1), 1);
   EXPECT_EQ(store.LatestVersion(1), 1);
   auto list = store.Lookup(1, 0, RecommendationKind::kViewBased);

@@ -1,10 +1,13 @@
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/metrics.h"
+#include "counter_total.h"
 #include "sfs/fault_injection.h"
 #include "sfs/mem_filesystem.h"
 #include "sfs/reliable_io.h"
@@ -194,15 +197,29 @@ TEST(FaultInjectionTest, DisabledPassesThrough) {
 
 // --- Reliable I/O -----------------------------------------------------------
 
+// Counts read out of the registry by series name, as an operator reads
+// them (DESIGN.md §5).
+int64_t Count(const obs::MetricRegistry& registry, std::string_view name) {
+  return testutil::CounterTotal(registry, name);
+}
+
+int64_t OpSamples(const obs::MetricRegistry& registry, const char* op) {
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  const obs::HistogramSnapshot* histogram =
+      snapshot.FindHistogram("sfs_op_micros", {{"op", op}});
+  return histogram != nullptr ? histogram->count : -1;
+}
+
 TEST(ReliableIoTest, RoundTripWithoutFaults) {
   MemFileSystem fs;
-  ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  ReliableIoCounters io(&registry);
   ASSERT_TRUE(WriteChecksummedFile(&fs, "f", "payload", {}, &io).ok());
   StatusOr<std::string> back = ReadChecksummedFile(&fs, "f", {}, &io);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, "payload");
-  EXPECT_EQ(io.corruptions_detected.load(), 0);
-  EXPECT_EQ(io.retry.retries.load(), 0);
+  EXPECT_EQ(Count(registry, "sfs_corruptions_detected_total"), 0);
+  EXPECT_EQ(Count(registry, "sfs_retries_total"), 0);
   // The stored bytes really are framed.
   EXPECT_TRUE(LooksLikeChecksummedFrame(*fs.Read("f")));
 }
@@ -216,7 +233,8 @@ TEST(ReliableIoTest, RetriesTransientErrors) {
   FaultInjectingFileSystem fs(&base, profile);
   RetryPolicy policy;
   policy.max_attempts = 20;
-  ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  ReliableIoCounters io(&registry);
   for (int i = 0; i < 20; ++i) {
     std::string path = "f" + std::to_string(i);
     ASSERT_TRUE(WriteChecksummedFile(&fs, path, "payload", policy, &io).ok());
@@ -225,7 +243,7 @@ TEST(ReliableIoTest, RetriesTransientErrors) {
     EXPECT_EQ(*back, "payload");
   }
   EXPECT_GT(fs.counters().total(), 0);
-  EXPECT_GT(io.retry.retries.load(), 0);
+  EXPECT_GT(Count(registry, "sfs_retries_total"), 0);
 }
 
 TEST(ReliableIoTest, HealsTornWrites) {
@@ -234,7 +252,8 @@ TEST(ReliableIoTest, HealsTornWrites) {
   profile.torn_write_prob = 0.5;
   profile.seed = 13;
   FaultInjectingFileSystem fs(&base, profile);
-  ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  ReliableIoCounters io(&registry);
   for (int i = 0; i < 30; ++i) {
     std::string path = "f" + std::to_string(i);
     ASSERT_TRUE(WriteChecksummedFile(&fs, path, "payload", {}, &io).ok());
@@ -243,12 +262,14 @@ TEST(ReliableIoTest, HealsTornWrites) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, "payload");
   }
+  const int64_t detected = Count(registry, "sfs_corruptions_detected_total");
+  const int64_t healed = Count(registry, "sfs_corruptions_healed_total");
   EXPECT_GT(fs.counters().torn_writes.load(), 0);
-  EXPECT_GT(io.corruptions_detected.load(), 0);
+  EXPECT_GT(detected, 0);
   // One heal per write that recovered; consecutive tears of the same
   // write each count as a detection, so healed <= detected.
-  EXPECT_GT(io.corruptions_healed.load(), 0);
-  EXPECT_LE(io.corruptions_healed.load(), io.corruptions_detected.load());
+  EXPECT_GT(healed, 0);
+  EXPECT_LE(healed, detected);
 }
 
 TEST(ReliableIoTest, ReadDetectsCorruptionAsDataLoss) {
@@ -257,13 +278,84 @@ TEST(ReliableIoTest, ReadDetectsCorruptionAsDataLoss) {
   std::string bytes = *fs.Read("f");
   bytes[bytes.size() - 1] ^= 0x40;
   ASSERT_TRUE(fs.Write("f", bytes).ok());
-  ReliableIoCounters io;
+  obs::MetricRegistry registry;
+  ReliableIoCounters io(&registry);
   EXPECT_EQ(ReadChecksummedFile(&fs, "f", {}, &io).status().code(),
             StatusCode::kDataLoss);
-  EXPECT_EQ(io.corruptions_detected.load(), 1);
+  EXPECT_EQ(Count(registry, "sfs_corruptions_detected_total"), 1);
   // Missing file is kNotFound, not kDataLoss.
   EXPECT_EQ(ReadChecksummedFile(&fs, "nope").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(ReliableIoTest, CountsEveryEventIntoTheRegistry) {
+  // Retries and exhaustions: storage that is always down.
+  {
+    MemFileSystem base;
+    FaultProfile profile;
+    profile.read_error_prob = 1.0;
+    profile.write_error_prob = 1.0;
+    FaultInjectingFileSystem fs(&base, profile);
+    RetryPolicy policy;
+    policy.max_attempts = 3;
+    obs::MetricRegistry registry;
+    ReliableIoCounters io(&registry);
+    EXPECT_EQ(WriteChecksummedFile(&fs, "f", "payload", policy, &io).code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(Count(registry, "sfs_retries_total"), 2);
+    EXPECT_EQ(Count(registry, "sfs_retry_exhaustions_total"), 1);
+    EXPECT_EQ(fs.counters().write_errors.load(), 3);
+  }
+  // Corruptions detected and healed, and one latency sample per call.
+  {
+    MemFileSystem base;
+    FaultProfile profile;
+    profile.torn_write_prob = 0.5;
+    profile.seed = 13;
+    FaultInjectingFileSystem fs(&base, profile);
+    obs::MetricRegistry registry;
+    ReliableIoCounters io(&registry);
+    constexpr int kFiles = 30;
+    for (int i = 0; i < kFiles; ++i) {
+      const std::string path = "f" + std::to_string(i);
+      ASSERT_TRUE(WriteChecksummedFile(&fs, path, "payload", {}, &io).ok());
+      ASSERT_TRUE(ReadChecksummedFile(&fs, path, {}, &io).ok());
+    }
+    const int64_t detected =
+        Count(registry, "sfs_corruptions_detected_total");
+    const int64_t healed = Count(registry, "sfs_corruptions_healed_total");
+    EXPECT_EQ(detected, fs.counters().torn_writes.load());
+    EXPECT_GT(healed, 0);
+    EXPECT_LE(healed, detected);
+    EXPECT_EQ(Count(registry, "sfs_retries_total"), 0);
+    EXPECT_EQ(Count(registry, "sfs_retry_exhaustions_total"), 0);
+    EXPECT_EQ(OpSamples(registry, "write"), kFiles);
+    EXPECT_EQ(OpSamples(registry, "read"), kFiles);
+  }
+  // io == nullptr round-trips and counts nothing, even under faults and
+  // with a wired ReliableIoCounters alive next to it.
+  {
+    MemFileSystem base;
+    FaultProfile profile;
+    profile.read_error_prob = 0.5;
+    profile.torn_write_prob = 0.5;
+    profile.seed = 7;
+    FaultInjectingFileSystem fs(&base, profile);
+    RetryPolicy policy;
+    policy.max_attempts = 20;
+    obs::MetricRegistry registry;
+    ReliableIoCounters io(&registry);
+    const std::string before = registry.Snapshot().ToJson();
+    for (int i = 0; i < 10; ++i) {
+      const std::string path = "f" + std::to_string(i);
+      ASSERT_TRUE(WriteChecksummedFile(&fs, path, "payload", policy).ok());
+      StatusOr<std::string> back = ReadChecksummedFile(&fs, path, policy);
+      ASSERT_TRUE(back.ok());
+      EXPECT_EQ(*back, "payload");
+    }
+    EXPECT_GT(fs.counters().total(), 0);
+    EXPECT_EQ(registry.Snapshot().ToJson(), before);
+  }
 }
 
 TEST(FileTransferLedgerTest, CountsCrossCellOnly) {
