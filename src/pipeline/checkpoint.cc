@@ -25,10 +25,12 @@ CheckpointManager::CheckpointManager(sfs::SharedFileSystem* fs,
                                      const Clock* clock, std::string dir,
                                      double interval_seconds,
                                      RetryPolicy retry_policy,
-                                     sfs::ReliableIoCounters* io)
+                                     sfs::ReliableIoCounters* io,
+                                     obs::Counter* corrupt_skipped)
     : fs_(fs), clock_(clock), dir_(std::move(dir)),
       interval_seconds_(interval_seconds), retry_policy_(retry_policy),
-      io_(io), last_checkpoint_time_(clock->NowSeconds()) {
+      io_(io), corrupt_skipped_(corrupt_skipped),
+      last_checkpoint_time_(clock->NowSeconds()) {
   SIGCHECK(fs != nullptr);
   SIGCHECK(clock != nullptr);
   // Resume version numbering after any existing checkpoints. Best-effort:
@@ -104,7 +106,6 @@ Status CheckpointManager::ForceCheckpoint(const core::BprModel& model,
     }
   }
   last_checkpoint_time_ = clock_->NowSeconds();
-  ++checkpoints_written_;
   return OkStatus();
 }
 
@@ -130,16 +131,12 @@ StatusOr<CheckpointManager::Restored> CheckpointManager::Restore(
       // Torn or bit-rotted checkpoint: treat it as absent so the caller
       // restarts training from scratch instead of crashing. The corrupt
       // file itself is overwritten or GC'd by the next checkpoint.
-      corrupt_checkpoints_detected_.fetch_add(1);
-      SIGLOG(WARNING) << "checkpoint " << latest
-                      << " failed CRC validation; restarting from scratch";
-      return NotFoundError("latest checkpoint corrupt: " + latest);
+      return SkipCorrupt(latest, "failed CRC validation");
     }
     return payload.status();
   }
   if (payload->size() < sizeof(int32_t)) {
-    corrupt_checkpoints_detected_.fetch_add(1);
-    return NotFoundError("latest checkpoint truncated: " + latest);
+    return SkipCorrupt(latest, "is truncated");
   }
   int32_t epoch = 0;
   std::memcpy(&epoch, payload->data(), sizeof(epoch));
@@ -148,10 +145,17 @@ StatusOr<CheckpointManager::Restored> CheckpointManager::Restore(
   if (!model.ok()) {
     // CRC passed but the model payload does not decode — e.g. written by
     // an incompatible version. Same recovery: restart from scratch.
-    corrupt_checkpoints_detected_.fetch_add(1);
-    return NotFoundError("latest checkpoint undecodable: " + latest);
+    return SkipCorrupt(latest, "does not decode");
   }
   return Restored{std::move(model).value(), epoch};
+}
+
+Status CheckpointManager::SkipCorrupt(const std::string& path,
+                                      const char* why) const {
+  if (corrupt_skipped_ != nullptr) corrupt_skipped_->Add(1);
+  SIGLOG(WARNING) << "checkpoint " << path << " " << why
+                  << "; restarting from scratch";
+  return NotFoundError("latest checkpoint corrupt: " + path);
 }
 
 Status CheckpointManager::Clear() {

@@ -3,11 +3,11 @@
 
 #include <stdint.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "core/model.h"
@@ -34,13 +34,16 @@ namespace sigmund::pipeline {
 // from scratch instead of crashing or silently training on garbage.
 class CheckpointManager {
  public:
-  // `fs`, `clock` and `io` are borrowed. `dir` is the SFS directory for
-  // this (retailer, model) pair's checkpoints. `io`, if given, counts
-  // retries and failed CRC checks into its registry.
+  // `fs`, `clock`, `io` and `corrupt_skipped` are borrowed. `dir` is the
+  // SFS directory for this (retailer, model) pair's checkpoints. `io`, if
+  // given, counts retries and failed CRC checks into its registry;
+  // `corrupt_skipped`, if given, counts every corrupt checkpoint Restore
+  // skips, at the moment it skips it.
   CheckpointManager(sfs::SharedFileSystem* fs, const Clock* clock,
                     std::string dir, double interval_seconds,
                     RetryPolicy retry_policy = {},
-                    sfs::ReliableIoCounters* io = nullptr);
+                    sfs::ReliableIoCounters* io = nullptr,
+                    obs::Counter* corrupt_skipped = nullptr);
 
   // Writes a checkpoint if at least interval_seconds elapsed since the
   // last one (or since construction). Returns true if one was written.
@@ -55,7 +58,7 @@ class CheckpointManager {
   // Restores the latest committed checkpoint. Returns the model and the
   // epoch it was taken at (training resumes at epoch+1). A corrupt latest
   // checkpoint (bad CRC, truncated or undecodable payload) is counted in
-  // corrupt_checkpoints_detected() and reported as kNotFound — to the
+  // `corrupt_skipped` and reported as kNotFound — to the
   // caller it looks like no checkpoint exists, so the task restarts
   // cleanly from scratch. Only a bad CRC is also an SFS corruption
   // (counted by ReadChecksummedFile through `io`).
@@ -70,14 +73,10 @@ class CheckpointManager {
   // and concurrent deletion (kNotFound) is tolerated.
   Status Clear();
 
-  int64_t checkpoints_written() const { return checkpoints_written_; }
-
-  // Corrupt checkpoints Restore has skipped over.
-  int64_t corrupt_checkpoints_detected() const {
-    return corrupt_checkpoints_detected_.load();
-  }
-
  private:
+  // Counts and logs a corrupt latest checkpoint, and reports it as absent.
+  Status SkipCorrupt(const std::string& path, const char* why) const;
+
   std::string VersionPath(int64_t version) const;
 
   // List with transient-error retry.
@@ -89,11 +88,10 @@ class CheckpointManager {
   std::string dir_;
   double interval_seconds_;
   RetryPolicy retry_policy_;
-  sfs::ReliableIoCounters* io_;  // may be null
+  sfs::ReliableIoCounters* io_;      // may be null
+  obs::Counter* corrupt_skipped_;  // may be null
   double last_checkpoint_time_;
   int64_t next_version_ = 0;
-  int64_t checkpoints_written_ = 0;
-  mutable std::atomic<int64_t> corrupt_checkpoints_detected_{0};
 };
 
 }  // namespace sigmund::pipeline

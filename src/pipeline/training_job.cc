@@ -1,7 +1,10 @@
 #include "pipeline/training_job.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <utility>
 
 #include "cluster/executor.h"
 #include "common/clock.h"
@@ -45,6 +48,8 @@ struct TrainingCounters {
             metrics->GetCounter("training_deadline_exceeded_total")),
         degraded_records(
             metrics->GetCounter("training_degraded_records_total")),
+        view_builds(
+            metrics->GetCounter("training_retailer_view_builds_total")),
         model_micros(
             metrics->GetHistogram("training_model_simulated_micros")) {}
 
@@ -70,26 +75,107 @@ struct TrainingCounters {
   obs::Counter* preemption_budget_exhausted;
   obs::Counter* deadline_exceeded;
   obs::Counter* degraded_records;
+  obs::Counter* view_builds;
   obs::Histogram* model_micros;
+};
+
+// A retailer's training state: the leave-last-out split, the TrainingData
+// over its training half, and the co-occurrence model the samplers
+// consult. Every consumer reads it through const, so the configs of one
+// retailer share a single view. Pinned in place: `training_data` points
+// into `split`.
+struct RetailerTrainingView {
+  explicit RetailerTrainingView(const data::RetailerData* retailer)
+      : data(retailer),
+        split(data::SplitLeaveLastOut(*retailer)),
+        training_data(&split.train, retailer->catalog.num_items()),
+        cooccurrence(core::CooccurrenceModel::Build(
+            split.train, retailer->catalog.num_items(), {})) {}
+  RetailerTrainingView(const RetailerTrainingView&) = delete;
+  RetailerTrainingView& operator=(const RetailerTrainingView&) = delete;
+
+  const data::RetailerData* const data;
+  const data::TrainTestSplit split;
+  const core::TrainingData training_data;
+  const core::CooccurrenceModel cooccurrence;
+};
+
+// The views of one Run, keyed by retailer. The first task to need a
+// retailer builds its view; a task that asks while the build runs waits
+// for it. A view is dropped once the last planned record of its retailer
+// has mapped, so memory holds only the retailers still in flight.
+class TrainingViewCache {
+ public:
+  explicit TrainingViewCache(obs::Counter* builds) : builds_(builds) {}
+
+  // Plans one more record of `retailer`. Call before any Acquire.
+  void AddRecord(const data::RetailerData* retailer) {
+    Slot& slot = slots_[retailer->id];
+    slot.data = retailer;
+    ++slot.records_left;
+  }
+
+  // `id` must be a planned retailer.
+  std::shared_ptr<const RetailerTrainingView> Acquire(data::RetailerId id) {
+    std::unique_lock<std::mutex> lock(mu_);
+    Slot& slot = PlannedSlot(id);
+    built_.wait(lock, [&slot] { return !slot.building; });
+    if (slot.view != nullptr) return slot.view;
+    slot.building = true;
+    lock.unlock();
+    auto view = std::make_shared<const RetailerTrainingView>(slot.data);
+    builds_->Add(1);
+    lock.lock();
+    slot.building = false;
+    slot.view = view;
+    built_.notify_all();
+    return view;
+  }
+
+  // One record of `id` has mapped successfully.
+  void Release(data::RetailerId id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Slot& slot = PlannedSlot(id);
+    if (--slot.records_left == 0) slot.view.reset();
+  }
+
+ private:
+  struct Slot {
+    const data::RetailerData* data = nullptr;
+    int records_left = 0;
+    bool building = false;
+    std::shared_ptr<const RetailerTrainingView> view;
+  };
+
+  Slot& PlannedSlot(data::RetailerId id) {
+    auto it = slots_.find(id);
+    SIGCHECK(it != slots_.end()) << "retailer " << id << " is not planned";
+    return it->second;
+  }
+
+  obs::Counter* builds_;
+  std::mutex mu_;
+  std::condition_variable built_;
+  std::map<data::RetailerId, Slot> slots_;
 };
 
 // The Train() function of §IV-B, as a Mapper: one config record in, one
 // trained model in SFS + one output config record out.
 class TrainMapper : public mapreduce::Mapper {
  public:
-  // `counters` and `io` are shared by every map task of the run. Map
-  // tasks run on pool threads, so per-model spans attach to the job span
-  // by explicit `parent_span_id` rather than the tracer's thread-local
-  // stack. `executor` (also shared) hands out the revocable machine
-  // leases each model trains under; never null, but inert unless churn
-  // is configured. Each model trains with `threads_per_model` Hogwild
-  // threads (PlanTrainingCores).
-  TrainMapper(sfs::SharedFileSystem* fs, const RetailerRegistry* registry,
+  // `views`, `counters` and `io` are shared by every map task of the
+  // run. Map tasks run on pool threads, so per-model spans attach to the
+  // job span by explicit `parent_span_id` rather than the tracer's
+  // thread-local stack. `executor` (also shared) hands out the revocable
+  // machine leases each model trains under; never null, but inert unless
+  // churn is configured. Each model trains with `threads_per_model`
+  // Hogwild threads (PlanTrainingCores).
+  TrainMapper(sfs::SharedFileSystem* fs, TrainingViewCache* views,
               const TrainingJob::Options* options, int threads_per_model,
               const TrainingCounters* counters, sfs::ReliableIoCounters* io,
               cluster::PreemptibleExecutor* executor, int64_t parent_span_id)
       : fs_(fs),
-        registry_(registry),
+        views_(views),
         options_(options),
         threads_per_model_(threads_per_model),
         counters_(counters),
@@ -111,17 +197,10 @@ class TrainMapper : public mapreduce::Mapper {
           parent_span_id_);
     }
 
-    StatusOr<const data::RetailerData*> retailer =
-        registry_->Get(record.retailer);
-    if (!retailer.ok()) return retailer.status();
-    const data::RetailerData& data = **retailer;
-    const data::Catalog* catalog = &data.catalog;
-
-    // Build the per-model training state.
-    data::TrainTestSplit split = data::SplitLeaveLastOut(data);
-    core::TrainingData training_data(&split.train, catalog->num_items());
-    core::CooccurrenceModel cooccurrence = core::CooccurrenceModel::Build(
-        split.train, catalog->num_items(), {});
+    const std::shared_ptr<const RetailerTrainingView> view =
+        views_->Acquire(record.retailer);
+    const data::Catalog* catalog = &view->data->catalog;
+    const core::TrainingData& training_data = view->training_data;
 
     Rng rng(SplitMix64(record.params.seed) ^
             SplitMix64(static_cast<uint64_t>(record.retailer) * 131 +
@@ -135,8 +214,8 @@ class TrainMapper : public mapreduce::Mapper {
     SimClock clock;
     CheckpointManager checkpoints(
         fs_, &clock, CheckpointDir(record.retailer, record.model_number),
-        options_->checkpoint_interval_seconds, options_->sfs_retry,
-        io_);
+        options_->checkpoint_interval_seconds, options_->sfs_retry, io_,
+        counters_->corrupt_checkpoints_skipped);
 
     core::BprModel model(catalog, record.params);
     int start_epoch = 0;
@@ -188,7 +267,7 @@ class TrainMapper : public mapreduce::Mapper {
 
     std::unique_ptr<core::NegativeSampler> sampler =
         core::MakeNegativeSampler(record.params, catalog, &training_data,
-                                  &model, &cooccurrence);
+                                  &model, &view->cooccurrence);
     core::BprTrainer trainer(&model, &training_data, sampler.get());
 
     // Training loop with mid-training preemption injection: a preemption
@@ -343,7 +422,7 @@ class TrainMapper : public mapreduce::Mapper {
       eval_options.item_sample_fraction = options_->sampled_eval_fraction;
     }
     core::MetricSet metrics = core::Evaluator::Evaluate(
-        model, training_data, split.holdout, eval_options);
+        model, training_data, view->split.holdout, eval_options);
 
     // Commit the final model atomically, then GC the checkpoints. The
     // checksummed write verifies the stored bytes before the rename makes
@@ -357,8 +436,6 @@ class TrainMapper : public mapreduce::Mapper {
         }));
     SIGMUND_RETURN_IF_ERROR(checkpoints.Clear());
 
-    counters_->corrupt_checkpoints_skipped->Add(
-        checkpoints.corrupt_checkpoints_detected());
     record.trained = true;
     // Degradation ladder, rung 1: the model shipped, but the training run
     // blew its deadline or its preemption budget. Selection downstream
@@ -376,12 +453,13 @@ class TrainMapper : public mapreduce::Mapper {
     counters_->simulated_micros->Add(clock.NowMicros());
     counters_->model_micros->Observe(static_cast<double>(clock.NowMicros()));
     emit(mapreduce::Record{record.Key(), record.Serialize()});
+    views_->Release(record.retailer);
     return OkStatus();
   }
 
  private:
   sfs::SharedFileSystem* fs_;
-  const RetailerRegistry* registry_;
+  TrainingViewCache* views_;
   const TrainingJob::Options* options_;
   int threads_per_model_;
   const TrainingCounters* counters_;
@@ -407,6 +485,12 @@ TrainingCores PlanTrainingCores(int max_parallel_tasks, int threads_per_model,
   return plan;
 }
 
+int64_t EstimateTrainingCost(const ConfigRecord& record,
+                             const data::RetailerData& data) {
+  return data.TotalInteractions() * record.params.num_factors *
+         record.params.num_epochs;
+}
+
 TrainingJob::TrainingJob(sfs::SharedFileSystem* fs,
                          const RetailerRegistry* registry,
                          const Options& options)
@@ -424,16 +508,32 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   const TrainingCounters counters(options_.metrics);
   sfs::ReliableIoCounters io(options_.metrics, options_.clock);
 
-  std::vector<mapreduce::Record> input;
-  input.reserve(plan.size());
+  // Largest models first, one record per map task: the pool's FIFO then
+  // starts the costliest models on the first free machines (LPT), and the
+  // stable sort keeps the planner's shuffled order among equal costs.
+  TrainingViewCache views(counters.view_builds);
+  std::vector<std::pair<int64_t, const ConfigRecord*>> by_cost;
+  by_cost.reserve(plan.size());
   for (const ConfigRecord& record : plan) {
+    StatusOr<const data::RetailerData*> retailer =
+        registry_->Get(record.retailer);
+    if (!retailer.ok()) return retailer.status();
+    views.AddRecord(*retailer);
+    by_cost.emplace_back(EstimateTrainingCost(record, **retailer), &record);
+  }
+  std::stable_sort(by_cost.begin(), by_cost.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::vector<mapreduce::Record> input;
+  input.reserve(by_cost.size());
+  for (const auto& entry : by_cost) {
+    const ConfigRecord& record = *entry.second;
     input.push_back(mapreduce::Record{record.Key(), record.Serialize()});
   }
 
   mapreduce::MapReduceSpec spec;
-  spec.num_map_tasks =
-      std::max(1, std::min<int>(options_.num_map_tasks,
-                                static_cast<int>(input.size())));
+  spec.num_map_tasks = std::max(1, static_cast<int>(input.size()));
   spec.num_reduce_tasks = 1;  // "the reduce phase writes out the output
                               // config records" (§IV-B)
   const TrainingCores cores = PlanTrainingCores(
@@ -459,9 +559,9 @@ StatusOr<std::vector<ConfigRecord>> TrainingJob::Run(
   const int64_t parent_span_id = job_span.id();
   mapreduce::MapReduceJob job(
       spec,
-      [this, &cores, &counters, &io, &executor, parent_span_id] {
+      [this, &views, &cores, &counters, &io, &executor, parent_span_id] {
         return std::make_unique<TrainMapper>(
-            fs_, registry_, &options_, cores.threads_per_model, &counters,
+            fs_, &views, &options_, cores.threads_per_model, &counters,
             &io, &executor, parent_span_id);
       },
       [] { return mapreduce::IdentityReducer(); });
@@ -486,7 +586,8 @@ StatusOr<std::vector<ConfigRecord>> MultiCellTrainingJob::Run(
   }
 
   // Route each record to its retailer's data cell, preserving the plan's
-  // (shuffled) order within each cell.
+  // (shuffled) order within each cell. Each cell's TrainingJob then runs
+  // its records largest first, so the shuffle only breaks cost ties.
   std::map<std::string, std::vector<ConfigRecord>> per_cell;
   for (const ConfigRecord& record : plan) {
     auto it = data_homes.find(record.retailer);

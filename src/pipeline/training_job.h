@@ -34,23 +34,40 @@ struct TrainingCores {
 TrainingCores PlanTrainingCores(int max_parallel_tasks, int threads_per_model,
                                 int map_tasks);
 
-// The training MapReduce (§IV-B): input is a randomly permuted collection
-// of config records; the map phase runs Train() on each — loading the
-// retailer's data, training one model on one "machine", checkpointing on a
-// time interval to the shared filesystem, and recovering from (injected)
+// What training `record` costs, relative to other records: every epoch
+// makes one SGD step per interaction, and a step touches O(num_factors)
+// floats, so the cost is TotalInteractions() x num_factors x num_epochs.
+// `data` is the record's retailer. TrainingJob::Run starts the costliest
+// models first.
+int64_t EstimateTrainingCost(const ConfigRecord& record,
+                             const data::RetailerData& data);
+
+// The training MapReduce (§IV-B): the map phase runs Train() on each config
+// record — training one model on one "machine", checkpointing on a time
+// interval to the shared filesystem, and recovering from (injected)
 // preemptions by restoring the latest checkpoint. The reduce phase writes
-// out the output config records, now carrying hold-out metrics. Each Run
-// splits the job's cores with PlanTrainingCores.
+// out the output config records, now carrying hold-out metrics.
+//
+// Each Run schedules by cost: it stable-sorts the plan by descending
+// EstimateTrainingCost and gives every record its own map task, so the
+// pool starts the largest models first and hands the small ones to
+// whichever machine frees up (longest-processing-time-first; "workers
+// assigned small retailers process more training tasks", §IV-B1). The
+// planner's shuffle only breaks ties. Each retailer's split, TrainingData
+// and co-occurrence model are built once per Run, shared read-only by its
+// configs, and dropped after its last record has mapped. Models are
+// seeded by record, never by task, so the schedule changes no byte of
+// any model or output record. Each Run splits the job's cores with
+// PlanTrainingCores.
 class TrainingJob {
  public:
   struct Options {
-    // MapReduce shape. One map task models one machine working through a
-    // chunk of config records ("workers assigned small retailers process
-    // more training tasks", §IV-B1). `max_parallel_tasks` is the number of
-    // machines the job requests; with threads_per_model > 1 and more map
-    // tasks than machines, more tasks than this run at once (see
-    // PlanTrainingCores).
+    // A no-op, kept because existing callers still set it: training runs
+    // one record per map task, in cost order (see the class comment).
     int num_map_tasks = 8;
+    // The number of machines the job requests. With threads_per_model > 1
+    // and more records than machines, more tasks than this run at once
+    // (see PlanTrainingCores).
     int max_parallel_tasks = 2;
 
     // Cores each requested machine brings, and the most Hogwild threads
@@ -119,7 +136,9 @@ class TrainingJob {
     // trained, checkpoints written, preemptions, restores, evictions, the
     // degradation-ladder rungs, ...), the job records per-model simulated
     // latency into training_model_simulated_micros, its sfs I/O into the
-    // sfs_* series, and its MapReduce series carry job=`job_label`. When
+    // sfs_* series, and its MapReduce series carry job=`job_label`.
+    // training_retailer_view_builds_total counts the per-retailer training
+    // views built, one per retailer in the plan. When
     // `tracer` is set, the job opens a `job_label` span with per-model
     // child spans. `clock` drives the sfs_op_micros latency samples so
     // they are deterministic under SimClock; null = RealClock.
@@ -155,7 +174,8 @@ class TrainingJob {
 // cell. Each cell's job labels its series `per_cell.job_label + "/" +
 // cell`, so mapreduce_records_total{job="training/<cell>",kind="output"}
 // is the number of models the cell trained. Every cell gets the whole
-// per-cell core budget and splits it over its own map tasks.
+// per-cell core budget, orders its own records by cost and builds its own
+// retailers' training views.
 class MultiCellTrainingJob {
  public:
   struct Options {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -6,6 +7,7 @@
 #include "common/binary_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 #include "core/candidate_selector.h"
 #include "core/cooccurrence.h"
@@ -518,6 +520,238 @@ TEST(TrainingJobTest, SpareCoresTrainMoreModelsNotMoreThreads) {
   const std::string first = train();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, train());
+}
+
+// Training cost is interactions x factors x epochs, in 64-bit.
+TEST(TrainingJobTest, EstimatesTrainingCostFromInteractionsFactorsEpochs) {
+  struct Case {
+    std::vector<int> history_sizes;
+    int num_factors, num_epochs;
+    int64_t cost;
+  };
+  const Case cases[] = {
+      {{2, 3, 5}, 8, 2, 160},   // 10 interactions
+      {{2, 3, 5}, 16, 2, 320},  // twice the factors, twice the cost
+      {{2, 3, 5}, 8, 4, 320},   // twice the epochs, twice the cost
+      {{}, 8, 2, 0},            // no interactions, nothing to train
+      {{2, 3, 5}, 8, 0, 0},     // no epochs, nothing to train
+      {{100000}, 200, 200, 4000000000LL},  // past 32 bits
+  };
+  for (const Case& c : cases) {
+    data::RetailerData retailer;
+    for (int size : c.history_sizes) {
+      retailer.histories.emplace_back(static_cast<size_t>(size));
+    }
+    ConfigRecord record;
+    record.params.num_factors = c.num_factors;
+    record.params.num_epochs = c.num_epochs;
+    SCOPED_TRACE(testing::Message()
+                 << retailer.TotalInteractions() << " interactions x "
+                 << c.num_factors << " factors x " << c.num_epochs
+                 << " epochs");
+    EXPECT_EQ(EstimateTrainingCost(record, retailer), c.cost);
+  }
+}
+
+// A plan with cost ties: two lambdas per (retailer, factors) pair.
+std::vector<ConfigRecord> PlanWithTies(const RetailerRegistry& registry) {
+  SweepPlanner::Options sweep;
+  sweep.grid.factors = {4, 8};
+  sweep.grid.lambdas_v = {0.1, 0.01};
+  sweep.grid.lambdas_vc = {0.01};
+  sweep.grid.sweep_taxonomy = false;
+  sweep.grid.sweep_brand = false;
+  sweep.grid.num_epochs = 2;
+  sweep.shuffle = true;
+  return SweepPlanner(sweep).PlanFullSweep(registry);
+}
+
+// On one machine the models train one after another, so their spans start
+// in schedule order: descending cost, and plan order among equal costs.
+TEST(TrainingJobTest, LargestModelsStartFirst) {
+  JobFixture f;
+  const std::vector<ConfigRecord> plan = PlanWithTies(f.registry);
+  std::map<std::string, size_t> plan_index;
+  for (size_t i = 0; i < plan.size(); ++i) {
+    plan_index["train/retailer" + std::to_string(plan[i].retailer) + "/m" +
+               std::to_string(plan[i].model_number)] = i;
+  }
+
+  obs::Tracer tracer;
+  TrainingJob::Options options = f.FastTraining();
+  options.max_parallel_tasks = 1;
+  options.threads_per_model = 1;
+  options.tracer = &tracer;
+  ASSERT_TRUE(TrainingJob(&f.fs, &f.registry, options).Run(plan).ok());
+
+  std::vector<size_t> started;
+  for (const obs::SpanRecord& span : tracer.Spans()) {
+    auto it = plan_index.find(span.name);
+    if (it != plan_index.end()) started.push_back(it->second);
+  }
+  ASSERT_EQ(started.size(), plan.size());
+  auto cost = [&](size_t i) {
+    return EstimateTrainingCost(plan[i], **f.registry.Get(plan[i].retailer));
+  };
+  int ties = 0;
+  for (size_t k = 1; k < started.size(); ++k) {
+    const size_t prev = started[k - 1];
+    const size_t next = started[k];
+    SCOPED_TRACE(plan[prev].Key() + " then " + plan[next].Key());
+    EXPECT_GE(cost(prev), cost(next));
+    if (cost(prev) == cost(next)) {
+      ++ties;
+      EXPECT_LT(prev, next);
+    }
+  }
+  EXPECT_GT(ties, 0);
+}
+
+// The trained models and output records depend on the records alone:
+// neither the input order (which sets the tie order) nor training a
+// record in a job of its own (its own schedule and its own view) changes
+// a byte.
+TEST(TrainingJobTest, ScheduleDoesNotChangeModels) {
+  JobFixture f;
+  const std::vector<ConfigRecord> plan = PlanWithTies(f.registry);
+  TrainingJob::Options options = f.FastTraining();
+  options.max_parallel_tasks = 2;
+  options.threads_per_model = 1;
+  auto fingerprint = [&](const sfs::MemFileSystem& fs,
+                         const std::vector<ConfigRecord>& results) {
+    std::string out = Fingerprint(results);
+    for (const ConfigRecord& record : results) {
+      StatusOr<std::string> bytes =
+          sfs::ReadChecksummedFile(&fs, record.model_path);
+      EXPECT_TRUE(bytes.ok()) << record.Key();
+      if (bytes.ok()) out += *bytes;
+    }
+    return out;
+  };
+
+  sfs::MemFileSystem shuffled_fs;
+  StatusOr<std::vector<ConfigRecord>> shuffled =
+      TrainingJob(&shuffled_fs, &f.registry, options).Run(plan);
+  ASSERT_TRUE(shuffled.ok());
+
+  const std::vector<ConfigRecord> reversed_plan(plan.rbegin(), plan.rend());
+  sfs::MemFileSystem reversed_fs;
+  StatusOr<std::vector<ConfigRecord>> reversed =
+      TrainingJob(&reversed_fs, &f.registry, options).Run(reversed_plan);
+  ASSERT_TRUE(reversed.ok());
+
+  sfs::MemFileSystem alone_fs;
+  std::vector<ConfigRecord> alone;
+  for (const ConfigRecord& record : plan) {
+    StatusOr<std::vector<ConfigRecord>> one =
+        TrainingJob(&alone_fs, &f.registry, options).Run({record});
+    ASSERT_TRUE(one.ok());
+    alone.insert(alone.end(), one->begin(), one->end());
+  }
+  std::sort(alone.begin(), alone.end(),
+            [](const ConfigRecord& a, const ConfigRecord& b) {
+              return a.Key() < b.Key();
+            });
+
+  const std::string expected = fingerprint(shuffled_fs, *shuffled);
+  EXPECT_EQ(fingerprint(reversed_fs, *reversed), expected);
+  EXPECT_EQ(fingerprint(alone_fs, alone), expected);
+}
+
+// Each retailer's training view is built once per Run, however many of
+// its configs there are, and however many task attempts are killed.
+TEST(TrainingJobTest, OneViewBuildPerRetailer) {
+  for (double failure_prob : {0.0, 0.4}) {
+    SCOPED_TRACE(testing::Message() << "map_task_failure_prob "
+                                    << failure_prob);
+    JobFixture f;
+    const std::vector<ConfigRecord> plan = PlanWithTies(f.registry);
+    std::set<data::RetailerId> retailers;
+    for (const ConfigRecord& record : plan) retailers.insert(record.retailer);
+    ASSERT_LT(retailers.size(), plan.size());
+
+    TrainingJob::Options options = f.FastTraining();
+    options.map_task_failure_prob = failure_prob;
+    options.max_attempts_per_task = 30;
+    TrainingJob job(&f.fs, &f.registry, options);
+    ASSERT_TRUE(job.Run(plan).ok());
+    EXPECT_EQ(f.Counter("training_retailer_view_builds_total"),
+              static_cast<int64_t>(retailers.size()));
+    EXPECT_EQ(f.Counter("mapreduce_task_failures_total",
+                        {{"job", "training"}, {"phase", "map"}}) > 0,
+              failure_prob > 0.0);
+
+    // A second Run builds its own views.
+    ASSERT_TRUE(job.Run(plan).ok());
+    EXPECT_EQ(f.Counter("training_retailer_view_builds_total"),
+              2 * static_cast<int64_t>(retailers.size()));
+  }
+}
+
+// Fails every rename onto one path with a transient error; everything else
+// goes straight to `base`.
+class FailingRenameFileSystem : public sfs::SharedFileSystem {
+ public:
+  FailingRenameFileSystem(sfs::SharedFileSystem* base, std::string target)
+      : base_(base), target_(std::move(target)) {}
+
+  Status Write(const std::string& path, const std::string& data) override {
+    return base_->Write(path, data);
+  }
+  StatusOr<std::string> Read(const std::string& path) const override {
+    return base_->Read(path);
+  }
+  Status Delete(const std::string& path) override {
+    return base_->Delete(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    if (to == target_) return UnavailableError("injected: " + to);
+    return base_->Rename(from, to);
+  }
+  bool Exists(const std::string& path) const override {
+    return base_->Exists(path);
+  }
+  StatusOr<std::vector<std::string>> List(
+      const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+  StatusOr<int64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+
+ private:
+  sfs::SharedFileSystem* base_;
+  std::string target_;
+};
+
+// A corrupt checkpoint is counted when it is skipped, even if the attempt
+// that skipped it fails later: here the model commit fails after training
+// has replaced the corrupt checkpoint, and the retry resumes from the
+// good one without skipping anything.
+TEST(TrainingJobTest, CorruptCheckpointSkippedByFailedAttemptIsCounted) {
+  JobFixture f;
+  ConfigRecord record = PlanWithTies(f.registry).front();
+  record.params.num_epochs = 3;
+  std::string torn = "torn checkpoint";
+  ASSERT_TRUE(f.fs.Write(CheckpointDir(record.retailer, record.model_number) +
+                             "/ckpt.000000000",
+                         torn)
+                  .ok());
+
+  TrainingJob::Options options = f.FastTraining();
+  options.checkpoint_interval_seconds = 1.0;
+  options.simulated_seconds_per_step = 1.0;  // checkpoint every epoch
+  FailingRenameFileSystem failing(&f.fs, record.model_path);
+  StatusOr<std::vector<ConfigRecord>> failed =
+      TrainingJob(&failing, &f.registry, options).Run({record});
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(f.Counter("training_corrupt_checkpoints_skipped_total"), 1);
+
+  StatusOr<std::vector<ConfigRecord>> retried =
+      TrainingJob(&f.fs, &f.registry, options).Run({record});
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(f.Counter("training_restores_total"), 1);
+  EXPECT_EQ(f.Counter("training_corrupt_checkpoints_skipped_total"), 1);
 }
 
 TEST(TrainingJobTest, MissingRetailerFailsJob) {

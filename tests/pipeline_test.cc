@@ -73,6 +73,9 @@ TEST(PathsTest, DistinctAndStable) {
 
 // --- CheckpointManager -----------------------------------------------------
 
+constexpr char kCorruptSkipped[] =
+    "training_corrupt_checkpoints_skipped_total";
+
 struct CheckpointFixture {
   data::RetailerWorld world;
   core::BprModel model;
@@ -114,7 +117,9 @@ TEST(CheckpointManagerTest, IntervalGatesWrites) {
   wrote = manager.MaybeCheckpoint(f.model, 4);
   ASSERT_TRUE(wrote.ok());
   EXPECT_FALSE(*wrote);
-  EXPECT_EQ(manager.checkpoints_written(), 1);
+  // One write: version 0 is committed, and no later version replaced it.
+  EXPECT_EQ(*f.fs.List("ck/r0/ckpt."),
+            std::vector<std::string>{"ck/r0/ckpt.000000000"});
 }
 
 TEST(CheckpointManagerTest, RestoreRoundTripsModelAndEpoch) {
@@ -185,7 +190,7 @@ TEST(CheckpointManagerTest, CorruptLatestCheckpointReportsNotFound) {
   obs::MetricRegistry registry;
   sfs::ReliableIoCounters io(&registry);
   CheckpointManager manager(&f.fs, &f.clock, "ck/r0", 1.0, RetryPolicy{},
-                            &io);
+                            &io, registry.GetCounter(kCorruptSkipped));
   ASSERT_TRUE(manager.ForceCheckpoint(f.model, 4).ok());
   // Tear the committed checkpoint behind the manager's back.
   std::vector<std::string> checkpoints = *f.fs.List("ck/r0/ckpt.");
@@ -199,7 +204,7 @@ TEST(CheckpointManagerTest, CorruptLatestCheckpointReportsNotFound) {
   StatusOr<CheckpointManager::Restored> restored =
       manager.Restore(&f.world.data.catalog);
   EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(manager.corrupt_checkpoints_detected(), 1);
+  EXPECT_EQ(testutil::CounterTotal(registry, kCorruptSkipped), 1);
   EXPECT_GE(testutil::CounterTotal(registry, "sfs_corruptions_detected_total"),
             1);
 }
@@ -217,11 +222,11 @@ TEST(CheckpointManagerTest,
   ASSERT_TRUE(
       sfs::WriteChecksummedFile(&f.fs, "ck/r0/ckpt.000000000", payload).ok());
   CheckpointManager manager(&f.fs, &f.clock, "ck/r0", 1.0, RetryPolicy{},
-                            &io);
+                            &io, registry.GetCounter(kCorruptSkipped));
   StatusOr<CheckpointManager::Restored> restored =
       manager.Restore(&f.world.data.catalog);
   EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(manager.corrupt_checkpoints_detected(), 1);
+  EXPECT_EQ(testutil::CounterTotal(registry, kCorruptSkipped), 1);
   EXPECT_EQ(testutil::CounterTotal(registry, "sfs_corruptions_detected_total"),
             0);
 }
