@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace sigmund::core {
 
@@ -79,7 +78,7 @@ std::vector<ScoredItem> InferenceEngine::RankCandidates(
     const Context& context, const std::vector<data::ItemIndex>& candidates,
     int top_k) const {
   const int d = model_->dim();
-  // Per-thread buffers: MaterializeAll ranks from several threads.
+  // Per-thread buffers: concurrent map tasks rank on several threads.
   thread_local std::vector<float> user_vec;
   thread_local std::vector<ScoredItem> scored;
   user_vec.resize(d);
@@ -130,15 +129,8 @@ std::vector<ItemRecommendations> InferenceEngine::MaterializeAll(
     const Options& options) const {
   const int n = model_->catalog().num_items();
   std::vector<ItemRecommendations> all(n);
-  if (options.num_threads <= 1) {
-    for (data::ItemIndex i = 0; i < n; ++i) {
-      all[i] = RecommendForItem(i, options);
-    }
-  } else {
-    ThreadPool pool(options.num_threads);
-    pool.ParallelFor(n, [this, &all, &options](int64_t i) {
-      all[i] = RecommendForItem(static_cast<data::ItemIndex>(i), options);
-    });
+  for (data::ItemIndex i = 0; i < n; ++i) {
+    all[i] = RecommendForItem(i, options);
   }
   return all;
 }

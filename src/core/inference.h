@@ -44,9 +44,6 @@ class InferenceEngine {
   struct Options {
     int top_k = 10;
     CandidateSelector::Options selector;
-    // Threads for MaterializeAll (§IV-C2: multi-threading managed in user
-    // code within the single map task).
-    int num_threads = 1;
     // Also materialize the facet-constrained late-funnel substitute list
     // (§III-D1).
     bool materialize_late_funnel = false;
@@ -68,7 +65,8 @@ class InferenceEngine {
   ItemRecommendations RecommendForItem(data::ItemIndex i,
                                        const Options& options) const;
 
-  // Materializes recommendations for every item in the catalog.
+  // Materializes recommendations for every item in the catalog, on the
+  // calling thread.
   std::vector<ItemRecommendations> MaterializeAll(
       const Options& options) const;
 

@@ -105,10 +105,11 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
       ComputeSplits(static_cast<int64_t>(input.size()), spec_.num_map_tasks);
 
   // --- Map phase. Each task attempt runs the whole split; on injected
-  // failure its buffered output is discarded and the task retries. With
-  // speculative_backups on, straggling tasks additionally get one backup
-  // attempt chain once most of the phase has committed; the first chain
-  // to commit wins and the loser cancels at its next record boundary.
+  // failure or a transient (kUnavailable) error its buffered output is
+  // discarded and the task retries. With speculative_backups on,
+  // straggling tasks additionally get one backup attempt chain once most
+  // of the phase has committed; the first chain to commit wins and the
+  // loser cancels at its next record boundary.
   const size_t num_tasks = splits.size();
   std::vector<std::vector<Record>> map_outputs(num_tasks);
   std::mutex mu;
@@ -142,6 +143,7 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   run_map_chain = [&](size_t t, bool is_backup) {
     Rng rng(SplitMix64(spec_.seed) ^
             (is_backup ? SplitMix64(0xbacc00ULL + t) : (0x9e37u + t)));
+    Status last_error;  // of the latest transiently failed attempt
     for (int attempt = 0; attempt < spec_.max_attempts_per_task; ++attempt) {
       if (speculate && committed[t].load(std::memory_order_acquire) != 0) {
         return;  // the other chain already won
@@ -183,9 +185,10 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
         attempts_cancelled->Add(1);
         return;  // buffer dropped; the winner's output stands
       }
-      if (killed) {
+      if (killed || s.code() == StatusCode::kUnavailable) {
         map_failures->Add(1);
-        continue;  // retry; buffer dropped
+        if (!s.ok()) last_error = s;
+        continue;  // transient: retry; buffer dropped
       }
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(mu);
@@ -223,9 +226,10 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
     std::lock_guard<std::mutex> lock(mu);
     if (committed[t].load(std::memory_order_relaxed) == 0 &&
         first_error.ok()) {
-      first_error = UnavailableError(StrFormat(
-          "map task %zu exceeded %d attempts", t,
-          spec_.max_attempts_per_task));
+      first_error = UnavailableError(
+          StrFormat("map task %zu exceeded %d attempts", t,
+                    spec_.max_attempts_per_task) +
+          (last_error.ok() ? "" : "; last: " + last_error.ToString()));
     }
   };
 
@@ -270,8 +274,9 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
   shuffle_span.End();
 
   // --- Reduce phase. Mirrors the map phase's fault tolerance: a killed
-  // attempt drops its buffer and reruns the whole partition, which is safe
-  // because the shuffle buffers are immutable once built.
+  // or transiently failed attempt drops its buffer and reruns the whole
+  // partition, which is safe because the shuffle buffers are immutable
+  // once built.
   obs::Span reduce_span;
   if (spec_.tracer != nullptr) {
     reduce_span = spec_.tracer->StartSpan(span_prefix + "/reduce");
@@ -281,6 +286,7 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
     pool.Schedule([&, p] {
       Rng rng(SplitMix64(spec_.seed) ^ (0x7ecau * static_cast<uint64_t>(p + 1)));
       const int64_t num_keys = static_cast<int64_t>(partitions[p].size());
+      Status last_error;  // of the latest transiently failed attempt
       for (int attempt = 0; attempt < spec_.max_attempts_per_task; ++attempt) {
         reduce_attempts->Add(1);
         const int64_t attempt_start = clock->NowMicros();
@@ -307,9 +313,10 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
 
         reduce_task_micros->Observe(
             static_cast<double>(clock->NowMicros() - attempt_start));
-        if (killed) {
+        if (killed || s.code() == StatusCode::kUnavailable) {
           reduce_failures->Add(1);
-          continue;  // retry; buffer dropped
+          if (!s.ok()) last_error = s;
+          continue;  // transient: retry; buffer dropped
         }
         if (!s.ok()) {
           std::lock_guard<std::mutex> lock(mu);
@@ -324,9 +331,10 @@ StatusOr<std::vector<Record>> MapReduceJob::Run(
       }
       std::lock_guard<std::mutex> lock(mu);
       if (first_error.ok()) {
-        first_error = UnavailableError(StrFormat(
-            "reduce task %d exceeded %d attempts", p,
-            spec_.max_attempts_per_task));
+        first_error = UnavailableError(
+            StrFormat("reduce task %d exceeded %d attempts", p,
+                      spec_.max_attempts_per_task) +
+            (last_error.ok() ? "" : "; last: " + last_error.ToString()));
       }
     });
   }

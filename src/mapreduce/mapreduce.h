@@ -88,6 +88,10 @@ struct MapReduceSpec {
   double reduce_task_failure_prob = 0.0;
 
   // Cap on attempts per task (map or reduce) before the whole job fails.
+  // A killed attempt and one whose Start/Map/Finish/Reduce returned
+  // kUnavailable (transient, e.g. an SFS call that exhausted its retry
+  // policy) are both retried from scratch and counted in
+  // mapreduce_task_failures_total; any other error fails the job at once.
   int max_attempts_per_task = 10;
 
   // Straggler mitigation (Dean & Ghemawat's backup tasks): once at least

@@ -168,9 +168,7 @@ StatusOr<std::vector<data::RetailerId>> InferenceJob::Run(
     items.push_back(PackItem{id, static_cast<double>((*data)->num_items())});
   }
   std::vector<std::vector<PackItem>> cells =
-      options_.use_first_fit_decreasing
-          ? FirstFitDecreasing(items, options_.num_cells)
-          : RoundRobinPack(items, options_.num_cells);
+      FirstFitDecreasing(items, options_.num_cells);
 
   // --- One MapReduce per cell; input contiguous per retailer. The
   // outputs stay alive until the batches are written: `records` views

@@ -19,12 +19,12 @@ namespace sigmund::pipeline {
 //
 // Faithful to the paper's structure:
 //  - retailers are partitioned across cells with greedy first-fit
-//    (-decreasing) bin-packing, weighted by inventory size (§IV-C1);
+//    decreasing bin-packing, weighted by inventory size (§IV-C1);
 //  - within a cell, input items are contiguous per retailer, and the map
 //    task reloads a model only when it crosses a retailer boundary
 //    (§IV-C2) — model loads are counted so tests can verify the policy;
-//  - one map thread per task, with scoring multi-threaded inside the map
-//    function (managed in user code, not by the framework).
+//  - each map task scores its items on one thread; parallelism comes from
+//    running map tasks (max_parallel_tasks) and cells side by side.
 class InferenceJob {
  public:
   struct Options {
@@ -32,8 +32,6 @@ class InferenceJob {
     int num_cells = 1;
     int map_tasks_per_cell = 4;
     int max_parallel_tasks = 2;
-    // true = first-fit-decreasing; false = round-robin (naive baseline).
-    bool use_first_fit_decreasing = true;
 
     // Pre-emption injection at the MapReduce layer: a killed map task's
     // buffered output is discarded and the task re-runs (inference is

@@ -13,6 +13,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "data/types.h"
+#include "serving/version_chain.h"
 #include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
@@ -159,17 +160,12 @@ class RunLedger {
   int64_t bytes_written_ = 0;
 };
 
-// Per-retailer version-chain state captured in a snapshot: enough to put
-// a freshly constructed store / retrieval reader back exactly where the
-// crashed process's in-memory chain was, by re-staging the retained
-// versions from their versioned SFS files.
-struct VersionChainState {
-  int64_t active = 0;
-  int64_t next_version = 1;
-  std::vector<int64_t> retained;  // resident versions, ascending
-
-  bool operator==(const VersionChainState&) const = default;
-};
+// Per-retailer version-chain state captured in a snapshot (one
+// VersionChain::State read): enough to put a freshly constructed store /
+// retrieval reader back exactly where the crashed process's in-memory
+// chain was, by re-staging the retained versions from their versioned
+// SFS files.
+using VersionChainState = serving::VersionChainState;
 
 // Everything SigmundService must rehydrate after a crash that the SFS
 // artifacts alone cannot tell it: warm-start results, quality baselines,

@@ -174,21 +174,6 @@ bool ParseVersionFilePath(const std::string& path, const std::string& dir,
   return true;
 }
 
-// Records `store`'s version chain for `retailer` in a snapshot, unless
-// the chain is still pristine.
-template <typename Store>
-void SnapshotChain(const Store& store, data::RetailerId retailer,
-                   std::map<data::RetailerId, VersionChainState>* chains) {
-  VersionChainState chain;
-  chain.active = store.RetailerVersion(retailer);
-  chain.next_version = store.NextVersion(retailer);
-  chain.retained = store.RetainedVersions(retailer);
-  if (chain.active != 0 || chain.next_version != 1 ||
-      !chain.retained.empty()) {
-    (*chains)[retailer] = std::move(chain);
-  }
-}
-
 // --- DailyReport as a view over the registry (DESIGN.md §5). Where a
 // report counter's value comes from:
 enum CounterSource {
@@ -537,9 +522,14 @@ ServiceSnapshot SigmundService::BuildSnapshot() const {
   snapshot.shard_homes = shard_homes_;
   snapshot.monitor_state = monitor_.SerializeState();
   if (sentry_ != nullptr) snapshot.sentry_state = sentry_->SerializeState();
+  // A chain still pristine (never staged, counter untouched) is left out.
+  auto record = [](VersionChainState chain, data::RetailerId id,
+                   std::map<data::RetailerId, VersionChainState>* chains) {
+    if (chain != VersionChainState{}) (*chains)[id] = std::move(chain);
+  };
   for (data::RetailerId id : registry_.Ids()) {
-    SnapshotChain(*store_group_->primary(), id, &snapshot.store_versions);
-    SnapshotChain(*retrieval_reader_, id, &snapshot.index_versions);
+    record(store_group_->primary()->State(id), id, &snapshot.store_versions);
+    record(retrieval_reader_->State(id), id, &snapshot.index_versions);
   }
   return snapshot;
 }

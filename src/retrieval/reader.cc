@@ -7,7 +7,9 @@ namespace sigmund::retrieval {
 
 OnlineRetrievalReader::OnlineRetrievalReader(const Options& options,
                                              obs::MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {
+    : options_(options),
+      metrics_(metrics),
+      chain_("retrieval index", options.retained_versions) {
   if (metrics_ != nullptr) {
     queries_ok_ = metrics_->GetCounter("retrieval_queries_total",
                                        {{"outcome", "ok"}});
@@ -21,14 +23,9 @@ OnlineRetrievalReader::OnlineRetrievalReader(const Options& options,
 int64_t OnlineRetrievalReader::StageArtifact(data::RetailerId retailer,
                                              IndexArtifact artifact,
                                              int64_t version) {
-  auto shared = std::make_shared<const IndexArtifact>(std::move(artifact));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[retailer];
-  const int64_t assigned = version > 0 ? version : entry.next_version;
-  entry.next_version = std::max(entry.next_version, assigned + 1);
-  entry.versions[assigned] = std::move(shared);
-  Retire(&entry, assigned);
-  return assigned;
+  return chain_.Stage(
+      retailer, std::make_shared<const IndexArtifact>(std::move(artifact)),
+      version);
 }
 
 StatusOr<int64_t> OnlineRetrievalReader::StageFromFile(
@@ -46,63 +43,6 @@ StatusOr<int64_t> OnlineRetrievalReader::StageFromFile(
     return artifact.status();
   }
   return StageArtifact(retailer, std::move(artifact).value(), version);
-}
-
-Status OnlineRetrievalReader::ActivateVersion(data::RetailerId retailer,
-                                              int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.count(version) == 0) {
-    return NotFoundError("retrieval index version not resident");
-  }
-  it->second.active = version;
-  Retire(&it->second, version);
-  return OkStatus();
-}
-
-Status OnlineRetrievalReader::RollbackRetailer(data::RetailerId retailer,
-                                               int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.count(version) == 0) {
-    return NotFoundError("retrieval index version not resident");
-  }
-  it->second.active = version;
-  return OkStatus();
-}
-
-Status OnlineRetrievalReader::DiscardVersion(data::RetailerId retailer,
-                                             int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.count(version) == 0) {
-    return NotFoundError("retrieval index version not resident");
-  }
-  if (it->second.active == version) {
-    return FailedPreconditionError("cannot discard the active index");
-  }
-  it->second.versions.erase(version);
-  return OkStatus();
-}
-
-std::shared_ptr<const IndexArtifact> OnlineRetrievalReader::FindArtifact(
-    data::RetailerId retailer, int64_t version) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end()) return nullptr;
-  const int64_t wanted = version > 0 ? version : it->second.active;
-  if (wanted == 0) return nullptr;
-  auto vit = it->second.versions.find(wanted);
-  return vit != it->second.versions.end() ? vit->second : nullptr;
-}
-
-void OnlineRetrievalReader::Retire(Entry* entry, int64_t keep) const {
-  const int retained = std::max(options_.retained_versions, 1);
-  while (static_cast<int>(entry->versions.size()) > retained) {
-    auto oldest = entry->versions.begin();
-    if (oldest->first == entry->active || oldest->first == keep) break;
-    entry->versions.erase(oldest);
-  }
 }
 
 StatusOr<std::vector<core::ScoredItem>> OnlineRetrievalReader::ServeContext(
@@ -126,7 +66,7 @@ OnlineRetrievalReader::ServeContextAtVersion(data::RetailerId retailer,
     return InvalidArgumentError("empty context");
   }
   std::shared_ptr<const IndexArtifact> artifact =
-      FindArtifact(retailer, version);
+      chain_.Find(retailer, version);
   if (artifact == nullptr) {
     if (queries_error_ != nullptr) queries_error_->Add(1);
     return NotFoundError("no retrieval index for retailer");
@@ -170,47 +110,6 @@ OnlineRetrievalReader::ServeContextAtVersion(data::RetailerId retailer,
         static_cast<double>(stats.candidates_scanned));
   }
   return items;
-}
-
-int64_t OnlineRetrievalReader::RetailerVersion(
-    data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  return it != entries_.end() ? it->second.active : 0;
-}
-
-int64_t OnlineRetrievalReader::LatestVersion(data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.empty()) return 0;
-  return it->second.versions.rbegin()->first;
-}
-
-std::vector<int64_t> OnlineRetrievalReader::RetainedVersions(
-    data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<int64_t> versions;
-  auto it = entries_.find(retailer);
-  if (it != entries_.end()) {
-    for (const auto& [version, artifact] : it->second.versions) {
-      (void)artifact;
-      versions.push_back(version);
-    }
-  }
-  return versions;
-}
-
-int64_t OnlineRetrievalReader::NextVersion(data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  return it == entries_.end() ? 1 : it->second.next_version;
-}
-
-void OnlineRetrievalReader::EnsureNextVersion(data::RetailerId retailer,
-                                              int64_t next_version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[retailer];
-  entry.next_version = std::max(entry.next_version, next_version);
 }
 
 }  // namespace sigmund::retrieval

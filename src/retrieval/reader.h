@@ -1,9 +1,7 @@
 #ifndef SIGMUND_RETRIEVAL_READER_H_
 #define SIGMUND_RETRIEVAL_READER_H_
 
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -14,6 +12,7 @@
 #include "core/inference.h"
 #include "retrieval/artifact.h"
 #include "serving/store.h"
+#include "serving/version_chain.h"
 #include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
@@ -24,16 +23,15 @@ namespace sigmund::retrieval {
 // materialized plane (Frontend degradation ladder, admission control,
 // tracing, canary gating) applies to the ANN path unchanged.
 //
-// Versioning mirrors RecommendationStore: each staged artifact is a
-// version in a per-retailer chain; Stage leaves the previous version
+// Versioning is RecommendationStore's: each staged artifact is a version
+// in the same serving::VersionChain; Stage leaves the previous version
 // serving, Activate/Rollback are O(1) pointer flips, and the last
 // `retained_versions` stay resident for instant rollback. A corrupt
 // artifact (bad CRC, torn frame, incoherent encoding) is rejected at
 // stage time with kDataLoss and the previous version keeps serving.
 //
 // Thread-safe: queries copy out a shared_ptr to an immutable artifact
-// under a shared lock; stage/activate/rollback swap pointers under an
-// exclusive lock.
+// under the chain's shared lock.
 class OnlineRetrievalReader : public serving::ServingReader {
  public:
   struct Options {
@@ -66,10 +64,16 @@ class OnlineRetrievalReader : public serving::ServingReader {
                                   sfs::ReliableIoCounters* io = nullptr,
                                   int64_t version = 0);
 
-  // Pointer flips, mirroring RecommendationStore semantics.
-  Status ActivateVersion(data::RetailerId retailer, int64_t version);
-  Status RollbackRetailer(data::RetailerId retailer, int64_t version);
-  Status DiscardVersion(data::RetailerId retailer, int64_t version);
+  // Pointer flips, with RecommendationStore's semantics (see store.h).
+  Status ActivateVersion(data::RetailerId retailer, int64_t version) {
+    return chain_.Activate(retailer, version);
+  }
+  Status RollbackRetailer(data::RetailerId retailer, int64_t version) {
+    return chain_.Activate(retailer, version);
+  }
+  Status DiscardVersion(data::RetailerId retailer, int64_t version) {
+    return chain_.Discard(retailer, version);
+  }
 
   // ServingReader: answers from the active artifact. kNotFound when the
   // retailer has no active index.
@@ -84,37 +88,38 @@ class OnlineRetrievalReader : public serving::ServingReader {
       data::RetailerId retailer, const core::Context& context,
       int64_t version, obs::TraceContext trace = {}) const;
 
-  int64_t RetailerVersion(data::RetailerId retailer) const override;
-  int64_t LatestVersion(data::RetailerId retailer) const;
-  std::vector<int64_t> RetainedVersions(data::RetailerId retailer) const;
-  // Next auto-assigned version / counter restore for crash rehydration,
-  // mirroring RecommendationStore (see store.h).
-  int64_t NextVersion(data::RetailerId retailer) const;
-  void EnsureNextVersion(data::RetailerId retailer, int64_t next_version);
+  int64_t RetailerVersion(data::RetailerId retailer) const override {
+    return chain_.Active(retailer);
+  }
+  int64_t LatestVersion(data::RetailerId retailer) const {
+    return chain_.Latest(retailer);
+  }
+  std::vector<int64_t> RetainedVersions(data::RetailerId retailer) const {
+    return chain_.State(retailer).retained;
+  }
+  // As on RecommendationStore (see store.h): the next auto-assigned
+  // version, the counter restore for crash rehydration, and the
+  // one-lock read of the whole chain.
+  int64_t NextVersion(data::RetailerId retailer) const {
+    return chain_.State(retailer).next_version;
+  }
+  void EnsureNextVersion(data::RetailerId retailer, int64_t next_version) {
+    chain_.EnsureNext(retailer, next_version);
+  }
+  serving::VersionChainState State(data::RetailerId retailer) const {
+    return chain_.State(retailer);
+  }
 
   const Options& options() const { return options_; }
 
  private:
-  struct Entry {
-    std::map<int64_t, std::shared_ptr<const IndexArtifact>> versions;
-    int64_t active = 0;
-    int64_t next_version = 1;
-  };
-
-  std::shared_ptr<const IndexArtifact> FindArtifact(data::RetailerId retailer,
-                                                    int64_t version) const;
-  // Evicts beyond the retention window (caller holds mu_ exclusively);
-  // never evicts the active version or `keep`.
-  void Retire(Entry* entry, int64_t keep) const;
-
   Options options_;
   obs::MetricRegistry* metrics_;
   obs::Counter* queries_ok_ = nullptr;
   obs::Counter* queries_error_ = nullptr;
   obs::Histogram* candidates_scanned_ = nullptr;
 
-  mutable std::shared_mutex mu_;
-  std::map<data::RetailerId, Entry> entries_;
+  serving::VersionChain<IndexArtifact> chain_;
 };
 
 }  // namespace sigmund::retrieval

@@ -1,8 +1,5 @@
 #include "serving/store.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "common/binary_io.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -10,41 +7,14 @@
 
 namespace sigmund::serving {
 
-void RecommendationStore::Retire(Entry* entry, int64_t keep) const {
-  const size_t retained =
-      static_cast<size_t>(std::max(1, options_.retained_versions));
-  auto it = entry->versions.begin();
-  while (entry->versions.size() > retained && it != entry->versions.end()) {
-    if (it->first == entry->active || it->first == keep) {
-      ++it;
-      continue;
-    }
-    it = entry->versions.erase(it);
-  }
-}
-
-int64_t RecommendationStore::StageShard(data::RetailerId retailer,
-                                        std::shared_ptr<const Shard> shard,
-                                        int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[retailer];
-  if (version <= 0) version = entry.next_version;
-  entry.next_version = std::max(entry.next_version, version + 1);
-  entry.versions[version] = std::move(shard);
-  // A staged-but-never-activated pile must not grow unboundedly either;
-  // the staged version itself is always kept.
-  Retire(&entry, version);
-  return version;
-}
-
 int64_t RecommendationStore::StageRetailer(
     data::RetailerId retailer,
     const std::vector<core::ItemRecommendations>& recommendations,
     int64_t version) {
-  return StageShard(retailer,
-                    std::make_shared<const Shard>(
-                        core::RecommendationBatch::FromLists(recommendations)),
-                    version);
+  return chain_.Stage(
+      retailer,
+      std::make_shared<const Shard>(Shard::FromLists(recommendations)),
+      version);
 }
 
 void RecommendationStore::LoadRetailer(
@@ -52,46 +22,6 @@ void RecommendationStore::LoadRetailer(
     const std::vector<core::ItemRecommendations>& recommendations) {
   const int64_t version = StageRetailer(retailer, recommendations);
   SIGCHECK(ActivateVersion(retailer, version).ok());
-}
-
-Status RecommendationStore::ActivateVersion(data::RetailerId retailer,
-                                            int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.count(version) == 0) {
-    return NotFoundError(StrFormat(
-        "retailer %d has no resident batch version %lld", retailer,
-        static_cast<long long>(version)));
-  }
-  it->second.active = version;
-  Retire(&it->second, version);
-  return OkStatus();
-}
-
-Status RecommendationStore::RollbackRetailer(data::RetailerId retailer,
-                                             int64_t version) {
-  // Pure pointer flip: the target version is already resident in memory,
-  // so no filesystem is touched and nothing is reloaded.
-  return ActivateVersion(retailer, version);
-}
-
-Status RecommendationStore::DiscardVersion(data::RetailerId retailer,
-                                           int64_t version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.count(version) == 0) {
-    return NotFoundError(StrFormat(
-        "retailer %d has no resident batch version %lld", retailer,
-        static_cast<long long>(version)));
-  }
-  if (it->second.active == version) {
-    return FailedPreconditionError(StrFormat(
-        "batch version %lld is active for retailer %d; activate another "
-        "version before discarding it",
-        static_cast<long long>(version), retailer));
-  }
-  it->second.versions.erase(version);
-  return OkStatus();
 }
 
 StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
@@ -138,7 +68,7 @@ StatusOr<int64_t> RecommendationStore::StageRetailerFromFile(
                                           path.c_str(),
                                           batch.status().message().c_str())));
   }
-  const int64_t staged = StageShard(
+  const int64_t staged = chain_.Stage(
       retailer, std::make_shared<const Shard>(std::move(batch).value()),
       version);
   return finish("ok", staged);
@@ -152,19 +82,6 @@ Status RecommendationStore::LoadRetailerFromFile(
       StageRetailerFromFile(retailer, fs, path, policy, io, version);
   if (!staged.ok()) return staged.status();
   return ActivateVersion(retailer, *staged);
-}
-
-std::shared_ptr<const RecommendationStore::Shard>
-RecommendationStore::FindShard(data::RetailerId retailer,
-                               int64_t version) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end()) return nullptr;
-  const Entry& entry = it->second;
-  const int64_t wanted = version <= 0 ? entry.active : version;
-  if (wanted == 0) return nullptr;
-  auto shard = entry.versions.find(wanted);
-  return shard == entry.versions.end() ? nullptr : shard->second;
 }
 
 StatusOr<std::vector<core::ScoredItem>> RecommendationStore::LookupInShard(
@@ -193,7 +110,7 @@ StatusOr<std::vector<core::ScoredItem>> RecommendationStore::Lookup(
 StatusOr<std::vector<core::ScoredItem>> RecommendationStore::LookupAtVersion(
     data::RetailerId retailer, data::ItemIndex item, RecommendationKind kind,
     int64_t version) const {
-  std::shared_ptr<const Shard> shard = FindShard(retailer, version);
+  std::shared_ptr<const Shard> shard = chain_.Find(retailer, version);
   return LookupInShard(shard.get(), retailer, item, kind);
 }
 
@@ -221,76 +138,28 @@ RecommendationStore::ServeContextAtVersion(data::RetailerId retailer,
              core::FunnelStage::kLate) {
     list = core::RecommendationList::kViewBasedLate;
   }
-  std::shared_ptr<const Shard> shard = FindShard(retailer, version);
+  std::shared_ptr<const Shard> shard = chain_.Find(retailer, version);
   return LookupInShard(shard.get(), retailer, latest.item, list);
 }
 
 StatusOr<std::vector<core::ScoredItem>>
 RecommendationStore::LookupLateFunnel(data::RetailerId retailer,
                                       data::ItemIndex item) const {
-  std::shared_ptr<const Shard> shard = FindShard(retailer, /*version=*/0);
+  std::shared_ptr<const Shard> shard = chain_.Find(retailer, /*version=*/0);
   return LookupInShard(shard.get(), retailer, item,
                        core::RecommendationList::kViewBasedLate);
 }
 
 int RecommendationStore::num_retailers() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  int count = 0;
-  for (const auto& [retailer, entry] : entries_) {
-    if (entry.active != 0) ++count;
-  }
-  return count;
+  return static_cast<int>(chain_.ActivePayloads().size());
 }
 
 int64_t RecommendationStore::num_items() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   int64_t total = 0;
-  for (const auto& [retailer, entry] : entries_) {
-    if (entry.active == 0) continue;
-    auto shard = entry.versions.find(entry.active);
-    if (shard == entry.versions.end()) continue;
-    total += shard->second->num_listed_items();
+  for (const auto& shard : chain_.ActivePayloads()) {
+    total += shard->num_listed_items();
   }
   return total;
-}
-
-int64_t RecommendationStore::RetailerVersion(data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  return it == entries_.end() ? 0 : it->second.active;
-}
-
-int64_t RecommendationStore::LatestVersion(data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  if (it == entries_.end() || it->second.versions.empty()) return 0;
-  return it->second.versions.rbegin()->first;
-}
-
-std::vector<int64_t> RecommendationStore::RetainedVersions(
-    data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<int64_t> versions;
-  auto it = entries_.find(retailer);
-  if (it == entries_.end()) return versions;
-  versions.reserve(it->second.versions.size());
-  for (const auto& [version, shard] : it->second.versions) {
-    versions.push_back(version);
-  }
-  return versions;
-}
-
-int64_t RecommendationStore::NextVersion(data::RetailerId retailer) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(retailer);
-  return it == entries_.end() ? 1 : it->second.next_version;
-}
-
-void RecommendationStore::EnsureNextVersion(data::RetailerId retailer,
-                                            int64_t next_version) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[retailer];
-  entry.next_version = std::max(entry.next_version, next_version);
 }
 
 }  // namespace sigmund::serving

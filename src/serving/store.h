@@ -1,9 +1,7 @@
 #ifndef SIGMUND_SERVING_STORE_H_
 #define SIGMUND_SERVING_STORE_H_
 
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "common/retry.h"
@@ -11,6 +9,7 @@
 #include "common/trace.h"
 #include "core/inference.h"
 #include "core/recommendation_batch.h"
+#include "serving/version_chain.h"
 #include "sfs/reliable_io.h"
 #include "sfs/shared_filesystem.h"
 
@@ -54,16 +53,16 @@ class ServingReader {
 // computation — the paper's "very lightweight computation at serving
 // time".
 //
-// Safe rollout: each batch load is a *version*; the store retains the last
-// `retained_versions` per retailer, so activation and rollback are pure
-// pointer flips — no SFS I/O, no rebuild. A new batch can be staged
-// (resident but not serving) for canary evaluation, then activated or
-// discarded.
+// Safe rollout: each batch load is a *version* in the retailer's
+// VersionChain (serving/version_chain.h, shared with the retrieval
+// plane); the last `retained_versions` stay resident, so activation and
+// rollback are pure pointer flips — no SFS I/O, no rebuild. A new batch
+// can be staged (resident but not serving) for canary evaluation, then
+// activated or discarded.
 //
-// Thread-safe: lookups take a shared lock and copy out a shared_ptr to an
-// immutable shard, so a concurrent activation/rollback can never expose a
-// torn or mixed-version list; batch loads swap the active pointer under an
-// exclusive lock.
+// Thread-safe: lookups copy out a shared_ptr to an immutable shard under
+// the chain's shared lock, so a concurrent activation/rollback can never
+// expose a torn or mixed-version list.
 class RecommendationStore : public ServingReader {
  public:
   struct Options {
@@ -72,8 +71,9 @@ class RecommendationStore : public ServingReader {
     int retained_versions = 3;
   };
 
-  RecommendationStore() = default;
-  explicit RecommendationStore(const Options& options) : options_(options) {}
+  RecommendationStore() : RecommendationStore(Options{}) {}
+  explicit RecommendationStore(const Options& options)
+      : chain_("batch", options.retained_versions) {}
 
   // Atomically replaces all recommendations for `retailer`: stages the
   // batch as the next version and activates it immediately (the
@@ -123,15 +123,21 @@ class RecommendationStore : public ServingReader {
   // Flips the active pointer to a resident version (O(1), no SFS I/O).
   // Evicts versions beyond the retention window. kNotFound if the
   // version is not resident.
-  Status ActivateVersion(data::RetailerId retailer, int64_t version);
+  Status ActivateVersion(data::RetailerId retailer, int64_t version) {
+    return chain_.Activate(retailer, version);
+  }
 
   // Instant rollback to a retained previous version — a pure pointer
   // flip, by design doing no SFS I/O and no batch reload.
-  Status RollbackRetailer(data::RetailerId retailer, int64_t version);
+  Status RollbackRetailer(data::RetailerId retailer, int64_t version) {
+    return chain_.Activate(retailer, version);
+  }
 
   // Drops a resident non-active version (e.g. a canary that failed).
   // kFailedPrecondition if `version` is currently active.
-  Status DiscardVersion(data::RetailerId retailer, int64_t version);
+  Status DiscardVersion(data::RetailerId retailer, int64_t version) {
+    return chain_.Discard(retailer, version);
+  }
 
   // Recommendations for one query item. kNotFound when the retailer or
   // item has no materialized list. kViewBasedLate falls back to the
@@ -170,49 +176,44 @@ class RecommendationStore : public ServingReader {
   int64_t num_items() const;
 
   // Active batch version for `retailer` (0 = never activated).
-  int64_t RetailerVersion(data::RetailerId retailer) const override;
+  int64_t RetailerVersion(data::RetailerId retailer) const override {
+    return chain_.Active(retailer);
+  }
 
   // Highest resident (staged or active) version; 0 when none.
-  int64_t LatestVersion(data::RetailerId retailer) const;
+  int64_t LatestVersion(data::RetailerId retailer) const {
+    return chain_.Latest(retailer);
+  }
 
   // All resident versions, ascending.
-  std::vector<int64_t> RetainedVersions(data::RetailerId retailer) const;
+  std::vector<int64_t> RetainedVersions(data::RetailerId retailer) const {
+    return chain_.State(retailer).retained;
+  }
 
   // The version number the next auto-assigned stage would receive. The
   // run ledger logs it in the StageIntent before staging, so recovery
   // knows which versioned batch file an uncommitted intent refers to.
-  int64_t NextVersion(data::RetailerId retailer) const;
+  int64_t NextVersion(data::RetailerId retailer) const {
+    return chain_.State(retailer).next_version;
+  }
 
   // Raises the auto-assignment counter to at least `next_version`
   // (never lowers it). Crash rehydration restores the counter through
   // this: re-staging only the *retained* versions would under-count when
   // the crashed process had also assigned (and discarded) higher ones.
-  void EnsureNextVersion(data::RetailerId retailer, int64_t next_version);
+  void EnsureNextVersion(data::RetailerId retailer, int64_t next_version) {
+    chain_.EnsureNext(retailer, next_version);
+  }
+
+  // Active version, next version and resident versions under one lock
+  // (what a service snapshot records).
+  VersionChainState State(data::RetailerId retailer) const {
+    return chain_.State(retailer);
+  }
 
  private:
   // Immutable columns of one batch version; row = query item.
   using Shard = core::RecommendationBatch;
-
-  // Per-retailer version chain: resident shards keyed by version, the
-  // active pointer, and the auto-assignment counter.
-  struct Entry {
-    std::map<int64_t, std::shared_ptr<const Shard>> versions;
-    int64_t active = 0;
-    int64_t next_version = 1;
-  };
-
-  // Makes `shard` a resident version (see StageRetailer for `version`).
-  int64_t StageShard(data::RetailerId retailer,
-                     std::shared_ptr<const Shard> shard, int64_t version);
-
-  // Shard for (retailer, version); version <= 0 = active. Null when not
-  // resident.
-  std::shared_ptr<const Shard> FindShard(data::RetailerId retailer,
-                                         int64_t version) const;
-
-  // Evicts versions beyond the retention window (caller holds mu_
-  // exclusively). Never evicts the active version or `keep`.
-  void Retire(Entry* entry, int64_t keep) const;
 
   // `list` from `shard` (null = retailer not loaded). kViewBasedLate
   // falls back to kViewBased when the item has no late-funnel list.
@@ -220,9 +221,7 @@ class RecommendationStore : public ServingReader {
       const Shard* shard, data::RetailerId retailer, data::ItemIndex item,
       core::RecommendationList list) const;
 
-  Options options_;
-  mutable std::shared_mutex mu_;
-  std::map<data::RetailerId, Entry> entries_;
+  VersionChain<Shard> chain_;
 };
 
 }  // namespace sigmund::serving

@@ -215,21 +215,15 @@ TEST(InferenceEngineTest, RecommendForItemFillsBothLists) {
   EXPECT_LE(recs.purchase_based.size(), 5u);
 }
 
-TEST(InferenceEngineTest, MaterializeAllCoversCatalogAndMatchesThreaded) {
+TEST(InferenceEngineTest, MaterializeAllCoversCatalog) {
   Fixture f(80);
   InferenceEngine::Options options;
   options.top_k = 5;
-  auto single = f.engine.MaterializeAll(options);
-  options.num_threads = 3;
-  auto threaded = f.engine.MaterializeAll(options);
-  ASSERT_EQ(single.size(), static_cast<size_t>(f.world.data.num_items()));
-  ASSERT_EQ(threaded.size(), single.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i].query, threaded[i].query);
-    ASSERT_EQ(single[i].view_based.size(), threaded[i].view_based.size());
-    for (size_t k = 0; k < single[i].view_based.size(); ++k) {
-      EXPECT_EQ(single[i].view_based[k].item, threaded[i].view_based[k].item);
-    }
+  auto all = f.engine.MaterializeAll(options);
+  ASSERT_EQ(all.size(), static_cast<size_t>(f.world.data.num_items()));
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].query, static_cast<data::ItemIndex>(i));
+    EXPECT_LE(all[i].view_based.size(), 5u);
   }
 }
 

@@ -726,8 +726,10 @@ class FailingRenameFileSystem : public sfs::SharedFileSystem {
 
 // A corrupt checkpoint is counted when it is skipped, even if the attempt
 // that skipped it fails later: here the model commit fails after training
-// has replaced the corrupt checkpoint, and the retry resumes from the
-// good one without skipping anything.
+// has replaced the corrupt checkpoint. The failing rename is transient
+// (kUnavailable), so the job retries the task: every later attempt, and
+// the rerun job, resumes from the good checkpoint without skipping
+// anything.
 TEST(TrainingJobTest, CorruptCheckpointSkippedByFailedAttemptIsCounted) {
   JobFixture f;
   ConfigRecord record = PlanWithTies(f.registry).front();
@@ -745,12 +747,19 @@ TEST(TrainingJobTest, CorruptCheckpointSkippedByFailedAttemptIsCounted) {
   StatusOr<std::vector<ConfigRecord>> failed =
       TrainingJob(&failing, &f.registry, options).Run({record});
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  // The exhausted task still names the error its attempts kept hitting.
+  EXPECT_NE(failed.status().message().find("injected"), std::string::npos)
+      << failed.status().ToString();
   EXPECT_EQ(f.Counter("training_corrupt_checkpoints_skipped_total"), 1);
+  const int64_t attempts = options.max_attempts_per_task;
+  EXPECT_EQ(f.Counter("mapreduce_task_failures_total", {{"phase", "map"}}),
+            attempts);
+  EXPECT_EQ(f.Counter("training_restores_total"), attempts - 1);
 
   StatusOr<std::vector<ConfigRecord>> retried =
       TrainingJob(&f.fs, &f.registry, options).Run({record});
   ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(f.Counter("training_restores_total"), 1);
+  EXPECT_EQ(f.Counter("training_restores_total"), attempts);
   EXPECT_EQ(f.Counter("training_corrupt_checkpoints_skipped_total"), 1);
 }
 

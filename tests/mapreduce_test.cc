@@ -1,9 +1,10 @@
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -295,6 +296,97 @@ TEST_F(MapReduceTest, CertainReduceFailureExhaustsAttempts) {
             3);
 }
 
+// Mapper / reducer whose first attempt fails with `code` (counted across
+// attempts through `attempts`) and whose later attempts succeed.
+class FailFirstAttemptMapper : public Mapper {
+ public:
+  FailFirstAttemptMapper(std::atomic<int>* attempts, StatusCode code)
+      : first_(attempts->fetch_add(1) == 0), code_(code) {}
+  Status Map(const Record& input, const Emitter& emit) override {
+    if (first_) return Status(code_, "first attempt fails");
+    emit(input);
+    return OkStatus();
+  }
+
+ private:
+  bool first_;
+  StatusCode code_;
+};
+
+class FailFirstAttemptReducer : public Reducer {
+ public:
+  explicit FailFirstAttemptReducer(std::atomic<int>* attempts)
+      : first_(attempts->fetch_add(1) == 0) {}
+  Status Reduce(const std::string& key, const std::vector<std::string>& values,
+                const Emitter& emit) override {
+    if (first_) return UnavailableError("transient");
+    emit(Record{key, std::to_string(values.size())});
+    return OkStatus();
+  }
+
+ private:
+  bool first_;
+};
+
+TEST_F(MapReduceTest, UnavailableMapAttemptIsRetried) {
+  MapReduceSpec spec = Spec();
+  spec.num_map_tasks = 1;
+  spec.num_reduce_tasks = 0;
+  spec.max_attempts_per_task = 3;
+  std::atomic<int> attempts{0};
+  MapReduceJob job(
+      spec,
+      [&attempts] {
+        return std::make_unique<FailFirstAttemptMapper>(
+            &attempts, StatusCode::kUnavailable);
+      },
+      [] { return IdentityReducer(); });
+  auto out = job.Run(WordInput());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), WordInput().size());
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "map"}}), 2);
+  EXPECT_EQ(Counter("mapreduce_task_failures_total", {{"phase", "map"}}), 1);
+}
+
+TEST_F(MapReduceTest, NonTransientMapErrorFailsWithoutRetry) {
+  MapReduceSpec spec = Spec();
+  spec.num_map_tasks = 1;
+  spec.num_reduce_tasks = 0;
+  spec.max_attempts_per_task = 3;
+  std::atomic<int> attempts{0};
+  MapReduceJob job(
+      spec,
+      [&attempts] {
+        return std::make_unique<FailFirstAttemptMapper>(
+            &attempts, StatusCode::kDataLoss);
+      },
+      [] { return IdentityReducer(); });
+  auto out = job.Run(WordInput());
+  EXPECT_EQ(out.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "map"}}), 1);
+  EXPECT_EQ(Counter("mapreduce_task_failures_total", {{"phase", "map"}}), 0);
+}
+
+TEST_F(MapReduceTest, UnavailableReduceAttemptIsRetried) {
+  MapReduceSpec spec = Spec();
+  spec.num_map_tasks = 1;
+  spec.num_reduce_tasks = 1;
+  spec.max_attempts_per_task = 3;
+  std::atomic<int> attempts{0};
+  MapReduceJob job(
+      spec, [] { return std::make_unique<TokenMapper>(); },
+      [&attempts] {
+        return std::make_unique<FailFirstAttemptReducer>(&attempts);
+      });
+  auto out = job.Run(WordInput());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), 3u);  // a, b, c
+  EXPECT_EQ(Counter("mapreduce_task_attempts_total", {{"phase", "reduce"}}),
+            2);
+  EXPECT_EQ(Counter("mapreduce_task_failures_total", {{"phase", "reduce"}}),
+            1);
+}
+
 TEST_F(MapReduceTest, InvalidSpecRejected) {
   MapReduceSpec spec = Spec();
   spec.num_map_tasks = 0;
@@ -360,31 +452,73 @@ TEST_F(MapReduceTest, TaskLatencyObservedWithDefaultAndSimClock) {
   }
 }
 
-// Mapper whose first (primary) attempt for task 0 is a straggler: it
-// sleeps per record, while every other task — and any backup attempt for
-// task 0 — runs at full speed.
+// Task 0's first attempt is a straggler that cannot finish before its
+// backup has: the handshake replaces timing with ordering, so the test
+// asserts the same thing on an idle and on a loaded machine.
+struct StragglerHandshake {
+  // Bounded, so a runtime that never launches the backup fails the test
+  // instead of hanging it.
+  static constexpr std::chrono::seconds kTimeout{30};
+
+  void WaitFor(const bool& flag) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, kTimeout, [&flag] { return flag; });
+  }
+  void Set(bool* flag) {
+    std::lock_guard<std::mutex> lock(mu);
+    *flag = true;
+    cv.notify_all();
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int task0_instances = 0;       // guarded by mu
+  bool primary_started = false;  // guarded by mu
+  bool backup_done = false;      // guarded by mu
+};
+
+// The first task-0 instance (the primary) blocks in its first Map call
+// until the second task-0 instance (the backup) has been destroyed — which
+// the runtime does only after that attempt committed. Every other task
+// waits in Start until the primary has started, so the backup, launched
+// once the other tasks commit, is always the second task-0 instance.
 class StragglerMapper : public Mapper {
  public:
-  explicit StragglerMapper(std::atomic<int>* task0_instances)
-      : task0_instances_(task0_instances) {}
+  explicit StragglerMapper(StragglerHandshake* handshake)
+      : handshake_(handshake) {}
+  ~StragglerMapper() override {
+    if (role_ == Role::kBackup) handshake_->Set(&handshake_->backup_done);
+  }
 
   Status Start(int task_id) override {
-    if (task_id == 0) {
-      straggle_ = task0_instances_->fetch_add(1) == 0;
+    if (task_id != 0) {
+      handshake_->WaitFor(handshake_->primary_started);
+      return OkStatus();
+    }
+    {
+      std::lock_guard<std::mutex> lock(handshake_->mu);
+      role_ = handshake_->task0_instances++ == 0 ? Role::kPrimary
+                                                 : Role::kBackup;
+    }
+    if (role_ == Role::kPrimary) {
+      handshake_->Set(&handshake_->primary_started);
     }
     return OkStatus();
   }
   Status Map(const Record& input, const Emitter& emit) override {
-    if (straggle_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    if (role_ == Role::kPrimary && !straggled_) {
+      straggled_ = true;
+      handshake_->WaitFor(handshake_->backup_done);
     }
     emit(input);
     return OkStatus();
   }
 
  private:
-  std::atomic<int>* task0_instances_;
-  bool straggle_ = false;
+  enum class Role { kOther, kPrimary, kBackup };
+  StragglerHandshake* handshake_;
+  Role role_ = Role::kOther;
+  bool straggled_ = false;
 };
 
 TEST_F(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
@@ -394,12 +528,10 @@ TEST_F(MapReduceTest, SpeculativeBackupOvertakesStraggler) {
   spec.max_parallel_tasks = 4;
   spec.speculative_backups = true;
   spec.speculation_commit_fraction = 0.75;
-  std::atomic<int> task0_instances{0};
+  StragglerHandshake handshake;
   MapReduceJob job(
       spec,
-      [&task0_instances] {
-        return std::make_unique<StragglerMapper>(&task0_instances);
-      },
+      [&handshake] { return std::make_unique<StragglerMapper>(&handshake); },
       [] { return IdentityReducer(); });
   std::vector<Record> input;
   for (int i = 0; i < 32; ++i) input.push_back({std::to_string(i), "v"});
