@@ -1,7 +1,8 @@
 // E10: Lightweight serving (§II-A, §V of the paper) — all computation
 // happens offline; serving is an in-memory lookup of materialized lists,
 // batch-updated per retailer. Measures lookup latency, context-serving
-// latency, batch-load throughput, and the CRC-32 under every durable frame.
+// latency, the Frontend's request path around it, batch-load throughput,
+// and the CRC-32 under every durable frame.
 //
 // google-benchmark binary.
 
@@ -9,9 +10,12 @@
 
 #include "common/binary_io.h"
 #include "common/crc32.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/inference.h"
 #include "core/recommendation_batch.h"
+#include "serving/frontend.h"
+#include "serving/replicated_store.h"
 #include "serving/store.h"
 #include "serving/tiered_store.h"
 #include "sfs/mem_filesystem.h"
@@ -81,6 +85,45 @@ void BM_ServeContext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeContext);
+
+// The whole request path: a Frontend, counting into a registry, over a
+// 2-replica group. Against BM_ServeContext this is what the Frontend and
+// the replica routing add to a lookup; the multi-threaded runs show what
+// they cost when request threads share the registry and the group.
+void BM_FrontendHandle(benchmark::State& state) {
+  struct Plane {
+    obs::MetricRegistry metrics;
+    serving::ReplicatedStoreGroup group;
+    serving::Frontend frontend;
+    Plane()
+        : group(
+              [] {
+                serving::ReplicatedStoreGroup::Options options;
+                options.num_replicas = 2;
+                return options;
+              }(),
+              &metrics),
+          frontend(&group, /*calibrator=*/nullptr, &metrics) {
+      for (data::RetailerId r = 0; r < kRetailers; ++r) {
+        group.LoadRetailer(r, MakeRetailerRecs(kItems, r));
+      }
+    }
+  };
+  static Plane* plane = new Plane;
+  Rng rng(3 + static_cast<uint64_t>(state.thread_index()));
+  serving::RecommendationRequest request;
+  request.context = {{3, data::ActionType::kView},
+                     {7, data::ActionType::kSearch},
+                     {11, data::ActionType::kView}};
+  for (auto _ : state) {
+    request.retailer = static_cast<data::RetailerId>(rng.Uniform(kRetailers));
+    request.context.back().item =
+        static_cast<data::ItemIndex>(rng.Uniform(kItems));
+    auto response = plane->frontend.Handle(request);
+    benchmark::DoNotOptimize(response);
+  }
+}
+BENCHMARK(BM_FrontendHandle)->Threads(1)->Threads(3);
 
 void BM_BatchLoadRetailer(benchmark::State& state) {
   serving::RecommendationStore store;

@@ -86,7 +86,8 @@ BENCHMARK(BM_RollbackViaReload)
 void BM_GroupRollback(benchmark::State& state) {
   serving::ReplicatedStoreGroup::Options options;
   options.num_replicas = static_cast<int>(state.range(0));
-  serving::ReplicatedStoreGroup group(options);
+  obs::MetricRegistry metrics;
+  serving::ReplicatedStoreGroup group(options, &metrics);
   group.LoadRetailer(0, MakeRetailerRecs(10000, 1));
   group.LoadRetailer(0, MakeRetailerRecs(10000, 2));
   int64_t target = 1;

@@ -263,7 +263,8 @@ CanaryResult RunCanaryScenario(int world_items) {
   retrieval::OnlineRetrievalReader::Options reader_options;
   reader_options.top_k = kTopK;
   reader_options.nprobe = 8;
-  retrieval::OnlineRetrievalReader reader(reader_options);
+  obs::MetricRegistry metrics;
+  retrieval::OnlineRetrievalReader reader(reader_options, &metrics);
   retrieval::AnnIndex::Options ann_options;
   ann_options.num_lists = 32;
   const int64_t healthy = reader.StageArtifact(
@@ -294,7 +295,7 @@ CanaryResult RunCanaryScenario(int world_items) {
     if (result.ok()) serve.items = std::move(result).value();
     return serve;
   };
-  pipeline::CanaryController controller(options, nullptr);
+  pipeline::CanaryController controller(options, &metrics);
 
   CanaryResult result;
   pipeline::CanaryController::Outcome good =

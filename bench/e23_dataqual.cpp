@@ -75,7 +75,8 @@ bool RunDetectionTrial(dataqual::Corruption mode, uint64_t seed, int items) {
   data::WorldGenerator generator(config);
   data::RetailerWorld world = generator.GenerateRetailer(0, items);
 
-  dataqual::DataSentry sentry((dataqual::DataSentry::Options()));
+  obs::MetricRegistry metrics;
+  dataqual::DataSentry sentry(dataqual::DataSentry::Options(), &metrics);
   const dataqual::DataSentry::Observation day0 =
       sentry.Observe(dataqual::BuildFeedProfile(world.data));
   SIGCHECK(day0.verdict != dataqual::DataSentry::Verdict::kQuarantine);
@@ -132,7 +133,8 @@ CleanResult RunCleanWorlds(const std::vector<int>& sizes, int days) {
     data::WorldGenerator generator(config);
     data::RetailerWorld world = generator.GenerateRetailer(
         static_cast<data::RetailerId>(w), sizes[w]);
-    dataqual::DataSentry sentry((dataqual::DataSentry::Options()));
+    obs::MetricRegistry metrics;
+    dataqual::DataSentry sentry(dataqual::DataSentry::Options(), &metrics);
     for (int day = 0; day < days; ++day) {
       if (day > 0) {
         data::AdvanceOneDay(generator, &world, /*new_items=*/2,

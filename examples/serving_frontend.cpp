@@ -90,7 +90,8 @@ int main() {
   StatusOr<core::ScoreCalibrator> calibrator =
       core::ScoreCalibrator::Fit(scores, clicked);
   SIGCHECK(calibrator.ok());
-  serving::Frontend frontend(&store, &*calibrator);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, &*calibrator, &metrics);
 
   // --- Requests across the shopping journey for item 3's shopper.
   serving::RecommendationRequest req;
@@ -150,11 +151,11 @@ int main() {
   admission_options.limiter.min_limit = 2;
   admission_options.limiter.max_limit = 2;
   admission_options.pressure_alpha = 0.02;  // slow EWMA: pressure lingers
-  serving::AdmissionController admission(admission_options, nullptr, &clock);
+  serving::AdmissionController admission(admission_options, &metrics, &clock);
   serving::Frontend::Options overload_options;
   overload_options.admission = &admission;
   overload_options.brownout_max_results = 2;
-  serving::Frontend protected_frontend(&store, &*calibrator, nullptr, &clock,
+  serving::Frontend protected_frontend(&store, &*calibrator, &metrics, &clock,
                                        overload_options);
   req.display_threshold = 0.0;
   Show("admitted (plane idle):", protected_frontend.Handle(req));

@@ -566,4 +566,9 @@ std::string RegistrySnapshot::SummaryText() const {
   return out;
 }
 
+MetricRegistry* RequireRegistry(MetricRegistry* registry, const char* owner) {
+  SIGCHECK(registry != nullptr) << owner << " requires a metrics registry";
+  return registry;
+}
+
 }  // namespace sigmund::obs

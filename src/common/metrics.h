@@ -231,6 +231,11 @@ std::string RenderLabels(const Labels& labels);
 // invalid JSON.
 std::string JsonEscape(const std::string& value);
 
+// Returns `registry`, aborting with "<owner> requires a metrics registry"
+// when it is null. Every class that counts takes its registry as a
+// required constructor argument (DESIGN.md §5); this is their one check.
+MetricRegistry* RequireRegistry(MetricRegistry* registry, const char* owner);
+
 }  // namespace sigmund::obs
 
 #endif  // SIGMUND_COMMON_METRICS_H_

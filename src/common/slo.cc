@@ -8,7 +8,7 @@
 namespace sigmund::obs {
 
 SloEngine::SloEngine(const Options& options, MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {
+    : options_(options), metrics_(RequireRegistry(metrics, "SloEngine")) {
   trackers_.resize(options_.objectives.size());
 }
 
@@ -91,16 +91,13 @@ int SloEngine::Evaluate(const RegistrySnapshot& snapshot,
 
     tracker.burn_short = Burn(o, tracker, options_.short_window_micros);
     tracker.burn_long = Burn(o, tracker, options_.long_window_micros);
-    if (metrics_ != nullptr) {
-      metrics_
-          ->GetGauge("slo_burn_rate",
-                     {{"objective", o.name}, {"window", "short"}})
-          ->Set(tracker.burn_short);
-      metrics_
-          ->GetGauge("slo_burn_rate",
-                     {{"objective", o.name}, {"window", "long"}})
-          ->Set(tracker.burn_long);
-    }
+    metrics_
+        ->GetGauge("slo_burn_rate",
+                   {{"objective", o.name}, {"window", "short"}})
+        ->Set(tracker.burn_short);
+    metrics_
+        ->GetGauge("slo_burn_rate", {{"objective", o.name}, {"window", "long"}})
+        ->Set(tracker.burn_long);
 
     const bool should_fire = tracker.burn_short >= options_.fire_burn_rate &&
                              tracker.burn_long >= options_.fire_burn_rate;
@@ -113,24 +110,20 @@ int SloEngine::Evaluate(const RegistrySnapshot& snapshot,
       ++transitions;
       alert_log_.push_back({now_micros, o.name, /*firing=*/true,
                             tracker.burn_short, tracker.burn_long});
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter("slo_alerts_total",
-                         {{"event", "fire"}, {"objective", o.name}})
-            ->Add(1);
-      }
+      metrics_
+          ->GetCounter("slo_alerts_total",
+                       {{"event", "fire"}, {"objective", o.name}})
+          ->Add(1);
     } else if (tracker.firing && should_resolve) {
       tracker.firing = false;
       ++resolved_total_;
       ++transitions;
       alert_log_.push_back({now_micros, o.name, /*firing=*/false,
                             tracker.burn_short, tracker.burn_long});
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter("slo_alerts_total",
-                         {{"event", "resolve"}, {"objective", o.name}})
-            ->Add(1);
-      }
+      metrics_
+          ->GetCounter("slo_alerts_total",
+                       {{"event", "resolve"}, {"objective", o.name}})
+          ->Add(1);
     }
   }
   return transitions;

@@ -83,9 +83,9 @@ class SloEngine {
     double resolve_burn_rate = 1.0;
   };
 
-  // `metrics` is borrowed; nullptr = no burn-rate gauges/alert counters.
-  explicit SloEngine(const Options& options,
-                     MetricRegistry* metrics = nullptr);
+  // `metrics` (borrowed) is required: burn-rate gauges and alert
+  // counters land in it.
+  SloEngine(const Options& options, MetricRegistry* metrics);
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
 

@@ -320,7 +320,7 @@ TraceContext RequestTrace::Context(int64_t span_id) {
 RequestTracer::RequestTracer(const Options& options, MetricRegistry* metrics,
                              const Clock* clock)
     : options_(options),
-      metrics_(metrics),
+      metrics_(RequireRegistry(metrics, "RequestTracer")),
       clock_(clock != nullptr ? clock : RealClock::Get()) {
   double rate = options_.sample_rate;
   if (rate < 0.0) rate = 0.0;
@@ -361,11 +361,9 @@ bool RequestTracer::Submit(RequestTrace trace) {
   }
   const bool keep = record.verdict != TraceVerdict::kHealthy ||
                     WouldKeepHealthy(record.trace_id);
-  if (metrics_ != nullptr) {
-    const Labels labels = {{"verdict", TraceVerdictName(record.verdict)}};
-    metrics_->GetCounter("trace_requests_total", labels)->Add(1);
-    if (keep) metrics_->GetCounter("trace_kept_total", labels)->Add(1);
-  }
+  const Labels labels = {{"verdict", TraceVerdictName(record.verdict)}};
+  metrics_->GetCounter("trace_requests_total", labels)->Add(1);
+  if (keep) metrics_->GetCounter("trace_kept_total", labels)->Add(1);
   if (!keep) return false;
   std::lock_guard<std::mutex> lock(mu_);
   const size_t capacity =

@@ -272,10 +272,10 @@ class RequestTracer {
     uint64_t seed = 0;
   };
 
-  // `metrics` and `clock` are borrowed; nullptr = no counters / RealClock.
-  explicit RequestTracer(const Options& options,
-                         MetricRegistry* metrics = nullptr,
-                         const Clock* clock = nullptr);
+  // `metrics` (borrowed) is required: trace_requests_total and
+  // trace_kept_total land in it. `clock` is borrowed; nullptr = RealClock.
+  RequestTracer(const Options& options, MetricRegistry* metrics,
+                const Clock* clock = nullptr);
   RequestTracer(const RequestTracer&) = delete;
   RequestTracer& operator=(const RequestTracer&) = delete;
 

@@ -41,7 +41,8 @@ std::string DataSentry::Finding::ToString() const {
 }
 
 DataSentry::DataSentry(const Options& options, obs::MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {}
+    : options_(options),
+      metrics_(obs::RequireRegistry(metrics, "DataSentry")) {}
 
 const FeedProfile* DataSentry::LastGoodProfile(
     data::RetailerId retailer) const {
@@ -252,23 +253,21 @@ DataSentry::Observation DataSentry::Observe(const FeedProfile& profile) {
     last_good_[profile.retailer] = profile;
   }
 
-  if (metrics_ != nullptr) {
+  metrics_
+      ->GetCounter("dataqual_verdicts_total",
+                   {{"verdict", VerdictName(observation.verdict)}})
+      ->Add(1);
+  for (const Finding& finding : observation.findings) {
     metrics_
-        ->GetCounter("dataqual_verdicts_total",
-                     {{"verdict", VerdictName(observation.verdict)}})
+        ->GetCounter("dataqual_checks_failed_total",
+                     {{"check", finding.check}})
         ->Add(1);
-    for (const Finding& finding : observation.findings) {
-      metrics_
-          ->GetCounter("dataqual_checks_failed_total",
-                       {{"check", finding.check}})
-          ->Add(1);
-    }
-    if (observation.released) {
-      metrics_->GetCounter("dataqual_releases_total")->Add(1);
-    }
-    metrics_->GetGauge("dataqual_quarantined_retailers")
-        ->Set(static_cast<double>(quarantined_.size()));
   }
+  if (observation.released) {
+    metrics_->GetCounter("dataqual_releases_total")->Add(1);
+  }
+  metrics_->GetGauge("dataqual_quarantined_retailers")
+      ->Set(static_cast<double>(quarantined_.size()));
   return observation;
 }
 

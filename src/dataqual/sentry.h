@@ -120,9 +120,8 @@ class DataSentry {
     std::vector<Finding> findings;
   };
 
-  // `metrics` is borrowed and may be null.
-  explicit DataSentry(const Options& options,
-                      obs::MetricRegistry* metrics = nullptr);
+  // `metrics` (borrowed) is required.
+  DataSentry(const Options& options, obs::MetricRegistry* metrics);
 
   // Judges one feed, updates quarantine state and (on pass/warn) the
   // last-good baseline, and mirrors the verdict into dataqual_* metrics.

@@ -23,10 +23,10 @@ const char* VerdictName(CanaryController::Verdict verdict) {
 
 CanaryController::CanaryController(const Options& options,
                                    obs::MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {}
+    : options_(options),
+      metrics_(obs::RequireRegistry(metrics, "CanaryController")) {}
 
 void CanaryController::Count(const Outcome& outcome) const {
-  if (metrics_ == nullptr) return;
   const std::string& plane = options_.plane;
   metrics_
       ->GetCounter("canary_verdicts_total",
@@ -112,13 +112,11 @@ CanaryController::Outcome CanaryController::Evaluate(
           served.status.code() == StatusCode::kResourceExhausted;
       if (shed || (served.status.ok() && served.degraded)) {
         ++outcome.ignored_samples;
-        if (metrics_ != nullptr) {
-          metrics_
-              ->GetCounter("canary_samples_ignored_total",
-                           {{"plane", options_.plane},
-                            {"reason", shed ? "shed" : "degraded"}})
-              ->Add(1);
-        }
+        metrics_
+            ->GetCounter("canary_samples_ignored_total",
+                         {{"plane", options_.plane},
+                          {"reason", shed ? "shed" : "degraded"}})
+            ->Add(1);
         continue;
       }
       if (served.status.ok()) {

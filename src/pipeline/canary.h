@@ -115,7 +115,7 @@ class CanaryController {
     }
   };
 
-  // `metrics` borrowed, may be null: verdicts/impressions/clicks land in
+  // `metrics` (borrowed) is required: verdicts/impressions/clicks land in
   // canary_* counters.
   CanaryController(const Options& options, obs::MetricRegistry* metrics);
 

@@ -18,6 +18,11 @@ const char* VerdictName(QualityMonitor::Verdict verdict) {
   return "unknown";
 }
 
+QualityMonitor::QualityMonitor(const Options& options,
+                               obs::MetricRegistry* metrics)
+    : options_(options),
+      metrics_(obs::RequireRegistry(metrics, "QualityMonitor")) {}
+
 QualityMonitor::Verdict QualityMonitor::Record(data::RetailerId retailer,
                                                double map_at_10) {
   std::deque<double>& history = history_[retailer];
@@ -35,12 +40,10 @@ QualityMonitor::Verdict QualityMonitor::Record(data::RetailerId retailer,
   while (static_cast<int>(history.size()) > options_.history_days) {
     history.pop_front();
   }
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("quality_verdicts_total",
-                     {{"verdict", VerdictName(verdict)}})
-        ->Add(1);
-  }
+  metrics_
+      ->GetCounter("quality_verdicts_total",
+                   {{"verdict", VerdictName(verdict)}})
+      ->Add(1);
   return verdict;
 }
 

@@ -40,13 +40,10 @@ class QualityMonitor {
     kRegressed = 2,
   };
 
-  explicit QualityMonitor(const Options& options) : options_(options) {}
-  QualityMonitor() : QualityMonitor(Options()) {}
-
-  // Optional observability: when set, every Record() call also bumps
-  // quality_verdicts_total{verdict=...} in `registry` (borrowed; null =
-  // off). Verdicts never depend on the registry, only feed it.
-  void set_metrics(obs::MetricRegistry* registry) { metrics_ = registry; }
+  // `metrics` (borrowed) is required: every Record() call bumps
+  // quality_verdicts_total{verdict=...}. Verdicts never depend on the
+  // registry, only feed it.
+  QualityMonitor(const Options& options, obs::MetricRegistry* metrics);
 
   // Records today's best hold-out MAP for a retailer and returns the
   // verdict. Regressed observations are recorded too (so a persistent
@@ -68,7 +65,7 @@ class QualityMonitor {
 
  private:
   Options options_;
-  obs::MetricRegistry* metrics_ = nullptr;
+  obs::MetricRegistry* metrics_;
   std::map<data::RetailerId, std::deque<double>> history_;
 };
 

@@ -424,21 +424,20 @@ SigmundService::SigmundService(sfs::SharedFileSystem* fs,
                                const Options& options)
     : fs_(fs),
       options_(options),
-      monitor_(options.quality),
       owned_metrics_(options.metrics == nullptr
                          ? std::make_unique<obs::MetricRegistry>()
                          : nullptr),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : owned_metrics_.get()),
       clock_(options.clock != nullptr ? options.clock : RealClock::Get()),
-      io_(metrics_, clock_) {
+      io_(metrics_, clock_),
+      monitor_(options.quality, metrics_) {
   if (options_.tracer != nullptr) {
     tracer_ = options_.tracer;
   } else {
     owned_tracer_ = std::make_unique<obs::Tracer>(clock_);
     tracer_ = owned_tracer_.get();
   }
-  monitor_.set_metrics(metrics_);
   if (options_.dataqual.enabled) {
     sentry_ = std::make_unique<dataqual::DataSentry>(
         options_.dataqual.sentry, metrics_);

@@ -538,7 +538,6 @@ class SigmundService {
   // materialized plane.
   std::unique_ptr<retrieval::OnlineRetrievalReader> retrieval_reader_;
   std::unique_ptr<CanaryController> retrieval_canary_;
-  QualityMonitor monitor_;
   // Data-plane sentry (null unless Options::dataqual.enabled); judges
   // every feed before the sweep and owns quarantine state across days.
   std::unique_ptr<dataqual::DataSentry> sentry_;
@@ -563,6 +562,9 @@ class SigmundService {
   // into metrics_ (DailyReport carries per-run registry deltas). Declared
   // after metrics_ and clock_, which it is built from.
   sfs::ReliableIoCounters io_;
+  // Per-retailer quality guardrail; counts into metrics_, so it is
+  // declared after it.
+  QualityMonitor monitor_;
   bool force_full_sweep_ = false;
   int days_run_ = 0;
 };

@@ -8,16 +8,13 @@ namespace sigmund::retrieval {
 OnlineRetrievalReader::OnlineRetrievalReader(const Options& options,
                                              obs::MetricRegistry* metrics)
     : options_(options),
-      metrics_(metrics),
       chain_("retrieval index", options.retained_versions) {
-  if (metrics_ != nullptr) {
-    queries_ok_ = metrics_->GetCounter("retrieval_queries_total",
-                                       {{"outcome", "ok"}});
-    queries_error_ = metrics_->GetCounter("retrieval_queries_total",
-                                          {{"outcome", "error"}});
-    candidates_scanned_ =
-        metrics_->GetHistogram("retrieval_candidates_scanned");
-  }
+  obs::RequireRegistry(metrics, "OnlineRetrievalReader");
+  queries_ok_ =
+      metrics->GetCounter("retrieval_queries_total", {{"outcome", "ok"}});
+  queries_error_ =
+      metrics->GetCounter("retrieval_queries_total", {{"outcome", "error"}});
+  candidates_scanned_ = metrics->GetHistogram("retrieval_candidates_scanned");
 }
 
 int64_t OnlineRetrievalReader::StageArtifact(data::RetailerId retailer,
@@ -62,13 +59,13 @@ OnlineRetrievalReader::ServeContextAtVersion(data::RetailerId retailer,
                                              int64_t version,
                                              obs::TraceContext trace) const {
   if (context.empty()) {
-    if (queries_error_ != nullptr) queries_error_->Add(1);
+    queries_error_->Add(1);
     return InvalidArgumentError("empty context");
   }
   std::shared_ptr<const IndexArtifact> artifact =
       chain_.Find(retailer, version);
   if (artifact == nullptr) {
-    if (queries_error_ != nullptr) queries_error_->Add(1);
+    queries_error_->Add(1);
     return NotFoundError("no retrieval index for retailer");
   }
 
@@ -104,11 +101,8 @@ OnlineRetrievalReader::ServeContextAtVersion(data::RetailerId retailer,
     trace.Annotate("candidates_scanned",
                    std::to_string(stats.candidates_scanned));
   }
-  if (queries_ok_ != nullptr) queries_ok_->Add(1);
-  if (candidates_scanned_ != nullptr) {
-    candidates_scanned_->Observe(
-        static_cast<double>(stats.candidates_scanned));
-  }
+  queries_ok_->Add(1);
+  candidates_scanned_->Observe(static_cast<double>(stats.candidates_scanned));
   return items;
 }
 

@@ -43,11 +43,10 @@ class OnlineRetrievalReader : public serving::ServingReader {
     int retained_versions = 3;
   };
 
-  // `metrics` borrowed, may be null: queries land in
+  // `metrics` (borrowed) is required: queries land in
   // retrieval_queries_total{outcome} and scanned-candidate counts in the
   // retrieval_candidates_scanned histogram.
-  explicit OnlineRetrievalReader(const Options& options,
-                                 obs::MetricRegistry* metrics = nullptr);
+  OnlineRetrievalReader(const Options& options, obs::MetricRegistry* metrics);
 
   // Stages `artifact` as a resident, not-yet-serving version and returns
   // its version number (0 auto-assigns; positive pins).
@@ -114,10 +113,9 @@ class OnlineRetrievalReader : public serving::ServingReader {
 
  private:
   Options options_;
-  obs::MetricRegistry* metrics_;
-  obs::Counter* queries_ok_ = nullptr;
-  obs::Counter* queries_error_ = nullptr;
-  obs::Histogram* candidates_scanned_ = nullptr;
+  obs::Counter* queries_ok_;
+  obs::Counter* queries_error_;
+  obs::Histogram* candidates_scanned_;
 
   serving::VersionChain<IndexArtifact> chain_;
 };

@@ -115,16 +115,14 @@ AdmissionController::AdmissionController(const Options& options,
                                          obs::MetricRegistry* metrics,
                                          const Clock* clock)
     : options_(options),
-      metrics_(metrics),
+      metrics_(obs::RequireRegistry(metrics, "AdmissionController")),
       clock_(clock != nullptr ? clock : RealClock::Get()),
+      limit_gauge_(metrics_->GetGauge("serving_concurrency_limit")),
+      queue_gauge_(metrics_->GetGauge("serving_admission_queue_depth")),
+      pressure_gauge_(metrics_->GetGauge("serving_admission_pressure")),
+      in_flight_gauge_(metrics_->GetGauge("serving_limiter_in_flight")),
       limiter_(options.limiter) {
-  if (metrics_ != nullptr) {
-    limit_gauge_ = metrics_->GetGauge("serving_concurrency_limit");
-    limit_gauge_->Set(static_cast<double>(limiter_.limit()));
-    queue_gauge_ = metrics_->GetGauge("serving_admission_queue_depth");
-    pressure_gauge_ = metrics_->GetGauge("serving_admission_pressure");
-    in_flight_gauge_ = metrics_->GetGauge("serving_limiter_in_flight");
-  }
+  limit_gauge_->Set(static_cast<double>(limiter_.limit()));
 }
 
 void AdmissionController::SampleLocked(Admission* admission) {
@@ -135,12 +133,8 @@ void AdmissionController::SampleLocked(Admission* admission) {
   // Per-request gauge sampling: every admission decision refreshes the
   // queue-depth and in-flight gauges, so the exposition shows the state
   // the latest request saw (not just the last queue operation).
-  if (queue_gauge_ != nullptr) {
-    queue_gauge_->Set(static_cast<double>(queue_size_));
-  }
-  if (in_flight_gauge_ != nullptr) {
-    in_flight_gauge_->Set(static_cast<double>(in_flight_));
-  }
+  queue_gauge_->Set(static_cast<double>(queue_size_));
+  in_flight_gauge_->Set(static_cast<double>(in_flight_));
 }
 
 double AdmissionController::OccupancyLocked() const {
@@ -154,12 +148,11 @@ double AdmissionController::OccupancyLocked() const {
 void AdmissionController::UpdatePressureLocked() {
   pressure_ = (1.0 - options_.pressure_alpha) * pressure_ +
               options_.pressure_alpha * OccupancyLocked();
-  if (pressure_gauge_ != nullptr) pressure_gauge_->Set(pressure_);
+  pressure_gauge_->Set(pressure_);
 }
 
 void AdmissionController::CountShed(RequestPriority priority,
                                     ShedReason reason) {
-  if (metrics_ == nullptr) return;
   metrics_
       ->GetCounter("serving_shed_total",
                    {{"priority", RequestPriorityName(priority)},
@@ -168,7 +161,6 @@ void AdmissionController::CountShed(RequestPriority priority,
 }
 
 void AdmissionController::CountAdmitted(RequestPriority priority) {
-  if (metrics_ == nullptr) return;
   metrics_
       ->GetCounter("serving_admitted_total",
                    {{"priority", RequestPriorityName(priority)}})
@@ -310,9 +302,7 @@ void AdmissionController::DrainLocked(Drained* drained) {
     CountAdmitted(head.priority);
     drained->admitted.push_back(head);
   }
-  if (queue_gauge_ != nullptr) {
-    queue_gauge_->Set(static_cast<double>(queue_size_));
-  }
+  queue_gauge_->Set(static_cast<double>(queue_size_));
 }
 
 AdmissionController::Drained AdmissionController::Release(
@@ -322,14 +312,10 @@ AdmissionController::Drained AdmissionController::Release(
   SIGCHECK(in_flight_ > 0);
   --in_flight_;
   limiter_.Record(latency_micros);
-  if (limit_gauge_ != nullptr) {
-    limit_gauge_->Set(static_cast<double>(limiter_.limit()));
-  }
+  limit_gauge_->Set(static_cast<double>(limiter_.limit()));
   DrainLocked(&drained);
   UpdatePressureLocked();
-  if (in_flight_gauge_ != nullptr) {
-    in_flight_gauge_->Set(static_cast<double>(in_flight_));
-  }
+  in_flight_gauge_->Set(static_cast<double>(in_flight_));
   return drained;
 }
 

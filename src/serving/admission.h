@@ -246,7 +246,7 @@ class AdmissionController {
     std::vector<Ticket> shed;
   };
 
-  // `metrics` borrowed, may be null. `clock` null = RealClock.
+  // `metrics` (borrowed) is required. `clock` null = RealClock.
   AdmissionController(const Options& options, obs::MetricRegistry* metrics,
                       const Clock* clock);
 
@@ -284,10 +284,10 @@ class AdmissionController {
   Options options_;
   obs::MetricRegistry* metrics_;
   const Clock* clock_;
-  obs::Gauge* limit_gauge_ = nullptr;
-  obs::Gauge* queue_gauge_ = nullptr;
-  obs::Gauge* pressure_gauge_ = nullptr;
-  obs::Gauge* in_flight_gauge_ = nullptr;
+  obs::Gauge* limit_gauge_;
+  obs::Gauge* queue_gauge_;
+  obs::Gauge* pressure_gauge_;
+  obs::Gauge* in_flight_gauge_;
 
   mutable std::mutex mu_;
   AdaptiveConcurrencyLimiter limiter_;

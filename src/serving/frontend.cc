@@ -34,46 +34,26 @@ Frontend::Frontend(const ServingReader* store,
       calibrator_(calibrator),
       clock_(clock != nullptr ? clock : RealClock::Get()),
       options_(options),
-      metrics_(metrics),
-      request_micros_(metrics != nullptr
-                          ? metrics->GetHistogram("serving_request_micros")
-                          : nullptr),
+      metrics_(obs::RequireRegistry(metrics, "Frontend")),
+      request_micros_(metrics_->GetHistogram("serving_request_micros")),
+      retrieval_fallbacks_(
+          metrics_->GetCounter("serving_retrieval_fallbacks_total")),
       deadline_exceeded_(
-          metrics != nullptr
-              ? metrics->GetCounter("serving_deadline_exceeded_total")
-              : nullptr),
+          metrics_->GetCounter("serving_deadline_exceeded_total")),
       overrun_micros_(
-          metrics != nullptr
-              ? metrics->GetHistogram("serving_deadline_overrun_micros")
-              : nullptr),
-      breaker_trips_(metrics != nullptr
-                         ? metrics->GetCounter("serving_breaker_trips_total")
-                         : nullptr),
+          metrics_->GetHistogram("serving_deadline_overrun_micros")),
+      breaker_trips_(metrics_->GetCounter("serving_breaker_trips_total")),
       breaker_short_circuits_(
-          metrics != nullptr
-              ? metrics->GetCounter("serving_breaker_short_circuits_total")
-              : nullptr),
+          metrics_->GetCounter("serving_breaker_short_circuits_total")),
       state_evictions_(
-          metrics != nullptr
-              ? metrics->GetCounter("serving_state_evictions_total")
-              : nullptr),
-      state_entries_(metrics != nullptr
-                         ? metrics->GetGauge("serving_state_entries")
-                         : nullptr),
-      client_retries_(
-          metrics != nullptr
-              ? metrics->GetCounter("serving_client_retries_total")
-              : nullptr),
+          metrics_->GetCounter("serving_state_evictions_total")),
+      state_entries_(metrics_->GetGauge("serving_state_entries")),
+      client_retries_(metrics_->GetCounter("serving_client_retries_total")),
       retry_budget_exhausted_(
-          metrics != nullptr
-              ? metrics->GetCounter("serving_retry_budget_exhausted_total")
-              : nullptr),
-      retry_budget_tokens_(options.retry_budget) {}
-
-Frontend::Frontend(const ServingReader* store,
-                   const core::ScoreCalibrator* calibrator,
-                   obs::MetricRegistry* metrics, const Clock* clock)
-    : Frontend(store, calibrator, metrics, clock, Options()) {}
+          metrics_->GetCounter("serving_retry_budget_exhausted_total")),
+      retry_budget_tokens_(options.retry_budget) {
+  SIGCHECK(store_ != nullptr) << "Frontend requires a store";
+}
 
 Frontend::RetailerState& Frontend::TouchLocked(
     data::RetailerId retailer) const {
@@ -91,11 +71,9 @@ Frontend::RetailerState& Frontend::TouchLocked(
     const data::RetailerId victim = lru_.back();
     lru_.pop_back();
     state_.erase(victim);
-    if (state_evictions_ != nullptr) state_evictions_->Add(1);
+    state_evictions_->Add(1);
   }
-  if (state_entries_ != nullptr) {
-    state_entries_->Set(static_cast<double>(state_.size()));
-  }
+  state_entries_->Set(static_cast<double>(state_.size()));
   return it->second;
 }
 
@@ -121,14 +99,12 @@ int Frontend::NumRetailerStates() const {
 
 StatusOr<RecommendationResponse> Frontend::Handle(
     const RecommendationRequest& request) const {
-  SIGCHECK(store_ != nullptr || lookup_ != nullptr);
   const int64_t start_micros = clock_->NowMicros();
   // The serving batch version this request is answered from; starts as
   // the retailer's active version and is rewritten when a fallback serves
   // an older snapshot. Labels the per-request counters so every serve —
   // healthy or degraded — is attributable to a concrete snapshot.
-  int64_t batch_version =
-      store_ != nullptr ? store_->RetailerVersion(request.retailer) : 0;
+  int64_t batch_version = store_->RetailerVersion(request.retailer);
   bool admitted = false;
   // Request tracing: annotate the caller's trace when one is attached,
   // else start our own (submitted in finish; kept ones become exemplars).
@@ -167,24 +143,21 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       }
       trace.SetVerdict(verdict);
     }
-    if (metrics_ != nullptr) {
-      request_micros_->Observe(static_cast<double>(latency));
-      const char* outcome =
-          result.ok() ? "ok"
-          : result.status().code() == StatusCode::kResourceExhausted
-              ? "shed"
-              : "error";
-      metrics_
-          ->GetCounter("serving_requests_total",
-                       {{"outcome", outcome},
-                        {"path", serving_path},
-                        {"version", std::to_string(batch_version)}})
-          ->Add(1);
-    }
-    if (owned_trace.active() && options_.request_tracer != nullptr) {
+    request_micros_->Observe(static_cast<double>(latency));
+    const char* outcome =
+        result.ok() ? "ok"
+        : result.status().code() == StatusCode::kResourceExhausted
+            ? "shed"
+            : "error";
+    metrics_
+        ->GetCounter("serving_requests_total",
+                     {{"outcome", outcome},
+                      {"path", serving_path},
+                      {"version", std::to_string(batch_version)}})
+        ->Add(1);
+    if (owned_trace.active()) {
       const uint64_t trace_id = owned_trace.trace_id();
-      if (options_.request_tracer->Submit(std::move(owned_trace)) &&
-          request_micros_ != nullptr) {
+      if (options_.request_tracer->Submit(std::move(owned_trace))) {
         // Kept trace: link the latency bucket this request landed in to
         // the trace, so the exposition's p99 resolves to a real request.
         request_micros_->AttachExemplar(static_cast<double>(latency),
@@ -292,12 +265,10 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   }
   response.brownout_rung = rung;
   if (rung > 0) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter("serving_brownout_total",
-                       {{"rung", std::to_string(rung)}})
-          ->Add(1);
-    }
+    metrics_
+        ->GetCounter("serving_brownout_total",
+                     {{"rung", std::to_string(rung)}})
+        ->Add(1);
     trace.Annotate("brownout_rung", std::to_string(rung));
   }
   const int effective_max =
@@ -337,18 +308,16 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   // Serves the degradation ladder after a store failure (or an open
   // breaker): last-known-good list, then popularity, then the error.
   auto count_fallback = [&](const char* source) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter("serving_fallbacks_total",
-                       {{"source", source},
-                        {"version", std::to_string(batch_version)}})
-          ->Add(1);
-    }
+    metrics_
+        ->GetCounter("serving_fallbacks_total",
+                     {{"source", source},
+                      {"version", std::to_string(batch_version)}})
+        ->Add(1);
   };
   auto fall_back = [&](const Status& error) {
     std::lock_guard<std::mutex> lock(mu_);
     RetailerState& state = TouchLocked(request.retailer);
-    if (options_.fallback_to_last_known_good && state.has_last_known_good) {
+    if (state.has_last_known_good) {
       // The replayed list belongs to the snapshot it was cached from, not
       // to whatever the store considers active now.
       batch_version = state.last_known_good_version;
@@ -367,7 +336,7 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   // last-known-good list without spending a store lookup — the cheapest
   // response that is still this retailer's own ranking. Retailers with no
   // cached list yet fall through to the normal path.
-  if (rung >= 3 && options_.fallback_to_last_known_good) {
+  if (rung >= 3) {
     std::lock_guard<std::mutex> lock(mu_);
     RetailerState& state = TouchLocked(request.retailer);
     if (state.has_last_known_good) {
@@ -387,9 +356,7 @@ StatusOr<RecommendationResponse> Frontend::Handle(
     RetailerState& state = TouchLocked(request.retailer);
     if (state.breaker_open &&
         clock_->NowSeconds() < state.open_until_seconds) {
-      if (breaker_short_circuits_ != nullptr) {
-        breaker_short_circuits_->Add(1);
-      }
+      breaker_short_circuits_->Add(1);
       short_circuited = true;
     }
     // Past the cooldown the request proceeds as the half-open probe: a
@@ -421,18 +388,13 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       }
       retrieval_ctx.Annotate("error", result.status().message());
       trace.EndSpan(retrieval_span);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("serving_retrieval_fallbacks_total")->Add(1);
-      }
+      retrieval_fallbacks_->Add(1);
       retrieval_arm = false;  // retries go straight to the store
     }
     const int64_t lookup_span = trace.StartSpan("store_lookup");
     const obs::TraceContext lookup_ctx{trace.trace, lookup_span};
     StatusOr<std::vector<core::ScoredItem>> result =
-        lookup_ != nullptr
-            ? lookup_(request.retailer, request.context)
-            : store_->ServeContext(request.retailer, request.context,
-                                   lookup_ctx);
+        store_->ServeContext(request.retailer, request.context, lookup_ctx);
     if (!result.ok()) {
       lookup_ctx.Annotate("error", result.status().message());
     }
@@ -451,11 +413,11 @@ StatusOr<RecommendationResponse> Frontend::Handle(
        IsRetryableError(list.status());
        ++attempt) {
     if (!retry_budget_tokens_.TryWithdraw()) {
-      if (retry_budget_exhausted_ != nullptr) retry_budget_exhausted_->Add(1);
+      retry_budget_exhausted_->Add(1);
       trace.Annotate("retry_budget", "exhausted");
       break;
     }
-    if (client_retries_ != nullptr) client_retries_->Add(1);
+    client_retries_->Add(1);
     trace.Annotate("retry_attempt", std::to_string(attempt + 1));
     list = do_lookup();
   }
@@ -466,12 +428,9 @@ StatusOr<RecommendationResponse> Frontend::Handle(
   if (list.ok() && options_.request_deadline_micros > 0) {
     const int64_t elapsed = clock_->NowMicros() - start_micros;
     if (elapsed > options_.request_deadline_micros) {
-      if (deadline_exceeded_ != nullptr) deadline_exceeded_->Add(1);
+      deadline_exceeded_->Add(1);
       response.overrun_micros = elapsed - options_.request_deadline_micros;
-      if (overrun_micros_ != nullptr) {
-        overrun_micros_->Observe(
-            static_cast<double>(response.overrun_micros));
-      }
+      overrun_micros_->Observe(static_cast<double>(response.overrun_micros));
       overran_deadline = true;
       trace.Annotate("overrun_micros",
                      std::to_string(response.overrun_micros));
@@ -484,11 +443,9 @@ StatusOr<RecommendationResponse> Frontend::Handle(
     RetailerState& state = TouchLocked(request.retailer);
     state.consecutive_failures = 0;
     state.breaker_open = false;
-    if (options_.fallback_to_last_known_good) {
-      state.last_known_good = *list;
-      state.has_last_known_good = true;
-      state.last_known_good_version = batch_version;
-    }
+    state.last_known_good = *list;
+    state.has_last_known_good = true;
+    state.last_known_good_version = batch_version;
     return deliver(*list, served_from_retrieval
                               ? ServingSource::kOnlineRetrieval
                               : ServingSource::kStore);
@@ -504,7 +461,7 @@ StatusOr<RecommendationResponse> Frontend::Handle(
       state.breaker_open = true;
       state.open_until_seconds =
           clock_->NowSeconds() + options_.breaker_open_seconds;
-      if (breaker_trips_ != nullptr) breaker_trips_->Add(1);
+      breaker_trips_->Add(1);
     }
   }
   return fall_back(list.status());

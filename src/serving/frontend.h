@@ -1,7 +1,6 @@
 #ifndef SIGMUND_SERVING_FRONTEND_H_
 #define SIGMUND_SERVING_FRONTEND_H_
 
-#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -82,6 +81,69 @@ struct RecommendationResponse {
   int64_t overrun_micros = 0;
 };
 
+// Frontend::Options. Declared at namespace scope so that the Frontend
+// constructor can default it.
+struct FrontendOptions {
+  // Per-request deadline (microseconds on `clock`); 0 = none. A store
+  // lookup that finishes past the deadline counts as a failure.
+  int64_t request_deadline_micros = 0;
+  // Consecutive store errors (per retailer) that trip the breaker;
+  // 0 = breaker disabled.
+  int breaker_failure_threshold = 0;
+  // How long a tripped breaker stays open before the next probe.
+  double breaker_open_seconds = 30.0;
+
+  // LRU cap on per-retailer state entries (breaker + fallback cache);
+  // 0 = unbounded (legacy). Evictions are counted in
+  // serving_state_evictions_total; the live size is the
+  // serving_state_entries gauge.
+  int max_retailer_states = 0;
+
+  // Admission control (borrowed; null = accept everything, the legacy
+  // behavior). Shed requests return kResourceExhausted and are counted
+  // by reason/priority in serving_shed_total.
+  AdmissionController* admission = nullptr;
+
+  // Brownout ladder: rung thresholds on the controller's sustained
+  // pressure signal (EWMA occupancy in [0, 1]). Rungs only engage when
+  // `admission` is wired.
+  double brownout_shrink_pressure = 0.85;      // rung 1
+  double brownout_skip_threshold_pressure = 0.92;  // rung 2
+  double brownout_serve_lkg_pressure = 0.97;   // rung 3
+  // Rung >= 1 caps max_results at this.
+  int brownout_max_results = 3;
+
+  // Client retries of transient store failures per request; 0 = none.
+  // Every retry must withdraw from `retry_budget`, so sustained retry
+  // volume is capped at a fraction of real request volume.
+  int store_retries = 0;
+  RetryBudget::Options retry_budget;
+
+  // Online retrieval plane (borrowed; null = off). When set, a sticky
+  // hash split of (retailer, user) routes `retrieval_ab_fraction` of
+  // requests to this reader (the ANN-index path) instead of the
+  // materialized store — but only for retailers whose reader has an
+  // active index version, so rolling an index back (version -> 0)
+  // instantly returns the whole retailer to the materialized plane. A
+  // retrieval lookup that fails falls back to the materialized store in
+  // the same request before the degradation ladder is consulted.
+  const ServingReader* retrieval_store = nullptr;
+  // Fraction of eligible traffic served by the retrieval plane.
+  // Monotone ramp-up: raising it only moves users *into* the arm.
+  double retrieval_ab_fraction = 0.0;
+  // Seed of the sticky split; changing it reshuffles arm membership.
+  uint64_t retrieval_ab_seed = 0x5e72;
+
+  // Request tracer (borrowed; null = tracing off). Every Handle() whose
+  // request carries no caller trace builds one span tree — admission
+  // decision, brownout rung, store lookup with retry/hedge annotations,
+  // deadline overrun, fallback source — and submits it to the tracer's
+  // tail sampler; kept traces become exemplars on
+  // serving_request_micros. Requests that do carry a caller trace are
+  // annotated in place (submission stays with the caller).
+  obs::RequestTracer* request_tracer = nullptr;
+};
+
 // The request path in front of the store: picks the right materialized
 // list (pre/post purchase, early/late funnel), applies the calibrated
 // display threshold, and truncates to max_results.
@@ -109,79 +171,11 @@ struct RecommendationResponse {
 // `max_retailer_states` so serving 100k retailers cannot leak memory.
 class Frontend {
  public:
-  struct Options {
-    // Per-request deadline (microseconds on `clock`); 0 = none. A store
-    // lookup that finishes past the deadline counts as a failure.
-    int64_t request_deadline_micros = 0;
-    // Consecutive store errors (per retailer) that trip the breaker;
-    // 0 = breaker disabled.
-    int breaker_failure_threshold = 0;
-    // How long a tripped breaker stays open before the next probe.
-    double breaker_open_seconds = 30.0;
-    // Cache each retailer's last successful list and serve it when the
-    // store fails or the breaker is open.
-    bool fallback_to_last_known_good = true;
+  using Options = FrontendOptions;
 
-    // LRU cap on per-retailer state entries (breaker + fallback cache);
-    // 0 = unbounded (legacy). Evictions are counted in
-    // serving_state_evictions_total; the live size is the
-    // serving_state_entries gauge.
-    int max_retailer_states = 0;
-
-    // Admission control (borrowed; null = accept everything, the legacy
-    // behavior). Shed requests return kResourceExhausted and are counted
-    // by reason/priority in serving_shed_total.
-    AdmissionController* admission = nullptr;
-
-    // Brownout ladder: rung thresholds on the controller's sustained
-    // pressure signal (EWMA occupancy in [0, 1]). Rungs only engage when
-    // `admission` is wired.
-    double brownout_shrink_pressure = 0.85;      // rung 1
-    double brownout_skip_threshold_pressure = 0.92;  // rung 2
-    double brownout_serve_lkg_pressure = 0.97;   // rung 3
-    // Rung >= 1 caps max_results at this.
-    int brownout_max_results = 3;
-
-    // Client retries of transient store failures per request; 0 = none.
-    // Every retry must withdraw from `retry_budget`, so sustained retry
-    // volume is capped at a fraction of real request volume.
-    int store_retries = 0;
-    RetryBudget::Options retry_budget;
-
-    // Online retrieval plane (borrowed; null = off). When set, a sticky
-    // hash split of (retailer, user) routes `retrieval_ab_fraction` of
-    // requests to this reader (the ANN-index path) instead of the
-    // materialized store — but only for retailers whose reader has an
-    // active index version, so rolling an index back (version -> 0)
-    // instantly returns the whole retailer to the materialized plane. A
-    // retrieval lookup that fails falls back to the materialized store in
-    // the same request before the degradation ladder is consulted.
-    const ServingReader* retrieval_store = nullptr;
-    // Fraction of eligible traffic served by the retrieval plane.
-    // Monotone ramp-up: raising it only moves users *into* the arm.
-    double retrieval_ab_fraction = 0.0;
-    // Seed of the sticky split; changing it reshuffles arm membership.
-    uint64_t retrieval_ab_seed = 0x5e72;
-
-    // Request tracer (borrowed; null = tracing off). Every Handle() whose
-    // request carries no caller trace builds one span tree — admission
-    // decision, brownout rung, store lookup with retry/hedge annotations,
-    // deadline overrun, fallback source — and submits it to the tracer's
-    // tail sampler; kept traces become exemplars on
-    // serving_request_micros. Requests that do carry a caller trace are
-    // annotated in place (submission stays with the caller).
-    obs::RequestTracer* request_tracer = nullptr;
-  };
-
-  // Test seam: replaces the store lookup (so tests can inject errors,
-  // latency via a SimClock, or canned lists without a real store).
-  using StoreLookup = std::function<StatusOr<std::vector<core::ScoredItem>>(
-      data::RetailerId, const core::Context&)>;
-
-  // `store` is required (unless a lookup override is installed) — any
-  // ServingReader: a plain RecommendationStore or a ReplicatedStoreGroup.
-  // `calibrator` may be nullptr (no thresholding). `metrics` (borrowed,
-  // may be nullptr) turns on request observability: every Handle()
+  // `store` is required — any ServingReader: a plain RecommendationStore,
+  // a ReplicatedStoreGroup, or a test's fake. `calibrator` may be nullptr
+  // (no thresholding). `metrics` (borrowed) is required: every Handle()
   // records a serving_request_micros latency sample and bumps
   // serving_requests_total{outcome=ok|shed|error, version=...} (version =
   // the serving batch version the request was answered from), plus the
@@ -190,12 +184,8 @@ class Frontend {
   // (nullptr = RealClock).
   Frontend(const ServingReader* store,
            const core::ScoreCalibrator* calibrator,
-           obs::MetricRegistry* metrics, const Clock* clock,
-           const Options& options);
-  Frontend(const ServingReader* store,
-           const core::ScoreCalibrator* calibrator,
-           obs::MetricRegistry* metrics = nullptr,
-           const Clock* clock = nullptr);
+           obs::MetricRegistry* metrics, const Clock* clock = nullptr,
+           const Options& options = Options());
 
   StatusOr<RecommendationResponse> Handle(
       const RecommendationRequest& request) const;
@@ -205,11 +195,6 @@ class Frontend {
   // exists yet.
   void SetPopularityFallback(data::RetailerId retailer,
                              std::vector<core::ScoredItem> items);
-
-  // Replaces the store lookup (tests only).
-  void SetLookupForTesting(StoreLookup lookup) {
-    lookup_ = std::move(lookup);
-  }
 
   // True if `retailer`'s circuit breaker is currently open (requests are
   // short-circuited to fallbacks).
@@ -242,9 +227,9 @@ class Frontend {
   const core::ScoreCalibrator* calibrator_;
   const Clock* clock_;
   Options options_;
-  StoreLookup lookup_;                // null = use store_->ServeContext
-  obs::MetricRegistry* metrics_;      // null when metrics are off
-  obs::Histogram* request_micros_;    // null when metrics are off
+  obs::MetricRegistry* metrics_;
+  obs::Histogram* request_micros_;
+  obs::Counter* retrieval_fallbacks_;
   obs::Counter* deadline_exceeded_;
   obs::Histogram* overrun_micros_;
   obs::Counter* breaker_trips_;

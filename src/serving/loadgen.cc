@@ -62,13 +62,11 @@ class Sim {
   Sim(const LoadGenOptions& options, obs::MetricRegistry* metrics)
       : options_(options),
         rng_(SplitMix64(options.seed ^ 0x5EEDF00DULL)),
-        controller_(options.admission, metrics, &clock_),
+        registry_(metrics != nullptr ? metrics : &owned_registry_),
+        controller_(options.admission, registry_, &clock_),
         end_micros_(
             static_cast<int64_t>(options.duration_seconds * 1e6)) {
     hash_ = kFnv64OffsetBasis;
-    // Tracing / SLO need a registry to record into; fall back to an
-    // owned one when the caller passed none.
-    registry_ = metrics != nullptr ? metrics : &owned_registry_;
     if (options_.trace_requests) {
       tracer_ = std::make_unique<obs::RequestTracer>(options_.trace,
                                                      registry_, &clock_);
@@ -513,14 +511,15 @@ class Sim {
   LoadGenOptions options_;
   SimClock clock_;
   Rng rng_;
+  // The simulation always counts: owned_registry_ backs the controller,
+  // tracer and SLO engine when the caller passed no registry of their own.
+  obs::MetricRegistry owned_registry_;
+  obs::MetricRegistry* registry_;
   AdmissionController controller_;
   std::unique_ptr<RetryBudget> retry_budget_;
   int64_t end_micros_;
 
-  // Tracing / SLO (null when disabled). owned_registry_ backs them when
-  // the caller passed no registry of their own.
-  obs::MetricRegistry owned_registry_;
-  obs::MetricRegistry* registry_ = nullptr;
+  // Tracing / SLO (null when disabled).
   std::unique_ptr<obs::RequestTracer> tracer_;
   std::unique_ptr<obs::SloEngine> slo_;
   obs::Counter* requests_ok_ = nullptr;

@@ -154,9 +154,10 @@ struct LoadGenReport {
   std::string slo_json;  // SloEngine::ToJson(); "" when disabled
 };
 
-// Runs one simulation. `metrics` (borrowed, may be null) receives the
+// Runs one simulation. `metrics` (borrowed) receives the
 // AdmissionController's counters/gauges, so a DailyReport built around a
-// load test shows the shed/brownout story end to end.
+// load test shows the shed/brownout story end to end; null counts into a
+// registry the simulation owns.
 LoadGenReport RunLoadGenerator(const LoadGenOptions& options,
                                obs::MetricRegistry* metrics = nullptr);
 

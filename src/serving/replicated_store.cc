@@ -11,7 +11,12 @@ namespace sigmund::serving {
 
 ReplicatedStoreGroup::ReplicatedStoreGroup(const Options& options,
                                            obs::MetricRegistry* metrics)
-    : options_(options), metrics_(metrics) {
+    : options_(options),
+      metrics_(obs::RequireRegistry(metrics, "ReplicatedStoreGroup")),
+      failovers_(metrics_->GetCounter("serving_replica_failovers_total")),
+      read_micros_(metrics_->GetHistogram("serving_replica_read_micros")),
+      hedges_suppressed_(
+          metrics_->GetCounter("serving_hedges_suppressed_total")) {
   if (options_.hedge_budget_ratio >= 0.0) {
     RetryBudget::Options budget;
     budget.ratio = options_.hedge_budget_ratio;
@@ -39,15 +44,8 @@ int64_t ReplicatedStoreGroup::ReadMicros(int replica) const {
   return options_.replica_read_micros[i];
 }
 
-std::vector<int> ReplicatedStoreGroup::ServingOrder(
-    data::RetailerId retailer, data::ItemIndex item) const {
+std::vector<int> ReplicatedStoreGroup::ServingOrder(int preferred) const {
   const int n = num_replicas();
-  // Deterministic preference: a stable hash of (retailer, item) spreads
-  // load across replicas and makes chaos reruns byte-identical.
-  const int preferred = static_cast<int>(
-      SplitMix64(static_cast<uint64_t>(retailer) * 0x9E3779B97F4A7C15ULL ^
-                 static_cast<uint64_t>(item + 1)) %
-      static_cast<uint64_t>(n));
   std::vector<int> order;
   order.reserve(n);
   std::lock_guard<std::mutex> lock(mu_);
@@ -80,29 +78,25 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
   if (context.empty()) {
     return InvalidArgumentError("empty context");
   }
+  // Deterministic preference: a stable hash of (retailer, context item)
+  // spreads load across replicas and makes chaos reruns byte-identical.
   const data::ItemIndex item = context.back().item;
-  const int n = num_replicas();
   const int preferred = static_cast<int>(
       SplitMix64(static_cast<uint64_t>(retailer) * 0x9E3779B97F4A7C15ULL ^
                  static_cast<uint64_t>(item + 1)) %
-      static_cast<uint64_t>(n));
-  std::vector<int> order = ServingOrder(retailer, item);
+      static_cast<uint64_t>(num_replicas()));
+  std::vector<int> order = ServingOrder(preferred);
   if (order.empty()) {
     return UnavailableError("no serving replicas alive");
   }
   if (order.front() != preferred) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_replica_failovers_total")->Add(1);
-    }
+    failovers_->Add(1);
     trace.Annotate("replica_failover",
                    StrFormat("%d->%d", preferred, order.front()));
   }
   trace.Annotate("replica", StrFormat("%d", order.front()));
   auto observe = [&](int64_t micros) {
-    if (metrics_ != nullptr) {
-      metrics_->GetHistogram("serving_replica_read_micros")
-          ->Observe(static_cast<double>(micros));
-    }
+    read_micros_->Observe(static_cast<double>(micros));
   };
   // Every read banks hedge-budget tokens; each hedge below spends one, so
   // hedging can never more than (1 + ratio)× the replica read volume.
@@ -110,9 +104,7 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
   bool hedge = options_.hedged_reads && order.size() >= 2;
   if (hedge && hedge_budget_ != nullptr && !hedge_budget_->TryWithdraw()) {
     hedge = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_hedges_suppressed_total")->Add(1);
-    }
+    hedges_suppressed_->Add(1);
     trace.Annotate("hedge", "suppressed_budget");
   }
   if (hedge) {
@@ -125,16 +117,12 @@ StatusOr<std::vector<core::ScoredItem>> ReplicatedStoreGroup::ServeContext(
         replicas_[first]->ServeContext(retailer, context);
     StatusOr<std::vector<core::ScoredItem>> b =
         replicas_[second]->ServeContext(retailer, context);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_hedged_reads_total")->Add(1);
-    }
+    metrics_->GetCounter("serving_hedged_reads_total")->Add(1);
     trace.Annotate("hedge", StrFormat("%d+%d", first, second));
     const bool backup_wins =
         b.ok() && (!a.ok() || ReadMicros(second) < ReadMicros(first));
     if (backup_wins) {
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("serving_hedge_wins_total")->Add(1);
-      }
+      metrics_->GetCounter("serving_hedge_wins_total")->Add(1);
       trace.Annotate("hedge_winner", "backup");
     }
     observe(a.ok() && b.ok()
@@ -175,11 +163,9 @@ Status ReplicatedStoreGroup::CutoverFollowersFromFile(
     const std::string& path, int64_t version, const RetryPolicy& policy,
     sfs::ReliableIoCounters* io) {
   auto count = [&](const char* outcome) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("serving_replica_cutovers_total",
-                           {{"outcome", outcome}})
-          ->Add(1);
-    }
+    metrics_->GetCounter("serving_replica_cutovers_total",
+                         {{"outcome", outcome}})
+        ->Add(1);
   };
   for (int i = 1; i < num_replicas(); ++i) {
     {
@@ -253,9 +239,7 @@ Status ReplicatedStoreGroup::RollbackRetailer(data::RetailerId retailer,
                       << rolled.ToString();
     }
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("serving_rollbacks_total")->Add(1);
-  }
+  metrics_->GetCounter("serving_rollbacks_total")->Add(1);
   return OkStatus();
 }
 
@@ -316,7 +300,7 @@ void ReplicatedStoreGroup::ProbeReplicas(const sfs::SharedFileSystem& fs,
         });
     std::lock_guard<std::mutex> lock(mu_);
     states_[i].probe_ok = beat.ok();
-    if (!beat.ok() && metrics_ != nullptr) {
+    if (!beat.ok()) {
       metrics_->GetCounter("serving_replica_probe_failures_total")->Add(1);
     }
   }

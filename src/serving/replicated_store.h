@@ -59,9 +59,9 @@ class ReplicatedStoreGroup : public ServingReader {
     RecommendationStore::Options store;
   };
 
-  // `metrics` borrowed, may be null (observability off).
-  explicit ReplicatedStoreGroup(const Options& options,
-                                obs::MetricRegistry* metrics = nullptr);
+  // `metrics` (borrowed) is required: failovers, replica reads, hedges,
+  // cutovers, rollbacks and probe failures count into it.
+  ReplicatedStoreGroup(const Options& options, obs::MetricRegistry* metrics);
 
   // --- ServingReader: the request path. The traced overload is the real
   // implementation: replica choice, failover, and hedge decisions are
@@ -136,17 +136,20 @@ class ReplicatedStoreGroup : public ServingReader {
     bool probe_ok = true;
   };
 
-  // Preference-ordered list of replicas eligible to serve (retailer,
-  // item); falls back to merely-alive replicas when none pass every
-  // health check, so a noisy probe can degrade but never zero the
-  // rotation.
-  std::vector<int> ServingOrder(data::RetailerId retailer,
-                                data::ItemIndex item) const;
+  // Preference-ordered list of replicas eligible to serve, starting the
+  // walk at `preferred`; falls back to merely-alive replicas when none
+  // pass every health check, so a noisy probe can degrade but never zero
+  // the rotation.
+  std::vector<int> ServingOrder(int preferred) const;
 
   int64_t ReadMicros(int replica) const;
 
   Options options_;
   obs::MetricRegistry* metrics_;
+  // Label-free request-path series, resolved once.
+  obs::Counter* failovers_;
+  obs::Histogram* read_micros_;
+  obs::Counter* hedges_suppressed_;
   // Null when hedge_budget_ratio < 0 (unlimited hedging). RetryBudget is
   // internally synchronized, so the const ServeContext path can spend it.
   mutable std::unique_ptr<RetryBudget> hedge_budget_;

@@ -20,6 +20,7 @@
 #include "common/slo.h"
 #include "counter_total.h"
 #include "data/world_generator.h"
+#include "fake_reader.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/service.h"
 #include "serving/frontend.h"
@@ -483,13 +484,15 @@ TEST(ChaosTest, DeadlineDegradedRetailersKeepServingPreviousBatch) {
   // rung serves the request. Both counters land in the shared registry.
   serving::Frontend::Options frontend_options;
   frontend_options.breaker_failure_threshold = 1;
-  serving::Frontend frontend(&service.store(), nullptr, service.metrics(),
+  testutil::FakeReader failing_store(
+      [](data::RetailerId, const core::Context&) {
+        return StatusOr<std::vector<core::ScoredItem>>(
+            UnavailableError("store down"));
+      },
+      &service.store());
+  serving::Frontend frontend(&failing_store, nullptr, service.metrics(),
                              &clock, frontend_options);
   frontend.SetPopularityFallback(0, {{1, 1.0}});
-  frontend.SetLookupForTesting([](data::RetailerId, const core::Context&) {
-    return StatusOr<std::vector<core::ScoredItem>>(
-        UnavailableError("store down"));
-  });
   serving::RecommendationRequest request;
   request.retailer = 0;
   request.context = {{0, data::ActionType::kView}};

@@ -149,7 +149,8 @@ struct WorldFixture {
 
 TEST(DataSentryTest, CleanFeedsPassAcrossDays) {
   WorldFixture f;
-  DataSentry sentry(DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  DataSentry sentry(DataSentry::Options{}, &metrics);
   DataSentry::Observation day1 =
       sentry.Observe(BuildFeedProfile(f.world.data));
   EXPECT_EQ(day1.verdict, Verdict::kPass) << [&] {
@@ -179,7 +180,8 @@ TEST(DataSentryTest, EveryCorruptionModeQuarantines) {
   };
   for (Corruption mode : kModes) {
     WorldFixture f;
-    DataSentry sentry(DataSentry::Options{});
+    obs::MetricRegistry metrics;
+    DataSentry sentry(DataSentry::Options{}, &metrics);
     ASSERT_EQ(sentry.Observe(BuildFeedProfile(f.world.data)).verdict,
               Verdict::kPass);
     FeedCorruptor::Options corruptor_options;
@@ -197,7 +199,8 @@ TEST(DataSentryTest, EveryCorruptionModeQuarantines) {
 
 TEST(DataSentryTest, QuarantinedDayNeverBecomesBaseline) {
   WorldFixture f;
-  DataSentry sentry(DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  DataSentry sentry(DataSentry::Options{}, &metrics);
   ASSERT_EQ(sentry.Observe(BuildFeedProfile(f.world.data)).verdict,
             Verdict::kPass);
   const FeedProfile day1_baseline =
@@ -240,7 +243,8 @@ TEST(DataSentryTest, NoiseFloorKeepsTinyRetailersOutOfQuarantine) {
       data::Interaction{0, 1, data::ActionType::kView, 2},
       data::Interaction{0, 1, data::ActionType::kConversion, 3},
   };
-  DataSentry sentry(DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  DataSentry sentry(DataSentry::Options{}, &metrics);
   const DataSentry::Observation obs =
       sentry.Observe(BuildFeedProfile(tiny));
   EXPECT_NE(obs.verdict, Verdict::kQuarantine);
@@ -259,7 +263,8 @@ TEST(DataSentryTest, HardIntegrityChecksIgnoreTheNoiseFloor) {
       data::Interaction{0, 0, data::ActionType::kView, 1},
       data::Interaction{0, 50, data::ActionType::kView, 2},
   };
-  DataSentry sentry(DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  DataSentry sentry(DataSentry::Options{}, &metrics);
   EXPECT_EQ(sentry.Observe(BuildFeedProfile(tiny)).verdict,
             Verdict::kQuarantine);
 }
@@ -272,7 +277,8 @@ TEST(DataSentryTest, DegenerateWorldsPassTheSentry) {
   for (int i = 0; i < 3; ++i) ghosts.catalog.AddItem(data::Item{0, data::kUnknownBrand, 0.0, 0});
   ghosts.catalog.Finalize();
   ghosts.histories.resize(10);  // every user silent
-  DataSentry sentry(DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  DataSentry sentry(DataSentry::Options{}, &metrics);
   EXPECT_EQ(sentry.Observe(BuildFeedProfile(ghosts)).verdict, Verdict::kPass);
   const data::TrainTestSplit ghost_split = data::SplitLeaveLastOut(ghosts);
   EXPECT_TRUE(ghost_split.holdout.empty());

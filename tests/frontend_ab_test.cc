@@ -5,6 +5,7 @@
 #include "common/metrics.h"
 #include "core/ab_experiment.h"
 #include "data/world_generator.h"
+#include "fake_reader.h"
 #include "serving/frontend.h"
 
 namespace sigmund {
@@ -25,6 +26,16 @@ void LoadStore(serving::RecommendationStore* store) {
   store->LoadRetailer(1, {MakeRecs(0)});
 }
 
+// A fake that serves `store`'s lists and versions until a test swaps in a
+// failing lookup with set_lookup.
+testutil::FakeReader StoreBacked(const serving::RecommendationStore& store) {
+  return testutil::FakeReader(
+      [&store](data::RetailerId retailer, const core::Context& context) {
+        return store.ServeContext(retailer, context);
+      },
+      &store);
+}
+
 core::ScoreCalibrator IdentityCalibrator() {
   // Fit on clean separable data: positive scores click, negatives don't.
   std::vector<double> scores = {-2, -1, 1, 2};
@@ -37,7 +48,8 @@ core::ScoreCalibrator IdentityCalibrator() {
 TEST(FrontendTest, BasicRequestServesViewBased) {
   serving::RecommendationStore store;
   LoadStore(&store);
-  serving::Frontend frontend(&store, nullptr);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kView}};
@@ -53,7 +65,8 @@ TEST(FrontendTest, BasicRequestServesViewBased) {
 TEST(FrontendTest, PostPurchaseAndLateFunnelRouting) {
   serving::RecommendationStore store;
   LoadStore(&store);
-  serving::Frontend frontend(&store, nullptr);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kConversion}};
@@ -72,7 +85,8 @@ TEST(FrontendTest, PostPurchaseAndLateFunnelRouting) {
 TEST(FrontendTest, MaxResultsTruncates) {
   serving::RecommendationStore store;
   LoadStore(&store);
-  serving::Frontend frontend(&store, nullptr);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kView}};
@@ -86,7 +100,8 @@ TEST(FrontendTest, ThresholdSuppressesWeakItems) {
   serving::RecommendationStore store;
   LoadStore(&store);
   core::ScoreCalibrator calibrator = IdentityCalibrator();
-  serving::Frontend frontend(&store, &calibrator);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, &calibrator, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kView}};
@@ -104,7 +119,8 @@ TEST(FrontendTest, ThresholdSuppressesWeakItems) {
 TEST(FrontendTest, ThresholdIgnoredWithoutCalibrator) {
   serving::RecommendationStore store;
   LoadStore(&store);
-  serving::Frontend frontend(&store, nullptr);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kView}};
@@ -117,7 +133,8 @@ TEST(FrontendTest, ThresholdIgnoredWithoutCalibrator) {
 TEST(FrontendTest, InvalidRequestsRejected) {
   serving::RecommendationStore store;
   LoadStore(&store);
-  serving::Frontend frontend(&store, nullptr);
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&store, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   EXPECT_EQ(frontend.Handle(request).status().code(),
@@ -173,14 +190,15 @@ TEST(FrontendTest, FallbacksLabelTheVersionTheyActuallyServe) {
   serving::RecommendationStore store;
   LoadStore(&store);
   obs::MetricRegistry metrics;
-  serving::Frontend frontend(&store, nullptr, &metrics);
+  testutil::FakeReader reader = StoreBacked(store);
+  serving::Frontend frontend(&reader, nullptr, &metrics);
   serving::RecommendationRequest request;
   request.retailer = 1;
   request.context = {{0, ActionType::kView}};
 
   // Populate the last-known-good cache at version 1, then break the store.
   ASSERT_TRUE(frontend.Handle(request).ok());
-  frontend.SetLookupForTesting([](data::RetailerId, const core::Context&) {
+  reader.set_lookup([](data::RetailerId, const core::Context&) {
     return StatusOr<std::vector<core::ScoredItem>>(
         UnavailableError("store down"));
   });
@@ -194,11 +212,13 @@ TEST(FrontendTest, FallbacksLabelTheVersionTheyActuallyServe) {
   EXPECT_EQ(lkg->batch_version, 1);
 
   // The popularity rung serves no batch at all: version 0.
-  serving::Frontend bare(&store, nullptr, &metrics);
-  bare.SetLookupForTesting([](data::RetailerId, const core::Context&) {
-    return StatusOr<std::vector<core::ScoredItem>>(
-        UnavailableError("store down"));
-  });
+  testutil::FakeReader bare_reader(
+      [](data::RetailerId, const core::Context&) {
+        return StatusOr<std::vector<core::ScoredItem>>(
+            UnavailableError("store down"));
+      },
+      &store);
+  serving::Frontend bare(&bare_reader, nullptr, &metrics);
   bare.SetPopularityFallback(1, {{7, 1.0}});
   auto popularity = bare.Handle(request);
   ASSERT_TRUE(popularity.ok());
@@ -230,7 +250,8 @@ TEST(FrontendDegradationTest, LastKnownGoodServedAfterStoreFailure) {
   LoadStore(&store);
   obs::MetricRegistry metrics;
   SimClock clock;
-  serving::Frontend frontend(&store, nullptr, &metrics, &clock);
+  testutil::FakeReader reader = StoreBacked(store);
+  serving::Frontend frontend(&reader, nullptr, &metrics, &clock);
 
   // A healthy request populates the last-known-good cache.
   auto healthy = frontend.Handle(ViewRequest());
@@ -239,7 +260,7 @@ TEST(FrontendDegradationTest, LastKnownGoodServedAfterStoreFailure) {
   EXPECT_EQ(healthy->source, serving::ServingSource::kStore);
 
   // Now the store starts failing; the frontend replays the cached list.
-  frontend.SetLookupForTesting([](data::RetailerId, const core::Context&) {
+  reader.set_lookup([](data::RetailerId, const core::Context&) {
     return StatusOr<std::vector<core::ScoredItem>>(
         UnavailableError("store down"));
   });
@@ -256,12 +277,12 @@ TEST(FrontendDegradationTest, LastKnownGoodServedAfterStoreFailure) {
 }
 
 TEST(FrontendDegradationTest, PopularityIsTheLastRungBeforeError) {
-  serving::RecommendationStore store;
-  serving::Frontend frontend(&store, nullptr);
-  frontend.SetLookupForTesting([](data::RetailerId, const core::Context&) {
+  testutil::FakeReader reader([](data::RetailerId, const core::Context&) {
     return StatusOr<std::vector<core::ScoredItem>>(
         UnavailableError("store down"));
   });
+  obs::MetricRegistry metrics;
+  serving::Frontend frontend(&reader, nullptr, &metrics);
   // No last-known-good and no popularity list: the error surfaces.
   EXPECT_EQ(frontend.Handle(ViewRequest()).status().code(),
             StatusCode::kUnavailable);
@@ -276,24 +297,22 @@ TEST(FrontendDegradationTest, PopularityIsTheLastRungBeforeError) {
 }
 
 TEST(FrontendDegradationTest, BreakerTripsShortCircuitsAndRecovers) {
-  serving::RecommendationStore store;
   obs::MetricRegistry metrics;
   SimClock clock;
   serving::Frontend::Options options;
   options.breaker_failure_threshold = 3;
   options.breaker_open_seconds = 30.0;
-  serving::Frontend frontend(&store, nullptr, &metrics, &clock, options);
-  frontend.SetPopularityFallback(1, {{7, 1.0}});
-
   int lookup_calls = 0;
   bool lookup_healthy = false;
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         ++lookup_calls;
         if (!lookup_healthy) return UnavailableError("store down");
         return std::vector<core::ScoredItem>{{1, 2.0}};
       });
+  serving::Frontend frontend(&reader, nullptr, &metrics, &clock, options);
+  frontend.SetPopularityFallback(1, {{7, 1.0}});
 
   // Three consecutive failures trip the breaker.
   for (int n = 0; n < 3; ++n) {
@@ -328,22 +347,20 @@ TEST(FrontendDegradationTest, BreakerTripsShortCircuitsAndRecovers) {
 }
 
 TEST(FrontendDegradationTest, SlowLookupPastDeadlineFallsBack) {
-  serving::RecommendationStore store;
   obs::MetricRegistry metrics;
   SimClock clock;
   serving::Frontend::Options options;
   options.request_deadline_micros = 1000;
-  serving::Frontend frontend(&store, nullptr, &metrics, &clock, options);
-  frontend.SetPopularityFallback(1, {{7, 1.0}});
-
   // The lookup "takes" 5ms of simulated time — well past the 1ms
   // deadline — and still returns a list; the frontend must discard it.
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&clock](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         clock.AdvanceMicros(5000);
         return std::vector<core::ScoredItem>{{1, 2.0}};
       });
+  serving::Frontend frontend(&reader, nullptr, &metrics, &clock, options);
+  frontend.SetPopularityFallback(1, {{7, 1.0}});
   auto response = frontend.Handle(ViewRequest());
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response->degraded);

@@ -298,7 +298,8 @@ TEST(StateRecoveryTest, QuarantinedRetailerStaysQuarantinedAcrossRestart) {
   data::WorldGenerator generator(config);
   data::RetailerWorld world = generator.GenerateRetailer(3, 300);
 
-  dataqual::DataSentry sentry(dataqual::DataSentry::Options{});
+  obs::MetricRegistry metrics;
+  dataqual::DataSentry sentry(dataqual::DataSentry::Options{}, &metrics);
   ASSERT_EQ(sentry.Observe(dataqual::BuildFeedProfile(world.data)).verdict,
             dataqual::DataSentry::Verdict::kPass);
   const int64_t baseline_events =
@@ -314,7 +315,7 @@ TEST(StateRecoveryTest, QuarantinedRetailerStaysQuarantinedAcrossRestart) {
             dataqual::DataSentry::Verdict::kQuarantine);
 
   // Crash: the process dies, a new sentry restores the serialized state.
-  dataqual::DataSentry restored(dataqual::DataSentry::Options{});
+  dataqual::DataSentry restored(dataqual::DataSentry::Options{}, &metrics);
   ASSERT_TRUE(restored.RestoreState(sentry.SerializeState()).ok());
   EXPECT_TRUE(restored.IsQuarantined(world.data.id));
   EXPECT_EQ(restored.QuarantinedCount(), 1);
@@ -340,12 +341,13 @@ TEST(StateRecoveryTest, QuarantinedRetailerStaysQuarantinedAcrossRestart) {
 TEST(StateRecoveryTest, QualityBaselinesSurviveRestart) {
   QualityMonitor::Options options;
   options.max_relative_drop = 0.3;
-  QualityMonitor monitor(options);
+  obs::MetricRegistry metrics;
+  QualityMonitor monitor(options, &metrics);
   EXPECT_EQ(monitor.Record(1, 0.20), QualityMonitor::Verdict::kFirstObservation);
   EXPECT_EQ(monitor.Record(1, 0.22), QualityMonitor::Verdict::kOk);
   EXPECT_EQ(monitor.Record(2, 0.10), QualityMonitor::Verdict::kFirstObservation);
 
-  QualityMonitor restored(options);
+  QualityMonitor restored(options, &metrics);
   ASSERT_TRUE(restored.RestoreState(monitor.SerializeState()).ok());
   EXPECT_DOUBLE_EQ(restored.TrailingBest(1), 0.22);
   EXPECT_EQ(restored.days_observed(1), 2);
@@ -356,7 +358,7 @@ TEST(StateRecoveryTest, QualityBaselinesSurviveRestart) {
   EXPECT_EQ(monitor.Record(1, 0.05), QualityMonitor::Verdict::kRegressed);
   // And serialized state round-trips to identical bytes (deterministic
   // encoding — snapshots must be byte-comparable across a recovery).
-  QualityMonitor again(options);
+  QualityMonitor again(options, &metrics);
   ASSERT_TRUE(again.RestoreState(restored.SerializeState()).ok());
   EXPECT_EQ(again.SerializeState(), restored.SerializeState());
 }

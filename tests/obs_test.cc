@@ -11,10 +11,19 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/slo.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "data/world_generator.h"
+#include "dataqual/sentry.h"
+#include "pipeline/canary.h"
+#include "pipeline/quality_monitor.h"
 #include "pipeline/service.h"
+#include "retrieval/reader.h"
+#include "serving/admission.h"
+#include "serving/frontend.h"
+#include "serving/replicated_store.h"
+#include "serving/store.h"
 #include "sfs/mem_filesystem.h"
 
 namespace sigmund::obs {
@@ -89,6 +98,61 @@ TEST(MetricRegistryTest, ConcurrentCounterUpdatesAreExact) {
 
 // ---------------------------------------------------------------------------
 // Histogram math.
+
+// Every class that counts takes its registry as a required constructor
+// argument: none of them has a metrics-off mode (DESIGN.md §5).
+TEST(RegistryDeathTest, RequiresAMetricsRegistry) {
+  serving::RecommendationStore store;
+  EXPECT_DEATH(
+      { serving::Frontend frontend(&store, nullptr, nullptr); },
+      "Frontend requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        serving::ReplicatedStoreGroup group(
+            serving::ReplicatedStoreGroup::Options(), nullptr);
+      },
+      "ReplicatedStoreGroup requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        serving::AdmissionController controller(
+            serving::AdmissionController::Options(), nullptr, nullptr);
+      },
+      "AdmissionController requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        retrieval::OnlineRetrievalReader reader(
+            retrieval::OnlineRetrievalReader::Options(), nullptr);
+      },
+      "OnlineRetrievalReader requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        pipeline::CanaryController canary(
+            pipeline::CanaryController::Options(), nullptr);
+      },
+      "CanaryController requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        pipeline::QualityMonitor monitor(pipeline::QualityMonitor::Options(),
+                                         nullptr);
+      },
+      "QualityMonitor requires a metrics registry");
+  EXPECT_DEATH(
+      {
+        dataqual::DataSentry sentry(dataqual::DataSentry::Options(), nullptr);
+      },
+      "DataSentry requires a metrics registry");
+  EXPECT_DEATH({ SloEngine engine(SloEngine::Options(), nullptr); },
+               "SloEngine requires a metrics registry");
+  EXPECT_DEATH(
+      { RequestTracer tracer(RequestTracer::Options(), nullptr); },
+      "RequestTracer requires a metrics registry");
+  // The Frontend's one lookup path is its store: it has no store-less mode
+  // either.
+  MetricRegistry registry;
+  EXPECT_DEATH(
+      { serving::Frontend frontend(nullptr, nullptr, &registry); },
+      "Frontend requires a store");
+}
 
 TEST(HistogramTest, TracksCountSumMinMax) {
   MetricRegistry registry;

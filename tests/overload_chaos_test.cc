@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "fake_reader.h"
 #include "serving/admission.h"
 #include "serving/frontend.h"
 #include "serving/loadgen.h"
@@ -50,19 +51,19 @@ TEST(OverloadChaosTest, ConcurrentHandleUnderBreakerLimiterAndLru) {
   options.breaker_open_seconds = 0.0005;  // flaps open -> half-open fast
   options.store_retries = 2;
   options.retry_budget.ratio = 0.2;
-  Frontend frontend(nullptr, nullptr, &metrics, nullptr, options);
 
   // The lookup itself races: every 7th call fails, so breakers trip,
   // half-open probes go through, and the retry budget is spent — all
   // while other threads serve fine and churn the LRU.
   std::atomic<int64_t> lookups{0};
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&lookups](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         const int64_t n = lookups.fetch_add(1, std::memory_order_relaxed);
         if (n % 7 == 6) return UnavailableError("injected store failure");
         return std::vector<core::ScoredItem>{{1, 2.0}, {2, 1.0}};
       });
+  Frontend frontend(&reader, nullptr, &metrics, nullptr, options);
 
   std::atomic<int64_t> ok{0}, shed{0}, failed{0};
   std::vector<std::thread> threads;

@@ -10,6 +10,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "data/world_generator.h"
+#include "fake_reader.h"
 #include "pipeline/canary.h"
 #include "serving/admission.h"
 #include "serving/frontend.h"
@@ -157,7 +158,8 @@ TEST(AdmissionControllerTest, AdmitsUntilLimitThenSheds) {
 
 TEST(AdmissionControllerTest, WatermarksShedProbesBeforeCanariesBeforeUsers) {
   SimClock clock;
-  AdmissionController controller(SmallController(10), nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(SmallController(10), &metrics, &clock);
   // 7/10 slots → occupancy 0.7: probes refused, canaries and users pass.
   for (int i = 0; i < 7; ++i) {
     ASSERT_EQ(
@@ -183,7 +185,8 @@ TEST(AdmissionControllerTest, WatermarksShedProbesBeforeCanariesBeforeUsers) {
 
 TEST(AdmissionControllerTest, QueueDrainsInPriorityOrderOnRelease) {
   SimClock clock;
-  AdmissionController controller(SmallController(1, /*queue=*/4), nullptr,
+  obs::MetricRegistry metrics;
+  AdmissionController controller(SmallController(1, /*queue=*/4), &metrics,
                                  &clock);
   ASSERT_EQ(
       controller.Offer(1, RequestPriority::kUserFacing, 0, true).outcome,
@@ -239,7 +242,8 @@ TEST(AdmissionControllerTest, FullQueueEvictsLowestPriorityWaiter) {
 
 TEST(AdmissionControllerTest, ExpiredWaitersAreShedOnDrain) {
   SimClock clock;
-  AdmissionController controller(SmallController(1, /*queue=*/2), nullptr,
+  obs::MetricRegistry metrics;
+  AdmissionController controller(SmallController(1, /*queue=*/2), &metrics,
                                  &clock);
   ASSERT_EQ(
       controller.Offer(1, RequestPriority::kUserFacing, 0, true).outcome,
@@ -260,7 +264,8 @@ TEST(AdmissionControllerTest, CodelShedsStandingQueue) {
   AdmissionController::Options options = SmallController(1, /*queue=*/8);
   options.codel_target_micros = 100;
   options.codel_interval_micros = 1000;
-  AdmissionController controller(options, nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(options, &metrics, &clock);
   ASSERT_EQ(
       controller.Offer(1, RequestPriority::kUserFacing, 0, true).outcome,
       AdmissionController::Outcome::kAdmitted);
@@ -287,7 +292,8 @@ TEST(AdmissionControllerTest, RetailerRateLimitShedsUserTrafficOnly) {
   AdmissionController::Options options = SmallController(100);
   options.retailer_tokens_per_second = 1.0;
   options.retailer_burst = 2.0;
-  AdmissionController controller(options, nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(options, &metrics, &clock);
   EXPECT_EQ(
       controller.Offer(7, RequestPriority::kUserFacing, 0, false).outcome,
       AdmissionController::Outcome::kAdmitted);
@@ -311,7 +317,8 @@ TEST(AdmissionControllerTest, PressureRisesUnderSaturation) {
   SimClock clock;
   AdmissionController::Options options = SmallController(1);
   options.pressure_alpha = 0.5;
-  AdmissionController controller(options, nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(options, &metrics, &clock);
   EXPECT_DOUBLE_EQ(controller.Pressure(), 0.0);
   ASSERT_EQ(
       controller.Offer(1, RequestPriority::kUserFacing, 0, false).outcome,
@@ -324,7 +331,7 @@ TEST(AdmissionControllerTest, PressureRisesUnderSaturation) {
 
 // --- Frontend integration ----------------------------------------------------
 
-Frontend::StoreLookup CountingLookup(int* calls) {
+testutil::FakeReader::Lookup CountingLookup(int* calls) {
   return [calls](data::RetailerId, const core::Context&)
              -> StatusOr<std::vector<core::ScoredItem>> {
     ++*calls;
@@ -363,9 +370,9 @@ TEST(FrontendOverloadTest, ShedRequestsReturnResourceExhausted) {
   AdmissionController controller(SmallController(1), &metrics, &clock);
   Frontend::Options options;
   options.admission = &controller;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
   int calls = 0;
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   // Fill the only slot from outside, so the frontend's request sheds.
   ASSERT_EQ(
@@ -387,12 +394,13 @@ TEST(FrontendOverloadTest, ShedRequestsReturnResourceExhausted) {
 
 TEST(FrontendOverloadTest, AdmittedRequestsReleaseTheirSlot) {
   SimClock clock;
-  AdmissionController controller(SmallController(4), nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(SmallController(4), &metrics, &clock);
   Frontend::Options options;
   options.admission = &controller;
-  Frontend frontend(nullptr, nullptr, nullptr, &clock, options);
   int calls = 0;
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(frontend.Handle(UserRequest()).ok());
   }
@@ -404,14 +412,14 @@ TEST(FrontendOverloadTest, BrownoutRungsDegradeProgressively) {
   SimClock clock;
   AdmissionController::Options coptions = SmallController(2);
   coptions.pressure_alpha = 0.02;
-  AdmissionController controller(coptions, nullptr, &clock);
   obs::MetricRegistry metrics;
+  AdmissionController controller(coptions, &metrics, &clock);
   Frontend::Options options;
   options.admission = &controller;
   options.brownout_max_results = 2;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
   int calls = 0;
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   // Healthy: full results, rung 0; caches the last-known-good list.
   auto healthy = frontend.Handle(UserRequest());
@@ -445,7 +453,8 @@ TEST(FrontendOverloadTest, BrownoutRungTwoSkipsCalibrationThresholding) {
   SimClock clock;
   AdmissionController::Options coptions = SmallController(2);
   coptions.pressure_alpha = 0.02;
-  AdmissionController controller(coptions, nullptr, &clock);
+  obs::MetricRegistry metrics;
+  AdmissionController controller(coptions, &metrics, &clock);
   Frontend::Options options;
   options.admission = &controller;
   // Only rungs 1-2 reachable: rung 3 threshold out of reach.
@@ -453,9 +462,9 @@ TEST(FrontendOverloadTest, BrownoutRungTwoSkipsCalibrationThresholding) {
   options.brownout_skip_threshold_pressure = 0.5;
   options.brownout_serve_lkg_pressure = 1.1;
   options.brownout_max_results = 3;
-  Frontend frontend(nullptr, nullptr, nullptr, &clock, options);
   int calls = 0;
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   SaturatePressure(&controller);
   serving::RecommendationRequest request = UserRequest();
@@ -475,9 +484,9 @@ TEST(FrontendOverloadTest, LruBoundsRetailerStateMap) {
   obs::MetricRegistry metrics;
   Frontend::Options options;
   options.max_retailer_states = 2;
-  Frontend frontend(nullptr, nullptr, &metrics, nullptr, options);
   int calls = 0;
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, nullptr, options);
 
   EXPECT_TRUE(frontend.Handle(UserRequest(1)).ok());
   EXPECT_TRUE(frontend.Handle(UserRequest(2)).ok());
@@ -493,7 +502,7 @@ TEST(FrontendOverloadTest, LruBoundsRetailerStateMap) {
   // Retailer 2's cached fallback went with its state: a store failure for
   // 2 now has no last-known-good to serve, while 1 (still resident) does.
   // (Check 1 first — probing 2 re-creates its state and would evict 1.)
-  frontend.SetLookupForTesting(
+  reader.set_lookup(
       [](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         return UnavailableError("store down");
@@ -511,14 +520,14 @@ TEST(FrontendOverloadTest, ClientRetriesSpendTheBudget) {
   options.store_retries = 5;
   options.retry_budget.ratio = 0.0;  // nothing banked per request
   options.retry_budget.initial_tokens = 2.0;
-  Frontend frontend(nullptr, nullptr, &metrics, nullptr, options);
   int calls = 0;
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&calls](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         ++calls;
         return UnavailableError("transient");
       });
+  Frontend frontend(&reader, nullptr, &metrics, nullptr, options);
   // First request: 1 try + 2 budgeted retries, then the budget is dry.
   EXPECT_FALSE(frontend.Handle(UserRequest()).ok());
   EXPECT_EQ(calls, 3);
@@ -538,14 +547,14 @@ TEST(FrontendOverloadTest, ShedResponsesAreNotRetried) {
   Frontend::Options options;
   options.store_retries = 5;
   options.retry_budget.initial_tokens = 100.0;
-  Frontend frontend(nullptr, nullptr, &metrics, nullptr, options);
   int calls = 0;
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&calls](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         ++calls;
         return ResourceExhaustedError("downstream shed");
       });
+  Frontend frontend(&reader, nullptr, &metrics, nullptr, options);
   EXPECT_FALSE(frontend.Handle(UserRequest()).ok());
   EXPECT_EQ(calls, 1);
 }
@@ -555,13 +564,13 @@ TEST(FrontendOverloadTest, DeadlineOverrunRecordedOnResponseAndHistogram) {
   obs::MetricRegistry metrics;
   Frontend::Options options;
   options.request_deadline_micros = 1000;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
   int calls = 0;
   // Prime a last-known-good list with a fast lookup.
-  frontend.SetLookupForTesting(CountingLookup(&calls));
+  testutil::FakeReader reader(CountingLookup(&calls));
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
   ASSERT_TRUE(frontend.Handle(UserRequest()).ok());
   // Now a slow lookup: 2500 micros against a 1000-micro deadline.
-  frontend.SetLookupForTesting(
+  reader.set_lookup(
       [&clock](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         clock.AdvanceMicros(2500);
@@ -678,7 +687,8 @@ TEST(CanaryOverloadTest, OverloadShedsCountedAsSamplesWouldRollBack) {
     if (list.ok()) serve.items = *list;
     return serve;
   };
-  CanaryController controller(options, nullptr);
+  obs::MetricRegistry metrics;
+  CanaryController controller(options, &metrics);
   const CanaryController::Outcome outcome =
       controller.Evaluate(0, f.store, 2, f.world.data, /*day=*/0);
   EXPECT_EQ(outcome.verdict, CanaryController::Verdict::kRolledBack);

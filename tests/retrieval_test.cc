@@ -461,7 +461,8 @@ TEST(OnlineRetrievalReaderTest, VersionChainStageActivateRollbackDiscard) {
   retrieval::OnlineRetrievalReader::Options options;
   options.top_k = 5;
   options.retained_versions = 2;
-  retrieval::OnlineRetrievalReader reader(options);
+  obs::MetricRegistry metrics;
+  retrieval::OnlineRetrievalReader reader(options, &metrics);
 
   EXPECT_EQ(reader.RetailerVersion(7), 0);
   EXPECT_EQ(reader.ServeContext(7, {{0, ActionType::kView}}).status().code(),
@@ -513,7 +514,7 @@ TEST(OnlineRetrievalReaderTest, CorruptArtifactRejectedPreviousKeepsServing) {
   sfs::MemFileSystem fs;
   obs::MetricRegistry metrics;
   sfs::ReliableIoCounters io(&metrics);
-  retrieval::OnlineRetrievalReader reader({});
+  retrieval::OnlineRetrievalReader reader({}, &metrics);
   auto detected = [&] {
     return testutil::CounterTotal(metrics, "sfs_corruptions_detected_total");
   };
@@ -572,12 +573,12 @@ TEST(OnlineRetrievalReaderTest, CountsQueriesAndCandidatesInRegistry) {
 
 struct FrontendAbFixture {
   serving::RecommendationStore store;
+  obs::MetricRegistry metrics;
   retrieval::OnlineRetrievalReader reader{[] {
     retrieval::OnlineRetrievalReader::Options options;
     options.top_k = 3;
     return options;
-  }()};
-  obs::MetricRegistry metrics;
+  }(), &metrics};
 
   FrontendAbFixture() {
     core::ItemRecommendations recs;

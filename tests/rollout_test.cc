@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -357,12 +358,17 @@ TEST(ConcurrentCutoverTest, ReadersNeverSeeTornOrMixedVersionShard) {
   RecommendationStore store;
   store.LoadRetailer(1, MakeBatch(kItems, 1.0));
 
+  constexpr int kReaders = 4;
   std::atomic<bool> done{false};
   std::atomic<int64_t> violations{0};
   std::atomic<int64_t> reads{0};
+  // Readers that have completed a read; the writer starts cutting over
+  // only once every reader is running, so the cutovers always race reads.
+  std::atomic<int> started{0};
 
   auto reader = [&](int offset) {
     int item = offset;
+    bool first = true;
     while (!done.load(std::memory_order_relaxed)) {
       item = (item + 1) % kItems;
       StatusOr<std::vector<core::ScoredItem>> list =
@@ -370,6 +376,10 @@ TEST(ConcurrentCutoverTest, ReadersNeverSeeTornOrMixedVersionShard) {
               ? store.Lookup(1, item, RecommendationKind::kViewBased)
               : store.ServeContext(
                     1, {{item, ActionType::kView}});
+      if (first) {
+        started.fetch_add(1);
+        first = false;
+      }
       if (!list.ok() || list->empty()) {
         violations.fetch_add(1);
         continue;
@@ -385,7 +395,15 @@ TEST(ConcurrentCutoverTest, ReadersNeverSeeTornOrMixedVersionShard) {
   };
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) readers.emplace_back(reader, t * 3);
+  for (int t = 0; t < kReaders; ++t) readers.emplace_back(reader, t * 3);
+  // Bounded: a reader that never starts fails the assertions below
+  // instead of hanging the test.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (started.load() < kReaders &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   for (int v = 2; v <= kVersions; ++v) {
     store.LoadRetailer(1, MakeBatch(kItems, static_cast<double>(v)));
     std::this_thread::yield();
@@ -586,7 +604,8 @@ TEST(ReplicatedGroupTest, RevivedReplicaRejoinsAtPinnedVersion) {
 
   ReplicatedStoreGroup::Options options;
   options.num_replicas = 2;
-  ReplicatedStoreGroup group(options);
+  obs::MetricRegistry metrics;
+  ReplicatedStoreGroup group(options, &metrics);
   group.LoadRetailer(1, MakeBatch(8, 1.0));
 
   group.KillReplica(1);

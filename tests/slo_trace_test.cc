@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/slo.h"
 #include "common/trace.h"
+#include "fake_reader.h"
 #include "serving/admission.h"
 #include "serving/frontend.h"
 #include "serving/loadgen.h"
@@ -43,7 +44,8 @@ obs::RequestTracer::Options TracerOptions(double sample_rate,
 
 TEST(RequestTracerTest, KeepsEveryNonHealthyTrace) {
   SimClock clock;
-  obs::RequestTracer tracer(TracerOptions(/*sample_rate=*/0.0), nullptr,
+  obs::MetricRegistry metrics;
+  obs::RequestTracer tracer(TracerOptions(/*sample_rate=*/0.0), &metrics,
                             &clock);
   const obs::TraceVerdict bad[] = {obs::TraceVerdict::kShed,
                                    obs::TraceVerdict::kError,
@@ -64,9 +66,10 @@ TEST(RequestTracerTest, KeepsEveryNonHealthyTrace) {
 TEST(RequestTracerTest, HealthySamplingIsDeterministicAndSeedStable) {
   SimClock clock_a;
   SimClock clock_b;
-  obs::RequestTracer a(TracerOptions(0.25, 1 << 16, /*seed=*/7), nullptr,
+  obs::MetricRegistry metrics;
+  obs::RequestTracer a(TracerOptions(0.25, 1 << 16, /*seed=*/7), &metrics,
                        &clock_a);
-  obs::RequestTracer b(TracerOptions(0.25, 1 << 16, /*seed=*/7), nullptr,
+  obs::RequestTracer b(TracerOptions(0.25, 1 << 16, /*seed=*/7), &metrics,
                        &clock_b);
   int kept = 0;
   for (int i = 0; i < 4000; ++i) {
@@ -86,7 +89,7 @@ TEST(RequestTracerTest, HealthySamplingIsDeterministicAndSeedStable) {
 
   // A different seed makes different healthy-keep decisions.
   SimClock clock_c;
-  obs::RequestTracer c(TracerOptions(0.25, 1 << 16, /*seed=*/8), nullptr,
+  obs::RequestTracer c(TracerOptions(0.25, 1 << 16, /*seed=*/8), &metrics,
                        &clock_c);
   bool any_difference = false;
   for (int i = 0; i < 4000; ++i) {
@@ -101,7 +104,8 @@ TEST(RequestTracerTest, HealthySamplingIsDeterministicAndSeedStable) {
 
 TEST(RequestTracerTest, RingBufferEvictsOldestFirst) {
   SimClock clock;
-  obs::RequestTracer tracer(TracerOptions(1.0, /*max_kept=*/4), nullptr,
+  obs::MetricRegistry metrics;
+  obs::RequestTracer tracer(TracerOptions(1.0, /*max_kept=*/4), &metrics,
                             &clock);
   for (int i = 0; i < 10; ++i) {
     obs::RequestTrace trace = tracer.StartRequest("req");
@@ -119,7 +123,8 @@ TEST(RequestTracerTest, RingBufferEvictsOldestFirst) {
 
 TEST(RequestTracerTest, VerdictUpgradesButNeverDowngrades) {
   SimClock clock;
-  obs::RequestTracer tracer(TracerOptions(0.0), nullptr, &clock);
+  obs::MetricRegistry metrics;
+  obs::RequestTracer tracer(TracerOptions(0.0), &metrics, &clock);
   obs::RequestTrace trace = tracer.StartRequest("req");
   EXPECT_EQ(trace.verdict(), obs::TraceVerdict::kHealthy);
   trace.SetVerdict(obs::TraceVerdict::kShed);
@@ -132,7 +137,8 @@ TEST(RequestTracerTest, VerdictUpgradesButNeverDowngrades) {
 
 TEST(RequestTracerTest, SpanTreeAndAnnotationsSurviveSubmit) {
   SimClock clock;
-  obs::RequestTracer tracer(TracerOptions(1.0), nullptr, &clock);
+  obs::MetricRegistry metrics;
+  obs::RequestTracer tracer(TracerOptions(1.0), &metrics, &clock);
   obs::RequestTrace trace = tracer.StartRequest("serving/handle");
   trace.Annotate(0, "retailer", "42");
   const int64_t admission = trace.StartSpan("admission");
@@ -172,7 +178,7 @@ TEST(RequestTracerTest, InactiveContextIsANoOp) {
 
 // --- Frontend span trees -----------------------------------------------------
 
-Frontend::StoreLookup FixedLookup() {
+testutil::FakeReader::Lookup FixedLookup() {
   return [](data::RetailerId, const core::Context&)
              -> StatusOr<std::vector<core::ScoredItem>> {
     return std::vector<core::ScoredItem>{{1, 2.0}, {2, 1.5}, {3, 1.0}};
@@ -206,8 +212,8 @@ TEST(FrontendTraceTest, ShedRequestTraceNamesReasonAndQueueState) {
   Frontend::Options options;
   options.admission = &controller;
   options.request_tracer = &tracer;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
-  frontend.SetLookupForTesting(FixedLookup());
+  testutil::FakeReader reader(FixedLookup());
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   ASSERT_TRUE(frontend.Handle(UserRequest()).ok());  // spends the burst
   const auto shed = frontend.Handle(UserRequest());
@@ -243,8 +249,8 @@ TEST(FrontendTraceTest, BrownoutRungIsAnnotatedOnKeptTraces) {
   options.brownout_shrink_pressure = 0.0;
   options.brownout_skip_threshold_pressure = 0.0;
   options.brownout_serve_lkg_pressure = 0.0;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
-  frontend.SetLookupForTesting(FixedLookup());
+  testutil::FakeReader reader(FixedLookup());
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   // First request populates the last-known-good cache (already rung 3 by
   // pressure, but no cached list yet → store path)...
@@ -267,13 +273,13 @@ TEST(FrontendTraceTest, DeadlineOverrunVerdictWithOverrunMicros) {
   Frontend::Options options;
   options.request_deadline_micros = 1000;
   options.request_tracer = &tracer;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
-  frontend.SetLookupForTesting(
+  testutil::FakeReader reader(
       [&clock](data::RetailerId, const core::Context&)
           -> StatusOr<std::vector<core::ScoredItem>> {
         clock.AdvanceMicros(5000);  // store is 4000us past the deadline
         return std::vector<core::ScoredItem>{{1, 1.0}};
       });
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
 
   const auto result = frontend.Handle(UserRequest());
   // The deadline ladder may still answer (fallback) — but the trace is
@@ -290,8 +296,8 @@ TEST(FrontendTraceTest, KeptTracesBecomeLatencyExemplars) {
   obs::RequestTracer tracer(TracerOptions(1.0), &metrics, &clock);
   Frontend::Options options;
   options.request_tracer = &tracer;
-  Frontend frontend(nullptr, nullptr, &metrics, &clock, options);
-  frontend.SetLookupForTesting(FixedLookup());
+  testutil::FakeReader reader(FixedLookup());
+  Frontend frontend(&reader, nullptr, &metrics, &clock, options);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(frontend.Handle(UserRequest()).ok());
   }

@@ -202,14 +202,18 @@ TEST(TieredStoreTest, MissingRetailerOrItem) {
 // --- QualityMonitor -----------------------------------------------------------
 
 TEST(QualityMonitorTest, FirstObservationAlwaysAccepted) {
-  pipeline::QualityMonitor monitor;
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(pipeline::QualityMonitor::Options(),
+                                   &metrics);
   EXPECT_EQ(monitor.Record(1, 0.0),
             pipeline::QualityMonitor::Verdict::kFirstObservation);
   EXPECT_EQ(monitor.days_observed(1), 1);
 }
 
 TEST(QualityMonitorTest, StableQualityIsOk) {
-  pipeline::QualityMonitor monitor;
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(pipeline::QualityMonitor::Options(),
+                                   &metrics);
   monitor.Record(1, 0.30);
   EXPECT_EQ(monitor.Record(1, 0.28), pipeline::QualityMonitor::Verdict::kOk);
   EXPECT_EQ(monitor.Record(1, 0.33), pipeline::QualityMonitor::Verdict::kOk);
@@ -217,7 +221,9 @@ TEST(QualityMonitorTest, StableQualityIsOk) {
 }
 
 TEST(QualityMonitorTest, LargeDropFlagged) {
-  pipeline::QualityMonitor monitor;
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(pipeline::QualityMonitor::Options(),
+                                   &metrics);
   monitor.Record(1, 0.30);
   EXPECT_EQ(monitor.Record(1, 0.10),
             pipeline::QualityMonitor::Verdict::kRegressed);
@@ -228,7 +234,8 @@ TEST(QualityMonitorTest, LargeDropFlagged) {
 TEST(QualityMonitorTest, NoiseFloorPassesEverything) {
   pipeline::QualityMonitor::Options options;
   options.min_meaningful_map = 0.05;
-  pipeline::QualityMonitor monitor(options);
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(options, &metrics);
   monitor.Record(1, 0.004);
   // 0.001 is an 75% drop but the baseline is noise.
   EXPECT_EQ(monitor.Record(1, 0.001), pipeline::QualityMonitor::Verdict::kOk);
@@ -237,7 +244,8 @@ TEST(QualityMonitorTest, NoiseFloorPassesEverything) {
 TEST(QualityMonitorTest, HistoryWindowAgesOut) {
   pipeline::QualityMonitor::Options options;
   options.history_days = 2;
-  pipeline::QualityMonitor monitor(options);
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(options, &metrics);
   monitor.Record(1, 0.40);
   monitor.Record(1, 0.15);  // regressed vs 0.40
   monitor.Record(1, 0.15);  // 0.40 still in window? history=[0.40,0.15] ->
@@ -254,7 +262,8 @@ TEST(QualityMonitorTest, PersistentRegressionBecomesNewBaseline) {
   pipeline::QualityMonitor::Options options;
   options.history_days = 3;
   options.max_relative_drop = 0.5;
-  pipeline::QualityMonitor monitor(options);
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(options, &metrics);
 
   monitor.Record(1, 0.40);
   monitor.Record(1, 0.42);
@@ -277,7 +286,9 @@ TEST(QualityMonitorTest, PersistentRegressionBecomesNewBaseline) {
 }
 
 TEST(QualityMonitorTest, RetailersIndependent) {
-  pipeline::QualityMonitor monitor;
+  obs::MetricRegistry metrics;
+  pipeline::QualityMonitor monitor(pipeline::QualityMonitor::Options(),
+                                   &metrics);
   monitor.Record(1, 0.5);
   EXPECT_EQ(monitor.Record(2, 0.01),
             pipeline::QualityMonitor::Verdict::kFirstObservation);

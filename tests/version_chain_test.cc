@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/inference.h"
 #include "retrieval/artifact.h"
 #include "retrieval/reader.h"
@@ -28,7 +29,8 @@ struct PlaneTraits;
 template <>
 struct PlaneTraits<serving::RecommendationStore> {
   static constexpr const char* kName = "batch";
-  static std::unique_ptr<serving::RecommendationStore> Make(int retained) {
+  static std::unique_ptr<serving::RecommendationStore> Make(
+      int retained, obs::MetricRegistry*) {
     serving::RecommendationStore::Options options;
     options.retained_versions = retained;
     return std::make_unique<serving::RecommendationStore>(options);
@@ -46,10 +48,11 @@ template <>
 struct PlaneTraits<retrieval::OnlineRetrievalReader> {
   static constexpr const char* kName = "retrieval index";
   static std::unique_ptr<retrieval::OnlineRetrievalReader> Make(
-      int retained) {
+      int retained, obs::MetricRegistry* metrics) {
     retrieval::OnlineRetrievalReader::Options options;
     options.retained_versions = retained;
-    return std::make_unique<retrieval::OnlineRetrievalReader>(options);
+    return std::make_unique<retrieval::OnlineRetrievalReader>(options,
+                                                              metrics);
   }
   static int64_t Stage(retrieval::OnlineRetrievalReader* plane,
                        data::RetailerId retailer, int64_t version) {
@@ -71,7 +74,8 @@ class VersionChainContractTest : public ::testing::Test {
   using Traits = PlaneTraits<Plane>;
   static constexpr data::RetailerId kRetailer = 7;
 
-  std::unique_ptr<Plane> plane_ = Traits::Make(/*retained=*/2);
+  obs::MetricRegistry metrics_;
+  std::unique_ptr<Plane> plane_ = Traits::Make(/*retained=*/2, &metrics_);
 
   int64_t Stage(int64_t version = 0) {
     return Traits::Stage(plane_.get(), kRetailer, version);
